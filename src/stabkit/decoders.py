@@ -15,13 +15,20 @@ independently.  The matching itself is solved exactly: edges that cannot
 beat two boundary matches are pruned, the defect graph splits into
 connected components, and each component is solved by bitmask dynamic
 programming.
+
+Both decoders also decode batches: `decode_batch` takes the packed
+syndromes of `StabilizerCode.syndrome_batch` and returns packed recoveries
+(`StabilizerCode.pack` rows) plus a mask of the rows whose decoder gave up.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .code_library import SurfaceLayout
 from .pauli import PauliOperator, enumerate_paulis, format_sparse, identity
@@ -107,6 +114,17 @@ class LookupDecoder:
     def decode_value(self, value: int) -> PauliOperator:
         """Packed-syndrome entry point (bit i = generator i)."""
         return self.table.table.get(value, self._identity)
+
+    @cached_property
+    def _packed_table(self) -> np.ndarray:
+        """Packed recovery per syndrome value; a miss stays the identity."""
+        packed = np.zeros((1 << self.code.m, self.code.words), dtype=np.uint64)
+        packed[list(self.table.table)] = self.code.pack(self.table.table.values())
+        return packed
+
+    def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Packed recoveries for packed syndromes; a lookup never gives up."""
+        return self._packed_table[syndromes[:, 0]], np.zeros(len(syndromes), dtype=bool)
 
 
 # --- exact minimum-weight matching ------------------------------------------
@@ -354,6 +372,20 @@ class MwpmDecoder:
             self._x_checks.defects_of(value), self.defect_cap
         )
         return PauliOperator(self.code.n, x_mask, z_mask, 0)
+
+    def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`decode_value` row by row; rows that raise DecoderError are
+        flagged in the returned mask and keep the identity recovery."""
+        recoveries = np.zeros((len(syndromes), self.code.words), dtype=np.uint64)
+        failed = np.zeros(len(syndromes), dtype=bool)
+        # A zero syndrome has no defects, so its recovery is the identity.
+        for row in np.flatnonzero(syndromes.any(axis=1)):
+            value = int.from_bytes(syndromes[row].tobytes(), "little")
+            try:
+                recoveries[row] = self.code.pack([self.decode_value(value)])
+            except DecoderError:
+                failed[row] = True
+        return recoveries, failed
 
 
 def mwpm_decode(

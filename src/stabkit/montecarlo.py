@@ -1,11 +1,18 @@
 """Code-cycle Monte Carlo: logical-error-rate estimation, sweeps over
 physical rates and threshold-crossing scans.
 
-Determinism contract: trial i draws from a stream seeded by
-``derive_seed(point_seed, i)`` and per-point seeds derive from the master
-seed, so a report is bit-identical for a fixed master seed no matter how
-trials are chunked over workers.  Failure counts are plain sums, so
+Determinism contract: trial i of a point draws from the counter-based
+SplitMix64 stream that starts at ``derive_seed(point_seed, i)`` (see
+`noise`), and per-point seeds derive from the master seed, so a report is
+bit-identical for a fixed master seed no matter how trials are chunked over
+workers or sliced into batches.  Failure counts are plain sums, so
 aggregation order cannot matter either.
+
+Each worker runs its chunk of trials as batches of at most _SLICE_TRIALS:
+sample, pack, syndrome, decode and classify each run once per batch on
+bit-packed arrays (`StabilizerCode.syndrome_batch`, `decode_batch`,
+`StabilizerCode.classify_batch`).  `classify_cycle` and `run_cycle` decode
+one known error through the scalar API.
 """
 
 from __future__ import annotations
@@ -17,14 +24,19 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .code_library import surface_code
 from .decoders import DecoderError, MwpmDecoder
-from .noise import NoiseModel, derive_seed, iid_x, iid_xz, depolarizing, sample
+from .noise import NoiseModel, derive_seed, iid_x, iid_xz, depolarizing, sample, sample_batch
 from .pauli import PauliOperator, multiply
 from .stabilizer_code import ResidualClass, StabilizerCode, Syndrome
 
 _Z95 = 1.959963984540054
+# Trials per batch: enough to amortise numpy's per-call cost, few enough
+# that a batch's arrays stay a few MB even for large surface codes.
+_SLICE_TRIALS = 1024
 
 
 @dataclass(frozen=True)
@@ -35,7 +47,6 @@ class CycleOutcome:
     residual: ResidualClass | None
     success: bool
     decoder_failed: bool = False
-    discarded: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,37 +132,24 @@ def run_cycle(code: StabilizerCode, decoder, noise: NoiseModel, rng: random.Rand
 def _run_trials(args) -> tuple[int, int, int, int]:
     code, decoder, noise, point_seed, start, stop, post_select = args
     failures = kept = discarded = decoder_failures = 0
-    n = code.n
-    decode_value = getattr(decoder, "decode_value", None)
-    if decode_value is None and decoder is not None:
-        decode_value = lambda v: decoder.decode(Syndrome.from_int(v, code.m))  # noqa: E731
-    for trial in range(start, stop):
-        rng = random.Random(derive_seed(point_seed, trial))
-        error = sample(noise, n, rng)
-        s_value = code.syndrome_value(error)
+    for a in range(start, stop, _SLICE_TRIALS):
+        b = min(a + _SLICE_TRIALS, stop)
+        errors = code.pack_batch(*sample_batch(noise, code.n, point_seed, a, b))
+        syndromes = code.syndrome_batch(errors)
         if post_select:
             # Repeat-until-success: nonzero syndromes are discarded, and the
             # zero-syndrome recovery is the identity, so the residual is the
             # error itself.
-            if s_value != 0:
-                discarded += 1
-            else:
-                kept += 1
-                if not code.residual_class(error).success:
-                    failures += 1
-            continue
-        kept += 1
-        try:
-            recovery = decode_value(s_value)
-        except DecoderError:
-            decoder_failures += 1
-            failures += 1
-            continue
-        # Success iff the residual sits in the stabilizer group (membership
-        # implies the zero syndrome, so no second syndrome pass is needed).
-        residual = multiply(recovery, error)
-        if not code.in_stabilizer_group(residual):
-            failures += 1
+            residuals = errors[~syndromes.any(axis=1)]
+            failed = np.zeros(len(residuals), dtype=bool)
+            discarded += b - a - len(residuals)
+        else:
+            recoveries, failed = decoder.decode_batch(syndromes)
+            residuals = errors ^ recoveries
+        success = code.classify_batch(residuals) & ~failed
+        kept += len(residuals)
+        failures += len(residuals) - int(success.sum())
+        decoder_failures += int(failed.sum())
     return failures, kept, discarded, decoder_failures
 
 
@@ -352,9 +350,15 @@ def threshold_scan(
 def _pair_crossing(
     rep_a: SimulationReport, rep_b: SimulationReport, lam_a: int, lam_b: int
 ) -> CrossingEstimate | None:
-    """First sign change of log p_L(a) - log p_L(b) along the grid."""
+    """First sign change of log p_L(a) - log p_L(b) along the grid.
+
+    Points where neither curve saw a failure are skipped: both sit on the
+    0.5-failure floor, so their difference says nothing about the order.
+    """
     deltas = []
     for pa, pb in zip(rep_a.points, rep_b.points):
+        if pa.failures == 0 and pb.failures == 0:
+            continue
         (la, sa), (lb, sb) = _log_rate(pa), _log_rate(pb)
         deltas.append((pa.p, la - lb, math.hypot(sa, sb)))
     for (p0, d0, u0), (p1, d1, u1) in zip(deltas, deltas[1:]):

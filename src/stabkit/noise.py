@@ -1,8 +1,17 @@
-"""Code-capacity Pauli channels and the seeded per-trial RNG contract.
+"""Code-capacity Pauli channels and the counter-based per-trial draws.
 
-Trial i of a Monte Carlo run draws from ``random.Random`` seeded with
-``derive_seed(master_seed, i)`` (a splitmix64 hash), so results are
-identical for any worker count or scheduling order.
+Draw contract: trial t of a Monte Carlo point with seed s uses the
+SplitMix64 stream that starts at ``derive_seed(s, t)``.  Its draw j is
+``derive_seed(derive_seed(s, t), j)``, read as a uniform in [0, 1) from its
+top 53 bits.  Draws are a function of (s, t, j) alone, so a run gives the
+same counts for any worker count, chunking or batch size.  `uniforms`
+computes them for a whole trial range at once in wrapping uint64 numpy
+arithmetic (`derive_seeds`), and `sample_batch` turns them into errors.
+
+Each qubit, in qubit order, takes one uniform (two for iid_xz: the X draw,
+then the Z draw).  `_windows` alone maps uniforms to X and Z components;
+the scalar `sample`, which draws from any ``random.Random``, uses it too,
+so the two samplers cannot disagree on the X/Y/Z split.
 """
 
 from __future__ import annotations
@@ -11,17 +20,44 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .pauli import PauliOperator
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit stream seed for (master_seed, index)."""
-    z = (master_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (master_seed + _GAMMA * (index + 1)) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def derive_seeds(master_seed, index) -> np.ndarray:
+    """`derive_seed` over uint64 arrays, broadcasting `master_seed` against
+    `index`; the arithmetic wraps mod 2^64 exactly as the scalar masks."""
+    master = np.asarray(master_seed, dtype=np.uint64)
+    index = np.asarray(index, dtype=np.uint64)
+    with np.errstate(over="ignore"):  # numpy warns on wrapping scalars only
+        z = master + np.uint64(_GAMMA) * (index + np.uint64(1))
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def uniforms(point_seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """Draws 0..count-1 of trials start..stop-1, as a (stop - start, count)
+    float64 array in [0, 1); see the draw contract above."""
+    trial_seeds = derive_seeds(
+        point_seed & _MASK64, np.arange(start, stop, dtype=np.uint64)
+    )
+    z = derive_seeds(trial_seeds[:, None], np.arange(count, dtype=np.uint64))
+    return (z >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -68,33 +104,44 @@ def depolarizing(p: float) -> NoiseModel:
     return NoiseModel("depolarizing", p=p)
 
 
+def _windows(model: NoiseModel) -> tuple[float, float, float, bool]:
+    """(x_hi, z_lo, z_hi, z_draw): a qubit's first uniform u gives an X
+    component iff u < x_hi.  The Z component tests the qubit's second
+    uniform when z_draw is set, else u again, against [z_lo, z_hi)."""
+    if model.kind == "iid_x":
+        return model.p_x, 0.0, 0.0, False
+    if model.kind == "iid_xz":
+        return model.p_x, 0.0, model.p_z, True
+    # Depolarizing: u < p/3 is X, then Y up to 2p/3, then Z up to p.
+    third = model.p / 3.0
+    return 2.0 * third, third, model.p, False
+
+
 def sample(model: NoiseModel, n: int, rng: random.Random) -> PauliOperator:
     """One error draw; per-qubit draws are made in qubit order."""
+    x_hi, z_lo, z_hi, z_draw = _windows(model)
     x = z = 0
-    if model.kind == "iid_x":
-        for q in range(n):
-            if rng.random() < model.p_x:
-                x |= 1 << q
-    elif model.kind == "iid_xz":
-        for q in range(n):
-            if rng.random() < model.p_x:
-                x |= 1 << q
-            if rng.random() < model.p_z:
-                z |= 1 << q
-    else:
-        p = model.p
-        for q in range(n):
+    for q in range(n):
+        u = rng.random()
+        if u < x_hi:
+            x |= 1 << q
+        if z_draw:
             u = rng.random()
-            if u < p:
-                third = p / 3.0
-                if u < third:
-                    x |= 1 << q
-                elif u < 2.0 * third:
-                    x |= 1 << q
-                    z |= 1 << q
-                else:
-                    z |= 1 << q
+        if z_lo <= u < z_hi:
+            z |= 1 << q
     return PauliOperator(n, x, z, 0)
+
+
+def sample_batch(
+    model: NoiseModel, n: int, point_seed: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Errors of trials start..stop-1 as (trials, n) boolean X and Z arrays
+    (column q-1 is qubit q), from the counter-based draws of `uniforms`."""
+    x_hi, z_lo, z_hi, z_draw = _windows(model)
+    draws = 1 + z_draw
+    u = uniforms(point_seed, start, stop, n * draws).reshape(stop - start, n, draws)
+    uz = u[:, :, draws - 1]
+    return u[:, :, 0] < x_hi, (z_lo <= uz) & (uz < z_hi)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,14 @@ the order their published syndrome tables assume.
 
 Stabilizer-group membership is symplectic-span membership: global phases
 are ignored throughout (stabilizers are treated projectively).
+
+Batches of operators, as the Monte Carlo loop uses them, are bit-packed:
+one row of uint64 words per operator holding its symplectic vector (x bits
+0..n-1, then z bits n..2n-1), little-endian across words.  A batch
+syndrome is the popcount parity of those words against the generators, and
+a residual is a success iff it also commutes with every X̄_i and Z̄_i: for
+a valid code that is stabilizer-group membership, decided by 2k parities
+instead of a span reduction.
 """
 
 from __future__ import annotations
@@ -17,7 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from ._gf2 import RowBasis
 from .pauli import (
@@ -115,6 +125,32 @@ class StabilizerCode:
     def _symplectic(self, p: PauliOperator) -> int:
         return p.x_bits | (p.z_bits << self.n)
 
+    @property
+    def words(self) -> int:
+        """uint64 words per packed operator (2n bits)."""
+        return (2 * self.n + 63) // 64
+
+    def _pack_ints(self, values: Iterable[int]) -> np.ndarray:
+        size = 8 * self.words
+        data = b"".join(v.to_bytes(size, "little") for v in values)
+        return np.frombuffer(data, dtype="<u8").reshape(-1, self.words)
+
+    @cached_property
+    def _check_words(self) -> np.ndarray:
+        """Generators, then X̄_1, Z̄_1, X̄_2, ..., each packed with its x and
+        z halves swapped, so that the parity of (packed operator & row) is
+        their symplectic product."""
+        ops = list(self.generators) + [p for pair in self.logicals for p in pair]
+        return self._pack_ints(p.z_bits | (p.x_bits << self.n) for p in ops)
+
+    def _parities(self, ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(len(ops), len(rows)) booleans: 1 where an operator anti-commutes
+        with a row.  Word by word, so temporaries stay (ops x rows)."""
+        acc = np.zeros((len(ops), len(rows)), dtype=np.uint8)
+        for w in range(self.words):
+            acc ^= np.bitwise_count(ops[:, w, None] & rows[None, :, w])
+        return (acc & 1).astype(bool)
+
     # -- operations ------------------------------------------------------
 
     def syndrome_value(self, error: PauliOperator) -> int:
@@ -130,6 +166,24 @@ class StabilizerCode:
 
     def syndrome(self, error: PauliOperator) -> Syndrome:
         return Syndrome.from_int(self.syndrome_value(error), self.m)
+
+    def pack(self, ops: Iterable[PauliOperator]) -> np.ndarray:
+        """Packed rows of the given operators (phases dropped)."""
+        return self._pack_ints(self._symplectic(p) for p in ops)
+
+    def pack_batch(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Packed rows of a batch given as (trials, n) boolean X and Z arrays."""
+        return _pack_bits(np.concatenate((x, z), axis=1), self.words)
+
+    def syndrome_batch(self, ops: np.ndarray) -> np.ndarray:
+        """Packed syndromes of packed operators: one row of ceil(m/64) words
+        each, bit i (of the little-endian word sequence) for generator i."""
+        return _pack_bits(self._parities(ops, self._check_words[: self.m]), -(-self.m // 64))
+
+    def classify_batch(self, residuals: np.ndarray) -> np.ndarray:
+        """Success flags of packed residuals: zero syndrome and commuting
+        with every logical operator (stabilizer-group membership)."""
+        return ~self._parities(residuals, self._check_words).any(axis=1)
 
     def in_stabilizer_group(self, p: PauliOperator) -> bool:
         if p.n != self.n:
@@ -240,6 +294,14 @@ class StabilizerCode:
     @classmethod
     def from_json(cls, text: str) -> "StabilizerCode":
         return cls.from_dict(json.loads(text))
+
+
+def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:
+    """(rows, columns) booleans -> (rows, words) uint64 words, column j at
+    bit j % 64 of word j // 64; columns past the end are zero."""
+    padded = np.zeros((len(bits), 64 * words), dtype=bool)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def distance(

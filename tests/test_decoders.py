@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from stabkit import code_library as library
@@ -253,3 +254,48 @@ class TestMwpmDecoder:
         for decoder in (MwpmDecoder(code), LookupDecoder(code)):
             s = code.syndrome(parse("X1", n=5))
             assert code.syndrome_value(decode(decoder, s)) == s.value
+
+
+class TestDecodeBatch:
+    def _syndromes(self, code, values):
+        words = -(-code.m // 64)
+        data = b"".join(v.to_bytes(8 * words, "little") for v in values)
+        return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
+
+    @pytest.mark.parametrize("max_weight", [None, 1])
+    def test_lookup_batch_matches_scalar(self, max_weight):
+        rng = random.Random(61)
+        misses = 0
+        for name in library.registered_names():
+            code = library.get_code(name)
+            decoder = LookupDecoder(code, max_weight=max_weight)
+            errors = [sample(iid_xz(0.3, 0.3), code.n, rng) for _ in range(200)]
+            values = [code.syndrome_value(e) for e in errors]
+            misses += sum(v not in decoder.table.table for v in values)
+            recoveries, failed = decoder.decode_batch(self._syndromes(code, values))
+            assert not failed.any()
+            expected = [decoder.decode_value(v) for v in values]
+            assert np.array_equal(recoveries, code.pack(expected))
+            success = code.classify_batch(code.pack(errors) ^ recoveries)
+            reference = [
+                code.in_stabilizer_group(multiply(r, e)) for r, e in zip(expected, errors)
+            ]
+            assert list(success) == reference
+        # The weight-1 tables miss syndromes, which decode to the identity.
+        assert (misses > 0) == (max_weight == 1)
+
+    def test_mwpm_batch_matches_scalar_and_flags_give_ups(self):
+        code = library.surface_code(3)
+        decoder = MwpmDecoder(code, defect_cap=2)
+        rng = random.Random(62)
+        values = [0] + [rng.getrandbits(code.m) for _ in range(150)]
+        recoveries, failed = decoder.decode_batch(self._syndromes(code, values))
+        for value, row, flag in zip(values, recoveries, failed):
+            try:
+                expected = decoder.decode_value(value)
+            except DecoderError:
+                assert flag and not row.any()
+                continue
+            assert not flag
+            assert np.array_equal(row, code.pack([expected])[0])
+        assert failed.any() and not failed.all()

@@ -10,6 +10,9 @@ from stabkit import statevector as sv
 from stabkit.decoders import LookupDecoder, MwpmDecoder
 from stabkit.montecarlo import (
     CrossingEstimate,
+    RatePoint,
+    SimulationReport,
+    _pair_crossing,
     classify_cycle,
     estimate_logical_rate,
     run_cycle,
@@ -104,9 +107,18 @@ class TestEstimate:
     def test_deterministic_and_worker_independent(self):
         code = library.surface_code(3)
         decoder = MwpmDecoder(code)
-        one = estimate_logical_rate(code, decoder, iid_xz(0.08, 0.08), 2000, 5, workers=1)
-        two = estimate_logical_rate(code, decoder, iid_xz(0.08, 0.08), 2000, 5, workers=2)
-        assert one == two
+        detection = library.two_qubit()
+        for workers in (1, 2, 3):
+            decoded = estimate_logical_rate(
+                code, decoder, iid_xz(0.08, 0.08), 1999, 5, workers=workers
+            )
+            post_selected = estimate_logical_rate(
+                detection, None, iid_x(0.2), 1999, 5, post_select=True, workers=workers
+            )
+            if workers == 1:
+                first = (decoded, post_selected)
+                assert decoded.failures > 0 and post_selected.discarded > 0
+            assert (decoded, post_selected) == first
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -211,6 +223,21 @@ class TestThresholdScan:
     def test_no_crossing_reported(self):
         with pytest.raises(ValueError, match="no crossing"):
             threshold_scan([3, 5], [0.01, 0.02], 500, 3)
+
+    def test_floored_ties_are_not_crossings(self):
+        def report(failures):
+            points = [
+                RatePoint(p, 500, f, f / 500, 0.0, 1.0, 0)
+                for p, f in zip((0.01, 0.02, 0.03), failures)
+            ]
+            return SimulationReport("c", "mwpm", "iid_xz", 0, points)
+
+        # Both curves at zero failures: a tie on the floor, at p0 or at p1.
+        assert _pair_crossing(report([0, 5, 9]), report([0, 1, 2]), 3, 5) is None
+        assert _pair_crossing(report([3, 5, 0]), report([1, 1, 0]), 3, 5) is None
+        # A real reversal across a skipped floored tie is still found.
+        cross = _pair_crossing(report([1, 0, 9]), report([3, 0, 4]), 3, 5)
+        assert cross is not None and 0.01 < cross.p_cross < 0.03
 
     def test_needs_two_distances(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stabkit.noise import (
     depolarizing,
     derive_seed,
+    derive_seeds,
     error_probabilities,
     iid_x,
     iid_xz,
     sample,
+    sample_batch,
+    uniforms,
 )
 from stabkit.pauli import identity, weight
 
@@ -91,6 +95,65 @@ class TestSample:
         expect = 0.2 * 0.3
         sigma = math.sqrt(expect * (1 - expect) / trials)
         assert abs(y_count / trials - expect) < 5 * sigma
+
+
+class _Replay:
+    """Stands in for random.Random, returning given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+class TestDraws:
+    def test_vectorised_derive_seed_matches_scalar(self):
+        masters = [0, 1, 12345, 2**63, 2**64 - 2, 2**64 - 1]
+        indices = [0, 1, 7, 2**32 + 5, 2**63, 2**64 - 1]
+        got = derive_seeds(
+            np.array(masters, dtype=np.uint64)[:, None], np.array(indices, dtype=np.uint64)
+        )
+        for i, master in enumerate(masters):
+            for j, index in enumerate(indices):
+                assert int(got[i, j]) == derive_seed(master, index)
+        assert int(derive_seeds(2**64 - 1, 0)) == derive_seed(2**64 - 1, 0)
+
+    def test_uniforms_follow_the_stream_of_each_trial(self):
+        seed = 2**64 - 3
+        u = uniforms(seed, 5, 9, 3)
+        assert u.shape == (4, 3)
+        for row, trial in enumerate(range(5, 9)):
+            for j in range(3):
+                expect = (derive_seed(derive_seed(seed, trial), j) >> 11) * 2.0**-53
+                assert u[row, j] == expect
+
+    def test_uniforms_of_a_range_are_rows_of_the_prefix(self):
+        full = uniforms(99, 0, 300, 18)
+        assert full.min() >= 0.0 and full.max() < 1.0
+        for a, b in ((0, 300), (1, 2), (17, 255), (299, 300)):
+            assert np.array_equal(uniforms(99, a, b, 18), full[a:b])
+
+    def test_batch_equals_scalar_sample_on_the_same_draws(self):
+        n = 7
+        for model in (iid_x(0.3), iid_xz(0.2, 0.4), depolarizing(0.6)):
+            draws = 2 if model.kind == "iid_xz" else 1
+            x, z = sample_batch(model, n, 4, 10, 60)
+            u = uniforms(4, 10, 60, n * draws)
+            for row in range(50):
+                op = sample(model, n, _Replay(u[row]))
+                assert op.x_bits == sum(int(b) << q for q, b in enumerate(x[row]))
+                assert op.z_bits == sum(int(b) << q for q, b in enumerate(z[row]))
+
+    def test_batch_depolarizing_letter_balance(self):
+        p = 0.3
+        x, z = sample_batch(depolarizing(p), 4, 11, 0, 50_000)
+        draws = x.size
+        sigma = math.sqrt((p / 3) * (1 - p / 3) / draws)
+        for count in ((x & ~z).sum(), (x & z).sum(), (~x & z).sum()):
+            assert abs(count / draws - p / 3) < 5 * sigma
+        identity_share = (~x & ~z).sum() / draws
+        assert abs(identity_share - (1 - p)) < 5 * math.sqrt(p * (1 - p) / draws)
 
 
 class TestErrorProbabilities:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from stabkit import code_library as library
@@ -160,6 +161,40 @@ class TestResidualClass:
                     shifted = code.residual_class(multiply(logical, g))
                     assert shifted.logical_classes == base.logical_classes
                     assert shifted.success == base.success
+
+
+def random_member(code, rng):
+    op = identity(code.n)
+    for g in code.generators:
+        if rng.random() < 0.5:
+            op = multiply(op, g)
+    return op
+
+
+class TestBatch:
+    # Surface d5 and d7 pack into two and three words per operator.
+    @pytest.mark.parametrize(
+        "code",
+        ALL_CODES + [library.surface_code(5), library.surface_code(7)],
+        ids=lambda code: code.name,
+    )
+    def test_batch_syndrome_and_classify_match_scalar(self, code):
+        rng = random.Random(43)
+        ops = []
+        for _ in range(40):
+            member = random_member(code, rng)
+            ops += [member, random_pauli(code.n, rng)]
+            # Zero syndrome but a logical class: only the logical parities see it.
+            ops += [multiply(member, rng.choice(pair)) for pair in code.logicals]
+        packed = code.pack(ops)
+        x = np.array([[(op.x_bits >> q) & 1 for q in range(code.n)] for op in ops], dtype=bool)
+        z = np.array([[(op.z_bits >> q) & 1 for q in range(code.n)] for op in ops], dtype=bool)
+        assert np.array_equal(code.pack_batch(x, z), packed)
+        for op, row in zip(ops, code.syndrome_batch(packed)):
+            assert int.from_bytes(row.tobytes(), "little") == code.syndrome_value(op)
+        success = code.classify_batch(packed)
+        assert list(success) == [code.in_stabilizer_group(op) for op in ops]
+        assert success.any() and not success.all()
 
 
 class TestDistance:
