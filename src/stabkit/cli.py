@@ -17,6 +17,7 @@ from . import __version__
 from .code_library import get_code, registered_names
 from .decoders import LookupDecoder, MwpmDecoder
 from .montecarlo import sweep, threshold_scan
+from .noise import CHANNELS
 from .pauli import enumerate_paulis, format_sparse
 from .stabilizer_code import distance as code_distance
 
@@ -111,7 +112,7 @@ def _p_grid(args) -> list[float]:
             return [math.exp(a + (b - a) * i / (args.steps - 1)) for i in range(args.steps)]
         h = (args.p_end - args.p_start) / (args.steps - 1)
         return [args.p_start + h * i for i in range(args.steps)]
-    single = {"iid_x": args.px, "iid_xz": args.px, "depolarizing": args.p}[args.noise]
+    single = args.p if args.noise == "depolarizing" else args.px
     if single is None:
         raise ConfigError("give --px/--p for a single point or --p-start/--p-end/--steps")
     return [single]
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("simulate", help="Monte Carlo logical-error-rate sweep")
     sub.add_argument("--code", required=True)
     sub.add_argument("--decoder", choices=("lookup", "mwpm", "none"), default="lookup")
-    sub.add_argument("--noise", choices=("iid_x", "iid_xz", "depolarizing"), default="iid_x")
+    sub.add_argument("--noise", choices=tuple(CHANNELS), default="iid_x")
     sub.add_argument("--px", type=float, default=None)
     sub.add_argument("--pz", type=float, default=None)
     sub.add_argument("--p", type=float, default=None)

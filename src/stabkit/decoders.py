@@ -16,9 +16,11 @@ beat two boundary matches are pruned, the defect graph splits into
 connected components, and each component is solved by bitmask dynamic
 programming.
 
-Both decoders also decode batches: `decode_batch` takes the packed
-syndromes of `StabilizerCode.syndrome_batch` and returns packed recoveries
-(`StabilizerCode.pack` rows) plus a mask of the rows whose decoder gave up.
+Decoder protocol: a `name`; `decode_value(int) -> PauliOperator` for one
+syndrome value (bit i = generator i), which may raise `DecoderError`; and
+`decode_batch(packed) -> (recoveries, failed)` on the packed syndromes of
+`StabilizerCode.syndrome_batch`, returning packed recoveries
+(`StabilizerCode.pack` rows) and a mask of the rows it gave up on.
 """
 
 from __future__ import annotations
@@ -89,16 +91,6 @@ def build_lookup(code: StabilizerCode, max_weight: int | None = None) -> LookupT
     return LookupTable(code=code, max_weight=limit, table=table)
 
 
-def lookup_decode(table: LookupTable, s: Syndrome) -> tuple[PauliOperator, bool]:
-    """Recovery for s plus a matched flag; a miss returns the identity."""
-    if len(s) != table.code.m:
-        raise ValueError(f"syndrome has {len(s)} bits, code has {table.code.m} generators")
-    recovery = table.table.get(s.value)
-    if recovery is None:
-        return identity(table.code.n), False
-    return recovery, True
-
-
 class LookupDecoder:
     name = "lookup"
 
@@ -107,12 +99,8 @@ class LookupDecoder:
         self.code = code
         self._identity = identity(code.n)
 
-    def decode(self, s: Syndrome) -> PauliOperator:
-        recovery, _ = lookup_decode(self.table, s)
-        return recovery
-
     def decode_value(self, value: int) -> PauliOperator:
-        """Packed-syndrome entry point (bit i = generator i)."""
+        """Stored recovery for a syndrome value; a miss is the identity."""
         return self.table.table.get(value, self._identity)
 
     @cached_property
@@ -358,13 +346,8 @@ class MwpmDecoder:
             "Z": self._x_checks.problem(self._x_checks.defects_of(value)),
         }
 
-    def decode(self, s: Syndrome) -> PauliOperator:
-        if len(s) != self.code.m:
-            raise ValueError(f"syndrome has {len(s)} bits, code has {self.code.m} generators")
-        return self.decode_value(s.value)
-
     def decode_value(self, value: int) -> PauliOperator:
-        """Packed-syndrome entry point (bit i = generator i)."""
+        """Matching recovery for a syndrome value (bit i = generator i)."""
         x_mask = self._z_checks.correction_mask(
             self._z_checks.defects_of(value), self.defect_cap
         )
@@ -386,14 +369,3 @@ class MwpmDecoder:
             except DecoderError:
                 failed[row] = True
         return recoveries, failed
-
-
-def mwpm_decode(
-    code: StabilizerCode, s: Syndrome, defect_cap: int = DEFAULT_DEFECT_CAP
-) -> PauliOperator:
-    return MwpmDecoder(code, defect_cap).decode(s)
-
-
-def decode(decoder, s: Syndrome) -> PauliOperator:
-    """Uniform entry point over lookup and matching decoders."""
-    return decoder.decode(s)

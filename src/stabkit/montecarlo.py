@@ -11,15 +11,13 @@ aggregation order cannot matter either.
 Each worker runs its chunk of trials as batches of at most _SLICE_TRIALS:
 sample, pack, syndrome, decode and classify each run once per batch on
 bit-packed arrays (`StabilizerCode.syndrome_batch`, `decode_batch`,
-`StabilizerCode.classify_batch`).  `classify_cycle` and `run_cycle` decode
-one known error through the scalar API.
+`StabilizerCode.classify_batch`); this is the only cycle implementation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,25 +26,15 @@ import numpy as np
 
 from . import __version__
 from .code_library import surface_code
-from .decoders import DecoderError, MwpmDecoder
-from .noise import NoiseModel, derive_seed, iid_x, iid_xz, depolarizing, sample, sample_batch
-from .pauli import PauliOperator, multiply
-from .stabilizer_code import ResidualClass, StabilizerCode, Syndrome
+from .decoders import MwpmDecoder
+from .noise import CHANNELS, NoiseModel, derive_seed, sample_batch
+from .stabilizer_code import StabilizerCode
 
 _Z95 = 1.959963984540054
 # Trials per batch: enough to amortise numpy's per-call cost, few enough
 # that a batch's arrays stay a few MB even for large surface codes.
 _SLICE_TRIALS = 1024
-
-
-@dataclass(frozen=True)
-class CycleOutcome:
-    error: PauliOperator
-    syndrome: Syndrome
-    recovery: PauliOperator
-    residual: ResidualClass | None
-    success: bool
-    decoder_failed: bool = False
+_CSV_HEADER = "p,trials,failures,p_L,ci_low,ci_high"
 
 
 @dataclass(frozen=True)
@@ -62,6 +50,11 @@ class RatePoint:
     decoder_failures: int = 0
 
 
+def _csv_row(pt: RatePoint) -> str:
+    """One point under _CSV_HEADER; floats as repr, so reruns are byte-identical."""
+    return f"{pt.p!r},{pt.trials},{pt.failures},{pt.p_l!r},{pt.ci_low!r},{pt.ci_high!r}"
+
+
 @dataclass
 class SimulationReport:
     code: str
@@ -73,11 +66,7 @@ class SimulationReport:
     version: str = field(default_factory=lambda: f"stabkit-{__version__}")
 
     def to_csv(self) -> str:
-        lines = ["p,trials,failures,p_L,ci_low,ci_high"]
-        for pt in self.points:
-            lines.append(
-                f"{pt.p!r},{pt.trials},{pt.failures},{pt.p_l!r},{pt.ci_low!r},{pt.ci_high!r}"
-            )
+        lines = [_CSV_HEADER] + [_csv_row(pt) for pt in self.points]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -89,7 +78,7 @@ class SimulationReport:
                 "master_seed": self.master_seed,
                 "version": self.version,
                 "wall_time_s": self.wall_time_s,
-                "points": [vars(pt) | {} for pt in self.points],
+                "points": [vars(pt) for pt in self.points],
             },
             indent=2,
             sort_keys=True,
@@ -107,26 +96,6 @@ def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float,
     low = 0.0 if failures == 0 else max(0.0, centre - half)
     high = 1.0 if failures == trials else min(1.0, centre + half)
     return low, high
-
-
-def classify_cycle(code: StabilizerCode, decoder, error: PauliOperator) -> CycleOutcome:
-    """Syndrome, recovery and residual classification for a known error."""
-    s = code.syndrome(error)
-    if decoder is None:
-        recovery = PauliOperator(code.n, 0, 0)
-    else:
-        try:
-            recovery = decoder.decode(s)
-        except DecoderError:
-            return CycleOutcome(error, s, PauliOperator(code.n, 0, 0), None, False, True)
-    residual = multiply(recovery, error)
-    rc = code.residual_class(residual)
-    return CycleOutcome(error, s, recovery, rc, rc.success)
-
-
-def run_cycle(code: StabilizerCode, decoder, noise: NoiseModel, rng: random.Random) -> CycleOutcome:
-    """One full code cycle: sample error, extract syndrome, decode, classify."""
-    return classify_cycle(code, decoder, sample(noise, code.n, rng))
 
 
 def _run_trials(args) -> tuple[int, int, int, int]:
@@ -205,16 +174,6 @@ def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
-def _noise_for(kind: str, p: float) -> NoiseModel:
-    if kind == "iid_x":
-        return iid_x(p)
-    if kind == "iid_xz":
-        return iid_xz(p, p)
-    if kind == "depolarizing":
-        return depolarizing(p)
-    raise ValueError(f"unknown noise kind {kind!r}")
-
-
 def sweep(
     code: StabilizerCode,
     decoder,
@@ -225,7 +184,10 @@ def sweep(
     post_select: bool = False,
     workers: int = 1,
 ) -> SimulationReport:
-    """One RatePoint per p; the grid must be strictly increasing."""
+    """One RatePoint per p under the channel `noise.CHANNELS[noise_kind]`;
+    the grid must be strictly increasing."""
+    if noise_kind not in CHANNELS:
+        raise ValueError(f"unknown noise kind {noise_kind!r}")
     if not p_values:
         raise ValueError("empty p grid")
     if any(b <= a for a, b in zip(p_values, p_values[1:])):
@@ -238,17 +200,16 @@ def sweep(
             estimate_logical_rate(
                 code,
                 decoder,
-                _noise_for(noise_kind, p),
+                CHANNELS[noise_kind](p),
                 trials,
                 point_seed,
                 post_select=post_select,
                 workers=workers,
             )
         )
-    decoder_name = getattr(decoder, "name", type(decoder).__name__) if decoder else "none"
     return SimulationReport(
         code=code.name,
-        decoder=decoder_name,
+        decoder=decoder.name if decoder else "none",
         noise=noise_kind,
         master_seed=master_seed,
         points=points,
@@ -275,21 +236,17 @@ class ThresholdScan:
     sigma: float
 
     def to_csv(self) -> str:
-        lines = ["code,p,trials,failures,p_L,ci_low,ci_high"]
+        lines = ["code," + _CSV_HEADER]
         for lam in sorted(self.reports):
             rep = self.reports[lam]
-            for pt in rep.points:
-                lines.append(
-                    f"{rep.code},{pt.p!r},{pt.trials},{pt.failures},"
-                    f"{pt.p_l!r},{pt.ci_low!r},{pt.ci_high!r}"
-                )
+            lines += [f"{rep.code},{_csv_row(pt)}" for pt in rep.points]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "reports": {str(l): json.loads(r.to_json()) for l, r in self.reports.items()},
-                "crossings": [vars(c) | {} for c in self.crossings],
+                "crossings": [vars(c) for c in self.crossings],
                 "p_threshold": self.p_threshold,
                 "sigma": self.sigma,
             },
@@ -312,7 +269,6 @@ def threshold_scan(
     trials: int,
     master_seed: int,
     workers: int = 1,
-    defect_cap: int = 16,
 ) -> ThresholdScan:
     """Sweep surface codes of the given distances with MWPM under
     independent X/Z noise, then estimate the threshold as the mean of the
@@ -324,10 +280,9 @@ def threshold_scan(
     reports: dict[int, SimulationReport] = {}
     for lam in distances:
         code = surface_code(lam)
-        decoder = MwpmDecoder(code, defect_cap=defect_cap)
         reports[lam] = sweep(
             code,
-            decoder,
+            MwpmDecoder(code),
             "iid_xz",
             p_values,
             trials,

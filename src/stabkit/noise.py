@@ -1,4 +1,8 @@
-"""Code-capacity Pauli channels and the counter-based per-trial draws.
+"""Code-capacity noise: one per-qubit Pauli channel and counter-based draws.
+
+A `NoiseModel` applies X, Y and Z with probabilities p_x, p_y and p_z to
+each qubit independently; `iid_x`, `iid_xz` and `depolarizing` build one,
+and `CHANNELS` maps a sweep's noise kind to its constructor of p.
 
 Draw contract: trial t of a Monte Carlo point with seed s uses the
 SplitMix64 stream that starts at ``derive_seed(s, t)``.  Its draw j is
@@ -8,17 +12,19 @@ same counts for any worker count, chunking or batch size.  `uniforms`
 computes them for a whole trial range at once in wrapping uint64 numpy
 arithmetic (`derive_seeds`), and `sample_batch` turns them into errors.
 
-Each qubit, in qubit order, takes one uniform (two for iid_xz: the X draw,
-then the Z draw).  `_windows` alone maps uniforms to X and Z components;
-the scalar `sample`, which draws from any ``random.Random``, uses it too,
-so the two samplers cannot disagree on the X/Y/Z split.
+Each qubit, in qubit order, takes one uniform u under every channel: an X
+component iff u < p_x + p_y, a Z component iff p_x <= u < p_x + p_y + p_z
+(`_bounds`, shared by the scalar `sample` and `sample_batch`, so the two
+cannot disagree).  Fixed-seed iid_x and depolarizing streams match earlier
+releases; iid_xz ones do not, as iid_xz used to draw a second uniform for
+its Z flip.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,71 +68,62 @@ def uniforms(point_seed: int, start: int, stop: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """kind in {iid_x, iid_xz, depolarizing}; see the constructors below."""
+    """One Pauli channel on every qubit: X, Y and Z with probabilities p_x,
+    p_y and p_z.  headline_rate is the grid rate a sweep reports for it."""
 
-    kind: str
-    p_x: float = 0.0
-    p_z: float = 0.0
-    p: float = 0.0
+    p_x: float
+    p_y: float
+    p_z: float
+    headline_rate: float
 
     def __post_init__(self):
-        for value in (self.p_x, self.p_z, self.p):
+        for value in (self.p_x, self.p_y, self.p_z):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"probability {value} outside [0, 1]")
-        if self.kind not in ("iid_x", "iid_xz", "depolarizing"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-
-    @property
-    def headline_rate(self) -> float:
-        return self.p if self.kind == "depolarizing" else self.p_x
-
-    @property
-    def site_error_rate(self) -> float:
-        """Probability that a given qubit carries any non-identity letter."""
-        if self.kind == "iid_x":
-            return self.p_x
-        if self.kind == "iid_xz":
-            return 1.0 - (1.0 - self.p_x) * (1.0 - self.p_z)
-        return self.p
+        total = self.p_x + self.p_y + self.p_z
+        if total > 1.0:
+            raise ValueError(f"channel probabilities sum to {total} > 1")
 
 
 def iid_x(p_x: float) -> NoiseModel:
-    return NoiseModel("iid_x", p_x=p_x)
+    return NoiseModel(p_x, 0.0, 0.0, p_x)
 
 
 def iid_xz(p_x: float, p_z: float) -> NoiseModel:
     """Independent X and Z flips per qubit; Y arises as the coincidence."""
-    return NoiseModel("iid_xz", p_x=p_x, p_z=p_z)
+    return NoiseModel(p_x * (1.0 - p_z), p_x * p_z, p_z * (1.0 - p_x), p_x)
 
 
 def depolarizing(p: float) -> NoiseModel:
     """X, Y, Z each with probability p/3."""
-    return NoiseModel("depolarizing", p=p)
+    # p - 2(p/3) is exact and differs from p/3 by rounding only; with it the
+    # windows of `_bounds` close at exactly p, as fixed-seed streams expect.
+    third = p / 3.0
+    return NoiseModel(third, third, p - 2.0 * third, p)
 
 
-def _windows(model: NoiseModel) -> tuple[float, float, float, bool]:
-    """(x_hi, z_lo, z_hi, z_draw): a qubit's first uniform u gives an X
-    component iff u < x_hi.  The Z component tests the qubit's second
-    uniform when z_draw is set, else u again, against [z_lo, z_hi)."""
-    if model.kind == "iid_x":
-        return model.p_x, 0.0, 0.0, False
-    if model.kind == "iid_xz":
-        return model.p_x, 0.0, model.p_z, True
-    # Depolarizing: u < p/3 is X, then Y up to 2p/3, then Z up to p.
-    third = model.p / 3.0
-    return 2.0 * third, third, model.p, False
+CHANNELS: dict[str, Callable[[float], NoiseModel]] = {
+    "iid_x": iid_x,
+    "iid_xz": lambda p: iid_xz(p, p),
+    "depolarizing": depolarizing,
+}
+
+
+def _bounds(model: NoiseModel) -> tuple[float, float, float]:
+    """(x_hi, z_lo, z_hi): a qubit's uniform u gives an X component iff
+    u < x_hi and a Z component iff z_lo <= u < z_hi."""
+    x_hi = model.p_x + model.p_y
+    return x_hi, model.p_x, x_hi + model.p_z
 
 
 def sample(model: NoiseModel, n: int, rng: random.Random) -> PauliOperator:
     """One error draw; per-qubit draws are made in qubit order."""
-    x_hi, z_lo, z_hi, z_draw = _windows(model)
+    x_hi, z_lo, z_hi = _bounds(model)
     x = z = 0
     for q in range(n):
         u = rng.random()
         if u < x_hi:
             x |= 1 << q
-        if z_draw:
-            u = rng.random()
         if z_lo <= u < z_hi:
             z |= 1 << q
     return PauliOperator(n, x, z, 0)
@@ -137,25 +134,6 @@ def sample_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Errors of trials start..stop-1 as (trials, n) boolean X and Z arrays
     (column q-1 is qubit q), from the counter-based draws of `uniforms`."""
-    x_hi, z_lo, z_hi, z_draw = _windows(model)
-    draws = 1 + z_draw
-    u = uniforms(point_seed, start, stop, n * draws).reshape(stop - start, n, draws)
-    uz = u[:, :, draws - 1]
-    return u[:, :, 0] < x_hi, (z_lo <= uz) & (uz < z_hi)
-
-
-@dataclass(frozen=True)
-class ErrorDistribution:
-    mean_weight: float
-    weight_probabilities: dict[int, float]  # P(weight = w) for w <= 3
-
-
-def error_probabilities(model: NoiseModel, n: int) -> ErrorDistribution:
-    """Exact binomial weight distribution (weight = qubits with any letter)."""
-    if n > 30:
-        raise ValueError("exact tail computation limited to n <= 30")
-    q = model.site_error_rate
-    probs = {
-        w: math.comb(n, w) * q**w * (1.0 - q) ** (n - w) for w in range(min(3, n) + 1)
-    }
-    return ErrorDistribution(mean_weight=n * q, weight_probabilities=probs)
+    x_hi, z_lo, z_hi = _bounds(model)
+    u = uniforms(point_seed, start, stop, n)
+    return u < x_hi, (z_lo <= u) & (u < z_hi)

@@ -13,13 +13,13 @@ at 2^(n+1) amplitudes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ._gf2 import solve
 from .pauli import PauliOperator
 from .stabilizer_code import StabilizerCode, Syndrome
 
@@ -189,21 +189,6 @@ def apply_controlled_pauli(
     return StateVector(state.n, out)
 
 
-def apply_gate(state: StateVector, name: str, *args) -> StateVector:
-    """Named-gate dispatcher: H/X/Y/Z q, CNOT c t, CP c pauli."""
-    from .pauli import PAULI_MATRICES
-
-    if name == "H":
-        return apply_hadamard(state, *args)
-    if name in ("X", "Y", "Z"):
-        return apply_matrix(state, PAULI_MATRICES[name], *args)
-    if name == "CNOT":
-        return apply_cnot(state, *args)
-    if name == "CP":
-        return apply_controlled_pauli(state, *args)
-    raise ValueError(f"unknown gate {name!r}")
-
-
 def measure_qubit(
     state: StateVector, q: int, rng=None, forced: int | None = None
 ) -> tuple[int, StateVector, float]:
@@ -281,22 +266,10 @@ def extract_syndrome(
 
 
 def _projection_correction(code: StabilizerCode, upto: int) -> PauliOperator:
-    """Minimum-weight Pauli anti-commuting with generator `upto` and commuting
-    with every earlier generator; ties broken by support then letter order."""
-    from .pauli import commutes, enumerate_paulis
-    from ._gf2 import solve
-
-    target = code.generators[upto]
-    earlier = code.generators[:upto]
-    for w in range(1, code.n + 1):
-        if w > 4:
-            break  # fall through to the linear solve
-        for p in enumerate_paulis(code.n, w):
-            if commutes(p, target):
-                continue
-            if all(commutes(p, g) for g in earlier):
-                return p
-    # Solve the symplectic linear system directly (any solution is valid).
+    """A Pauli anti-commuting with generator `upto` and commuting with every
+    earlier generator, from the symplectic linear system.  Any solution
+    will do: the encoded state is the one fixed by every generator and Z̄,
+    whichever correction is chosen."""
     rows = [g.z_bits | (g.x_bits << code.n) for g in code.generators[: upto + 1]]
     rhs = [0] * upto + [1]
     sol = solve(rows, rhs, 2 * code.n)
@@ -371,11 +344,3 @@ def coherent_error_collapse(
     flipped = StateVector(code.n, alpha * one_l.amplitudes + beta * zero_l.amplitudes)
     p_logical = fidelity(flipped, state)
     return keep_prob, 1.0 - keep_prob, p_logical
-
-
-def dump_amplitudes_csv(state: StateVector, stream: IO[str]) -> None:
-    """Debug dump: one (index, real, imag) row per amplitude."""
-    writer = csv.writer(stream)
-    writer.writerow(["index", "real", "imag"])
-    for i, a in enumerate(state.amplitudes):
-        writer.writerow([i, repr(a.real), repr(a.imag)])

@@ -11,10 +11,7 @@ from stabkit.decoders import (
     LookupDecoder,
     MwpmDecoder,
     build_lookup,
-    decode,
-    lookup_decode,
     minimum_weight_matching,
-    mwpm_decode,
 )
 from stabkit.noise import derive_seed, iid_xz, sample
 from stabkit.pauli import enumerate_paulis, format_sparse, from_support, identity, multiply, parse, weight
@@ -43,29 +40,25 @@ class TestLookup:
     def test_zero_syndrome_identity(self):
         for code in (library.three_qubit_bitflip(), library.shor_nine()):
             table = build_lookup(code)
-            recovery, matched = lookup_decode(table, Syndrome.from_int(0, code.m))
-            assert matched and recovery == identity(code.n)
+            assert table.table[0] == identity(code.n)
+            assert LookupDecoder(code).decode_value(0) == identity(code.n)
 
     def test_shor_degenerate_tie_break(self):
-        table = build_lookup(library.shor_nine())
-        recovery, _ = lookup_decode(table, Syndrome.from_string("00000010"))
+        decoder = LookupDecoder(library.shor_nine())
+        recovery = decoder.decode_value(Syndrome.from_string("00000010").value)
         assert format_sparse(recovery) == "Z1"
 
     def test_four_two_two_min_weight_pick(self):
-        table = build_lookup(library.four_two_two())
-        recovery, _ = lookup_decode(table, Syndrome.from_string("10"))
+        decoder = LookupDecoder(library.four_two_two())
+        recovery = decoder.decode_value(Syndrome.from_string("10").value)
         assert format_sparse(recovery) == "X1"
 
     def test_unmatched_syndrome_flagged(self):
         # Weight-1 X errors never flag both Shor X-type checks together.
-        table = build_lookup(library.shor_nine(), max_weight=1)
-        recovery, matched = lookup_decode(table, Syndrome.from_string("10100000"))
-        assert not matched and recovery == identity(9)
-
-    def test_syndrome_length_checked(self):
-        table = build_lookup(library.three_qubit_bitflip())
-        with pytest.raises(ValueError):
-            lookup_decode(table, Syndrome.from_string("101"))
+        decoder = LookupDecoder(library.shor_nine(), max_weight=1)
+        value = Syndrome.from_string("10100000").value
+        assert value not in decoder.table.table
+        assert decoder.decode_value(value) == identity(9)
 
     def test_guard_on_large_codes(self):
         with pytest.raises(DecoderError):
@@ -142,14 +135,14 @@ class TestMwpmDecoder:
 
     def test_zero_syndrome(self):
         code = library.surface_code(2)
-        assert mwpm_decode(code, Syndrome.from_int(0, code.m)) == identity(code.n)
+        assert MwpmDecoder(code).decode_value(0) == identity(code.n)
 
     def test_d2_x5_error_from_figure(self):
         code = library.surface_code(2)
         error = parse("X5", n=5)
         syndrome = code.syndrome(error)
         assert str(syndrome) == "0010"  # flags only the Z-check holding D5
-        recovery = mwpm_decode(code, syndrome)
+        recovery = MwpmDecoder(code).decode_value(syndrome.value)
         assert code.in_stabilizer_group(multiply(recovery, error))
 
     def test_d3_all_single_qubit_errors_corrected(self):
@@ -158,7 +151,7 @@ class TestMwpmDecoder:
         for q in range(1, 14):
             for letter in "XZ":
                 error = from_support(13, [(q, letter)])
-                recovery = decoder.decode(code.syndrome(error))
+                recovery = decoder.decode_value(code.syndrome_value(error))
                 residual = multiply(recovery, error)
                 assert code.residual_class(residual).success, (q, letter)
 
@@ -172,7 +165,7 @@ class TestMwpmDecoder:
             t = correctable_weight(code.declared_distance)
             for w in range(1, t + 1):
                 for error in enumerate_paulis(code.n, w):
-                    recovery = decoder.decode(code.syndrome(error))
+                    recovery = decoder.decode_value(code.syndrome_value(error))
                     assert code.residual_class(multiply(recovery, error)).success
 
     def test_recovery_consistency_random_syndromes(self):
@@ -247,13 +240,27 @@ class TestMwpmDecoder:
         decoder = MwpmDecoder(code, defect_cap=2)
         error = parse("X3 X11 X19 X27 X35", n=41)
         with pytest.raises(InstanceTooLargeError):
-            decoder.decode(code.syndrome(error))
+            decoder.decode_value(code.syndrome_value(error))
 
     def test_uniform_decode_dispatch(self):
-        code = library.surface_code(2)
-        for decoder in (MwpmDecoder(code), LookupDecoder(code)):
-            s = code.syndrome(parse("X1", n=5))
-            assert code.syndrome_value(decode(decoder, s)) == s.value
+        # Both decoders implement the one protocol: name, decode_value and
+        # decode_batch, and on the d3 surface code they agree that every
+        # weight-1 error is corrected.
+        code = library.surface_code(3)
+        decoders = (MwpmDecoder(code), LookupDecoder(code))
+        assert [d.name for d in decoders] == ["mwpm", "lookup"]
+        errors = list(enumerate_paulis(code.n, 1))
+        values = [code.syndrome_value(e) for e in errors]
+        packed = code.syndrome_batch(code.pack(errors))
+        results = []
+        for decoder in decoders:
+            recoveries = [decoder.decode_value(v) for v in values]
+            assert [code.syndrome_value(r) for r in recoveries] == values
+            batch, failed = decoder.decode_batch(packed)
+            assert not failed.any()
+            assert np.array_equal(batch, code.pack(recoveries))
+            results.append(code.classify_batch(code.pack(errors) ^ batch))
+        assert results[0].all() and results[1].all()
 
 
 class TestDecodeBatch:

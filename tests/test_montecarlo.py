@@ -13,15 +13,14 @@ from stabkit.montecarlo import (
     RatePoint,
     SimulationReport,
     _pair_crossing,
-    classify_cycle,
+    _run_trials,
     estimate_logical_rate,
-    run_cycle,
     sweep,
     threshold_scan,
     wilson_interval,
 )
-from stabkit.noise import derive_seed, iid_x, iid_xz, sample
-from stabkit.pauli import from_support, multiply, parse
+from stabkit.noise import iid_x, iid_xz, sample_batch
+from stabkit.pauli import PauliOperator, multiply, parse
 
 
 # Exhaustive enumeration of the eight bit-flip patterns against the decoder:
@@ -48,25 +47,27 @@ class TestWilson:
 class TestCycle:
     def test_noiseless_always_succeeds(self):
         code = library.three_qubit_bitflip()
-        decoder = LookupDecoder(code)
-        rng = random.Random(0)
-        for _ in range(100):
-            outcome = run_cycle(code, decoder, iid_x(0.0), rng)
-            assert outcome.success
+        args = (code, LookupDecoder(code), iid_x(0.0), 0, 0, 100, False)
+        # (failures, kept, discarded, decoder failures)
+        assert _run_trials(args) == (0, 100, 0, 0)
 
     def test_three_qubit_double_flip_fails(self):
         code = library.three_qubit_bitflip()
-        outcome = classify_cycle(code, LookupDecoder(code), parse("XXI"))
-        assert str(outcome.syndrome) == "01"
-        assert outcome.recovery == parse("IIX")
-        assert not outcome.success
-        assert outcome.residual.logical_classes == ("X",)
+        error = parse("XXI")
+        syndrome = code.syndrome(error)
+        assert str(syndrome) == "01"
+        recovery = LookupDecoder(code).decode_value(syndrome.value)
+        assert recovery == parse("IIX")
+        residual = code.residual_class(multiply(recovery, error))
+        assert not residual.success
+        assert residual.logical_classes == ("X",)
 
     def test_shor_degenerate_success(self):
         code = library.shor_nine()
-        outcome = classify_cycle(code, LookupDecoder(code), parse("Z2", n=9))
-        assert outcome.recovery == parse("Z1", n=9)
-        assert outcome.success
+        error = parse("Z2", n=9)
+        recovery = LookupDecoder(code).decode_value(code.syndrome_value(error))
+        assert recovery == parse("Z1", n=9)
+        assert code.residual_class(multiply(recovery, error)).success
 
 
 class TestEstimate:
@@ -128,6 +129,11 @@ class TestEstimate:
 
 
 class TestSweep:
+    def test_unknown_noise_kind_rejected(self):
+        code = library.three_qubit_bitflip()
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            sweep(code, LookupDecoder(code), "amplitude_damping", [0.1], 100, 0)
+
     def test_structure(self):
         code = library.three_qubit_bitflip()
         report = sweep(code, LookupDecoder(code), "iid_x", [0.01, 0.05, 0.1], 2000, 21)
@@ -173,15 +179,24 @@ class TestSweep:
         assert a == b
 
 
+def _unpack(code, row) -> PauliOperator:
+    """The Pauli of one packed row (x bits, then z bits, little-endian)."""
+    bits = int.from_bytes(row.tobytes(), "little")
+    return PauliOperator(code.n, bits & ((1 << code.n) - 1), bits >> code.n)
+
+
 class TestCrossOracle:
     def test_commutation_cycle_matches_statevector_replay(self):
+        # Replays the batch stages of `_run_trials` (sample, pack, syndrome,
+        # decode, classify) on a dense logical state, trial by trial.
         rng = random.Random(20260809)
         cases = [
             (library.three_qubit_bitflip(), LookupDecoder(library.three_qubit_bitflip())),
             (library.four_two_two(), LookupDecoder(library.four_two_two())),
             (library.shor_nine(), LookupDecoder(library.shor_nine())),
         ]
-        for code, decoder in cases:
+        trials = 100 // len(cases) + 1
+        for seed, (code, decoder) in enumerate(cases):
             zero_l = sv.encode_by_projection(code)
             basis = [zero_l]
             for xbar, _ in code.logicals:
@@ -193,15 +208,18 @@ class TestCrossOracle:
             amps = sum(c * b.amplitudes for c, b in zip(coeffs, basis))
             amps /= np.linalg.norm(amps)
             logical = sv.StateVector(code.n, amps)
-            for _ in range(100 // len(cases) + 1):
-                error = sample(iid_xz(0.15, 0.15), code.n, rng)
-                outcome = classify_cycle(code, decoder, error)
-                corrupted = sv.apply_pauli(logical, error)
+            errors = code.pack_batch(*sample_batch(iid_xz(0.15, 0.15), code.n, seed, 0, trials))
+            syndromes = code.syndrome_batch(errors)
+            recoveries, failed = decoder.decode_batch(syndromes)
+            success = code.classify_batch(errors ^ recoveries) & ~failed
+            assert success.any() and not success.all()
+            for row in range(trials):
+                corrupted = sv.apply_pauli(logical, _unpack(code, errors[row]))
                 syndrome, post = sv.extract_syndrome(code, corrupted)
-                assert syndrome == outcome.syndrome
-                recovered = sv.apply_pauli(post, outcome.recovery)
+                assert syndrome.value == int.from_bytes(syndromes[row].tobytes(), "little")
+                recovered = sv.apply_pauli(post, _unpack(code, recoveries[row]))
                 restored = sv.fidelity(recovered, logical) > 1 - 1e-9
-                assert restored == outcome.success
+                assert restored == success[row]
 
 
 class TestThresholdScan:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from stabkit.noise import (
+    CHANNELS,
+    NoiseModel,
     depolarizing,
     derive_seed,
     derive_seeds,
-    error_probabilities,
     iid_x,
     iid_xz,
     sample,
@@ -24,10 +25,29 @@ class TestModels:
             iid_x(1.2)
         with pytest.raises(ValueError):
             iid_xz(0.1, -0.5)
+        with pytest.raises(ValueError):
+            NoiseModel(0.5, 0.3, 0.3, 0.5)
+        with pytest.raises(ValueError):
+            depolarizing(1.2)
 
     def test_headline_rates(self):
         assert iid_x(0.03).headline_rate == 0.03
         assert depolarizing(0.2).headline_rate == 0.2
+
+    def test_constructors_are_pauli_channels(self):
+        assert iid_x(0.3) == NoiseModel(0.3, 0.0, 0.0, 0.3)
+        model = iid_xz(0.2, 0.3)
+        assert (model.p_x, model.p_y, model.p_z) == pytest.approx((0.14, 0.06, 0.24))
+        assert model.headline_rate == 0.2
+        assert iid_xz(1.0, 1.0) == NoiseModel(0.0, 1.0, 0.0, 1.0)
+        for p in (0.007, 0.1, 0.3, 0.75, 1.0):
+            model = depolarizing(p)
+            assert (model.p_x, model.p_y, model.p_z) == pytest.approx((p / 3,) * 3)
+            # The X and Z windows of a qubit's uniform end at exactly p.
+            assert model.p_x + model.p_y + model.p_z == p
+        assert CHANNELS["iid_xz"](0.1) == iid_xz(0.1, 0.1)
+        assert CHANNELS["iid_x"](0.1) == iid_x(0.1)
+        assert CHANNELS["depolarizing"](0.1) == depolarizing(0.1)
 
 
 class TestSample:
@@ -137,9 +157,8 @@ class TestDraws:
     def test_batch_equals_scalar_sample_on_the_same_draws(self):
         n = 7
         for model in (iid_x(0.3), iid_xz(0.2, 0.4), depolarizing(0.6)):
-            draws = 2 if model.kind == "iid_xz" else 1
             x, z = sample_batch(model, n, 4, 10, 60)
-            u = uniforms(4, 10, 60, n * draws)
+            u = uniforms(4, 10, 60, n)
             for row in range(50):
                 op = sample(model, n, _Replay(u[row]))
                 assert op.x_bits == sum(int(b) << q for q, b in enumerate(x[row]))
@@ -155,23 +174,12 @@ class TestDraws:
         identity_share = (~x & ~z).sum() / draws
         assert abs(identity_share - (1 - p)) < 5 * math.sqrt(p * (1 - p) / draws)
 
+    def test_batch_iid_xz_letter_frequencies(self):
+        px, pz = 0.2, 0.3
+        x, z = sample_batch(iid_xz(px, pz), 4, 13, 0, 50_000)
+        draws = x.size
+        observed = ((x & ~z).sum(), (x & z).sum(), (~x & z).sum())
+        for count, expect in zip(observed, (px * (1 - pz), px * pz, pz * (1 - px))):
+            sigma = math.sqrt(expect * (1 - expect) / draws)
+            assert abs(count / draws - expect) < 5 * sigma
 
-class TestErrorProbabilities:
-    def test_binomial_values(self):
-        dist = error_probabilities(iid_x(0.1), 3)
-        assert dist.weight_probabilities[0] == pytest.approx(0.729)
-        assert dist.weight_probabilities[2] == pytest.approx(0.027)
-        assert dist.mean_weight == pytest.approx(0.3)
-
-    def test_zero_rate(self):
-        dist = error_probabilities(iid_x(0.0), 5)
-        assert dist.weight_probabilities[0] == 1.0
-
-    def test_iid_xz_site_rate(self):
-        dist = error_probabilities(iid_xz(0.1, 0.1), 2)
-        q = 1 - 0.9 * 0.9
-        assert dist.mean_weight == pytest.approx(2 * q)
-
-    def test_tail_guard(self):
-        with pytest.raises(ValueError):
-            error_probabilities(iid_x(0.1), 31)

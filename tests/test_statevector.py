@@ -1,4 +1,3 @@
-import io
 import math
 import random
 
@@ -12,13 +11,11 @@ from stabkit.statevector import (
     BlochAngles,
     apply_cnot,
     apply_controlled_pauli,
-    apply_gate,
     apply_hadamard,
     apply_pauli,
     basis_state,
     bloch_rotation,
     coherent_error_collapse,
-    dump_amplitudes_csv,
     encode_by_projection,
     extract_syndrome,
     fidelity,
@@ -87,14 +84,6 @@ class TestGates:
         state = basis_state(2, "10")
         state = apply_controlled_pauli(state, 1, parse("X"), targets=[2])
         assert np.allclose(state.amplitudes, basis_state(2, "11").amplitudes)
-
-    def test_apply_gate_dispatch(self):
-        state = apply_gate(basis_state(2, "00"), "H", 1)
-        state = apply_gate(state, "CNOT", 1, 2)
-        bell = (basis_state(2, "00").amplitudes + basis_state(2, "11").amplitudes) / math.sqrt(2)
-        assert np.allclose(state.amplitudes, bell)
-        with pytest.raises(ValueError):
-            apply_gate(state, "SWAP", 1, 2)
 
     def test_pauli_matches_dense_matrix(self):
         from conftest import dense_matrix
@@ -262,13 +251,6 @@ class TestFidelityAndDump:
         assert fidelity(zero, zero) == pytest.approx(1.0)
         assert fidelity(zero, one) == pytest.approx(0.0)
         assert fidelity(plus, zero) == pytest.approx(0.5)
-
-    def test_dump_csv(self):
-        buf = io.StringIO()
-        dump_amplitudes_csv(apply_hadamard(basis_state(1, "0"), 1), buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "index,real,imag"
-        assert len(lines) == 3
 
 
 class TestDigitisationDemo:
