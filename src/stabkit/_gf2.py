@@ -19,10 +19,6 @@ class RowBasis:
         for row in rows or []:
             self.insert(row)
 
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
     def reduce(self, v: int) -> int:
         """Reduce v against the basis; 0 iff v lies in the span."""
         while v:
@@ -45,31 +41,27 @@ class RowBasis:
         return self.reduce(v) == 0
 
 
-def solve(rows: list[int], rhs: list[int], width: int) -> int | None:
-    """Solve M v = rhs over GF(2), rows of M given as ints over `width` columns.
-
-    Returns one particular solution as an int, or None if inconsistent.
-    """
-    # Gaussian elimination on [M | rhs].
-    aug = [(row << 1) | (b & 1) for row, b in zip(rows, rhs)]
+def right_inverse(rows: list[int]) -> list[int]:
+    """Vectors v_t with parity(rows[i] & v_t) = [i == t], from one
+    Gauss-Jordan pass over [rows | identity].  Raises ValueError if the
+    rows are dependent."""
+    r = len(rows)
+    # Reduced rows keyed by pivot column; the low r bits record which input
+    # rows each one combines.  Every pivot column is set in its own row only.
     pivots: dict[int, int] = {}
-    for v in aug:
-        while v >> 1:
-            pivot = (v >> 1).bit_length() - 1
-            if pivot not in pivots:
-                pivots[pivot] = v
-                v = 0
-                break
-            v ^= pivots[pivot]
-        if v == 1:  # 0 = 1
-            return None
-    solution = 0
-    # Each stored row has its pivot as highest column, so ascending order
-    # guarantees every lower column is already assigned (or free = 0).
-    for pivot in sorted(pivots):
-        row = pivots[pivot]
-        acc = row & 1
-        acc ^= parity((row >> 1) & solution)
-        if acc:
-            solution |= 1 << pivot
-    return solution
+    for i, row in enumerate(rows):
+        v = (row << r) | (1 << i)
+        for col, p in pivots.items():
+            if (v >> col) & 1:
+                v ^= p
+        if not v >> r:
+            raise ValueError(f"row {i} is a combination of earlier rows")
+        col = v.bit_length() - 1
+        for c, p in pivots.items():
+            if (p >> col) & 1:
+                pivots[c] = p ^ v
+        pivots[col] = v
+    return [
+        sum(1 << (col - r) for col, p in pivots.items() if (p >> t) & 1)
+        for t in range(r)
+    ]

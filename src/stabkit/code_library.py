@@ -16,61 +16,9 @@ the left column, the logical Z̄ the Z-chain across the top row.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .pauli import PauliOperator, from_support, multiply
-from .stabilizer_code import StabilizerCode
-
-Coord = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class AncillaRecord:
-    ancilla_id: str
-    kind: str  # "X" or "Z"
-    coord: Coord
-    data_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SurfaceLayout:
-    """Lattice geometry consumed by the matching decoder."""
-
-    lam: int
-    data_coords: dict[int, Coord]
-    ancilla_records: tuple[AncillaRecord, ...]
-    x_boundaries: tuple[str, str] = ("top", "bottom")
-    z_boundaries: tuple[str, str] = ("left", "right")
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "data_coords": {str(i): list(c) for i, c in self.data_coords.items()},
-            "ancilla_records": [
-                {
-                    "id": a.ancilla_id,
-                    "kind": a.kind,
-                    "coord": list(a.coord),
-                    "data_indices": list(a.data_indices),
-                }
-                for a in self.ancilla_records
-            ],
-            "x_boundaries": list(self.x_boundaries),
-            "z_boundaries": list(self.z_boundaries),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurfaceLayout":
-        return cls(
-            lam=data["lambda"],
-            data_coords={int(i): tuple(c) for i, c in data["data_coords"].items()},
-            ancilla_records=tuple(
-                AncillaRecord(a["id"], a["kind"], tuple(a["coord"]), tuple(a["data_indices"]))
-                for a in data["ancilla_records"]
-            ),
-            x_boundaries=tuple(data["x_boundaries"]),
-            z_boundaries=tuple(data["z_boundaries"]),
-        )
+from .stabilizer_code import AncillaRecord, Coord, StabilizerCode, SurfaceLayout
 
 
 def _chain(n: int, letter: str, qubits: list[int]) -> PauliOperator:

@@ -16,6 +16,13 @@ beat two boundary matches are pruned, the defect graph splits into
 connected components, and each component is solved by bitmask dynamic
 programming.
 
+Recovery: the matching only picks each sector's logical class.  A boundary
+match toward coordinate 0 (top for X-errors, left for Z-errors) crosses the
+conjugate logical once and a pair path never does.  The recovery is the
+product of `StabilizerCode.pure_errors` over the flagged checks, times X̄
+(Z̄) where the X (Z) sector makes an odd number of such matches: the matched
+chains up to a stabilizer, so the same verdicts, but not minimum weight.
+
 Decoder protocol: a `name`; `decode_value(int) -> PauliOperator` for one
 syndrome value (bit i = generator i), which may raise `DecoderError`; and
 `decode_batch(packed) -> (recoveries, failed)` on the packed syndromes of
@@ -32,9 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .code_library import SurfaceLayout
 from .pauli import PauliOperator, enumerate_paulis, format_sparse, identity
-from .stabilizer_code import StabilizerCode, Syndrome
+from .stabilizer_code import StabilizerCode, SurfaceLayout, Syndrome
 
 LOOKUP_SYNDROME_GUARD = 20
 DEFAULT_DEFECT_CAP = 16
@@ -119,19 +125,18 @@ class LookupDecoder:
 
 
 def minimum_weight_matching(
-    dist: Sequence[Sequence[int]],
-    boundary: Sequence[int],
-    cap: int = DEFAULT_DEFECT_CAP,
+    dist: Sequence[Sequence[int]], boundary: Sequence[int]
 ) -> tuple[int, list[tuple[int, int | None]]]:
     """Exact minimum-cost matching of defects to each other or the boundary.
 
     dist[i][j] is the pair cost, boundary[i] the cost of sending defect i
     to its boundary.  Returns (total cost, pairs) with None marking a
-    boundary match.  Raises InstanceTooLargeError above `cap` defects.
+    boundary match.  Raises InstanceTooLargeError above DEFAULT_DEFECT_CAP
+    defects.
     """
     k = len(boundary)
-    if k > cap:
-        raise InstanceTooLargeError(f"instance too large: {k} defects exceed cap {cap}")
+    if k > DEFAULT_DEFECT_CAP:
+        raise InstanceTooLargeError(f"instance too large: {k} defects exceed cap {DEFAULT_DEFECT_CAP}")
     if k == 0:
         return 0, []
 
@@ -234,74 +239,40 @@ class _Sector:
     def __init__(self, layout: SurfaceLayout, check_kind: str):
         side = 2 * layout.lam - 1
         self.sector = "X" if check_kind == "Z" else "Z"  # error species decoded
-        self.generator_indices = []
-        self.coords = []
-        self.ids = []
+        self.coords, self.ids, self._local = [], [], {}
         for gi, rec in enumerate(layout.ancilla_records):
             if rec.kind == check_kind:
-                self.generator_indices.append(gi)
+                self._local[gi] = len(self.coords)  # generator -> defect index
                 self.coords.append(rec.coord)
                 self.ids.append(rec.ancilla_id)
-        coord_to_data = {coord: q for q, coord in layout.data_coords.items()}
-
-        def data_bit(coord) -> int:
-            return 1 << (coord_to_data[coord] - 1)
-
-        k = len(self.coords)
+        self.sector_mask = sum(1 << gi for gi in self._local)
         # Z-checks pair through vertical steps to the top/bottom boundary;
         # X-checks through horizontal steps to the left/right boundary.
         axis = 0 if check_kind == "Z" else 1
-        self.pair_cost = [[0] * k for _ in range(k)]
-        self.pair_chain = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    self.pair_cost[i][j] = (
-                        abs(self.coords[i][0] - self.coords[j][0])
-                        + abs(self.coords[i][1] - self.coords[j][1])
-                    ) // 2
-                    self.pair_chain[i][j] = self._route(
-                        self.coords[i], self.coords[j], data_bit
-                    )
-        self.boundary_cost = []
-        self.boundary_chain = []
-        for r, c in self.coords:
-            along = r if axis == 0 else c
-            near = (along + 1) // 2  # chain length exiting toward coordinate 0
-            far = (side - along) // 2
-            # Ties go to the larger-coordinate side (bottom / right).
-            step = -1 if near < far else 1
-            mask = 0
-            pos = [r, c]
-            pos[axis] += step
-            while 0 <= pos[axis] < side:
-                mask |= data_bit(tuple(pos))
-                pos[axis] += 2 * step
-            self.boundary_cost.append(min(near, far))
-            self.boundary_chain.append(mask)
-
-    @staticmethod
-    def _route(a, b, data_bit) -> int:
-        """Data qubits on a rows-first Manhattan path between two checks."""
-        mask = 0
-        r, c = a
-        r2, c2 = b
-        step = 2 if r2 > r else -2
-        while r != r2:
-            mask |= data_bit((r + step // 2, c))
-            r += step
-        step = 2 if c2 > c else -2
-        while c != c2:
-            mask |= data_bit((r, c + step // 2))
-            c += step
-        return mask
+        self.pair_cost = [
+            [(abs(a[0] - b[0]) + abs(a[1] - b[1])) // 2 for b in self.coords]
+            for a in self.coords
+        ]
+        # Chain lengths exiting toward coordinate 0 and toward the far side.
+        near = [(coord[axis] + 1) // 2 for coord in self.coords]
+        far = [(side - coord[axis]) // 2 for coord in self.coords]
+        self.boundary_cost = list(map(min, near, far))
+        # A chain to the coordinate-0 side crosses the conjugate logical
+        # (Z̄ on the top row, X̄ on the left column: `conjugate`) once; pair
+        # chains never reach it.  Ties go to the far side.
+        self.boundary_flips = [a < b for a, b in zip(near, far)]
+        self.conjugate = sum(1 << (q - 1) for q, c in layout.data_coords.items() if c[axis] == 0)
 
     def defects_of(self, syndrome_value: int) -> list[int]:
-        return [
-            i
-            for i, gi in enumerate(self.generator_indices)
-            if (syndrome_value >> gi) & 1
-        ]
+        """Flagged checks of this sector, in ascending generator order (the
+        matching's tie-breaks depend on that order)."""
+        defects = []
+        v = syndrome_value & self.sector_mask
+        while v:
+            low = v & -v
+            defects.append(self._local[low.bit_length() - 1])
+            v ^= low
+        return defects
 
     def problem(self, defects: list[int]) -> MatchingProblem:
         return MatchingProblem(
@@ -313,17 +284,13 @@ class _Sector:
             ),
         )
 
-    def correction_mask(self, defects: list[int], cap: int) -> int:
+    def logical_flip(self, syndrome_value: int) -> bool:
+        """Parity of the defects the matching sends to a flipping boundary."""
+        defects = self.defects_of(syndrome_value)
         dist = [[self.pair_cost[i][j] for j in defects] for i in defects]
         boundary = [self.boundary_cost[i] for i in defects]
-        _, pairs = minimum_weight_matching(dist, boundary, cap=cap)
-        mask = 0
-        for a, b in pairs:
-            if b is None:
-                mask ^= self.boundary_chain[defects[a]]
-            else:
-                mask ^= self.pair_chain[defects[a]][defects[b]]
-        return mask
+        _, pairs = minimum_weight_matching(dist, boundary)
+        return sum(self.boundary_flips[defects[a]] for a, b in pairs if b is None) % 2 == 1
 
 
 class MwpmDecoder:
@@ -331,41 +298,54 @@ class MwpmDecoder:
 
     name = "mwpm"
 
-    def __init__(self, code: StabilizerCode, defect_cap: int = DEFAULT_DEFECT_CAP):
+    def __init__(self, code: StabilizerCode):
         if code.layout is None:
             raise DecoderError(f"code {code.name!r} has no lattice layout; MWPM needs one")
         self.code = code
-        self.defect_cap = defect_cap
         self._z_checks = _Sector(code.layout, "Z")  # X-error sector
         self._x_checks = _Sector(code.layout, "X")  # Z-error sector
+        # Symplectic vectors, built here so that a pickled decoder carries
+        # them to every worker.
+        self._pure = [code._symplectic(p) for p in code.pure_errors]
+        self._xbar, self._zbar = (code._symplectic(p) for p in code.logicals[0])
+        conjugates = (self._x_checks.conjugate, self._z_checks.conjugate << code.n)
+        if (self._xbar, self._zbar) != conjugates:
+            raise DecoderError("MWPM needs X̄ down the left column and Z̄ across the top row")
 
     def matching_problems(self, s: Syndrome) -> dict[str, MatchingProblem]:
-        value = s.value
-        return {
-            "X": self._z_checks.problem(self._z_checks.defects_of(value)),
-            "Z": self._x_checks.problem(self._x_checks.defects_of(value)),
-        }
+        sectors = (self._z_checks, self._x_checks)
+        return {sector.sector: sector.problem(sector.defects_of(s.value)) for sector in sectors}
 
     def decode_value(self, value: int) -> PauliOperator:
-        """Matching recovery for a syndrome value (bit i = generator i)."""
-        x_mask = self._z_checks.correction_mask(
-            self._z_checks.defects_of(value), self.defect_cap
-        )
-        z_mask = self._x_checks.correction_mask(
-            self._x_checks.defects_of(value), self.defect_cap
-        )
-        return PauliOperator(self.code.n, x_mask, z_mask, 0)
+        """Recovery for a syndrome value (bit i = generator i): the pure
+        errors of the set bits, times X̄ and Z̄ where the matching picks the
+        other logical class.  It equals the matching chains up to a
+        stabilizer, but is not itself of minimum weight."""
+        v = 0
+        if self._z_checks.logical_flip(value):
+            v = self._xbar
+        if self._x_checks.logical_flip(value):
+            v ^= self._zbar
+        while value:
+            low = value & -value
+            v ^= self._pure[low.bit_length() - 1]
+            value ^= low
+        n = self.code.n
+        return PauliOperator(n, v & ((1 << n) - 1), v >> n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`decode_value` row by row; rows that raise DecoderError are
         flagged in the returned mask and keep the identity recovery."""
         recoveries = np.zeros((len(syndromes), self.code.words), dtype=np.uint64)
         failed = np.zeros(len(syndromes), dtype=bool)
+        rows, ops = [], []
         # A zero syndrome has no defects, so its recovery is the identity.
         for row in np.flatnonzero(syndromes.any(axis=1)):
             value = int.from_bytes(syndromes[row].tobytes(), "little")
             try:
-                recoveries[row] = self.code.pack([self.decode_value(value)])
+                ops.append(self.decode_value(value))
+                rows.append(row)
             except DecoderError:
                 failed[row] = True
+        recoveries[rows] = self.code.pack(ops)
         return recoveries, failed

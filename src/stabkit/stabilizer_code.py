@@ -18,6 +18,11 @@ syndrome is the popcount parity of those words against the generators, and
 a residual is a success iff it also commutes with every X̄_i and Z̄_i: for
 a valid code that is stabilizer-group membership, decided by 2k parities
 instead of a span reduction.
+
+Pure errors turn a syndrome into an operator: `pure_errors[i]` flips
+syndrome bit i alone and commutes with every logical, so their product over
+the set bits of a syndrome has that syndrome, and any other operator with
+it differs from that product by a stabilizer times a logical.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._gf2 import RowBasis
+from ._gf2 import RowBasis, right_inverse
 from .pauli import (
     PauliOperator,
     commutes,
@@ -39,6 +44,58 @@ from .pauli import (
 )
 
 _RESIDUAL_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+Coord = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class AncillaRecord:
+    ancilla_id: str
+    kind: str  # "X" or "Z"
+    coord: Coord
+    data_indices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SurfaceLayout:
+    """Lattice geometry consumed by the matching decoder."""
+
+    lam: int
+    data_coords: dict[int, Coord]
+    ancilla_records: tuple[AncillaRecord, ...]
+    x_boundaries: tuple[str, str] = ("top", "bottom")
+    z_boundaries: tuple[str, str] = ("left", "right")
+
+    def to_dict(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "data_coords": {str(i): list(c) for i, c in self.data_coords.items()},
+            "ancilla_records": [
+                {
+                    "id": a.ancilla_id,
+                    "kind": a.kind,
+                    "coord": list(a.coord),
+                    "data_indices": list(a.data_indices),
+                }
+                for a in self.ancilla_records
+            ],
+            "x_boundaries": list(self.x_boundaries),
+            "z_boundaries": list(self.z_boundaries),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SurfaceLayout":
+        return cls(
+            lam=data["lambda"],
+            data_coords={int(i): tuple(c) for i, c in data["data_coords"].items()},
+            ancilla_records=tuple(
+                AncillaRecord(a["id"], a["kind"], tuple(a["coord"]), tuple(a["data_indices"]))
+                for a in data["ancilla_records"]
+            ),
+            x_boundaries=tuple(data["x_boundaries"]),
+            z_boundaries=tuple(data["z_boundaries"]),
+        )
+
 
 
 @dataclass(frozen=True)
@@ -106,7 +163,7 @@ class StabilizerCode:
     generators: tuple[PauliOperator, ...]
     logicals: tuple[tuple[PauliOperator, PauliOperator], ...]
     declared_distance: int | None = None
-    layout: "object | None" = None  # SurfaceLayout for lattice codes
+    layout: SurfaceLayout | None = None
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -136,12 +193,26 @@ class StabilizerCode:
         return np.frombuffer(data, dtype="<u8").reshape(-1, self.words)
 
     @cached_property
-    def _check_words(self) -> np.ndarray:
-        """Generators, then X̄_1, Z̄_1, X̄_2, ..., each packed with its x and
-        z halves swapped, so that the parity of (packed operator & row) is
+    def _check_rows(self) -> list[int]:
+        """Generators, then X̄_1, Z̄_1, X̄_2, ..., each with its x and z
+        halves swapped, so that the parity of (symplectic vector & row) is
         their symplectic product."""
         ops = list(self.generators) + [p for pair in self.logicals for p in pair]
-        return self._pack_ints(p.z_bits | (p.x_bits << self.n) for p in ops)
+        return [p.z_bits | (p.x_bits << self.n) for p in ops]
+
+    @cached_property
+    def _check_words(self) -> np.ndarray:
+        return self._pack_ints(self._check_rows)
+
+    @cached_property
+    def pure_errors(self) -> tuple[PauliOperator, ...]:
+        """Entry i anti-commutes with generator i alone and commutes with
+        every logical; ValueError if generators and logicals are dependent."""
+        mask = (1 << self.n) - 1
+        return tuple(
+            PauliOperator(self.n, v & mask, v >> self.n)
+            for v in right_inverse(self._check_rows)[: self.m]
+        )
 
     def _parities(self, ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """(len(ops), len(rows)) booleans: 1 where an operator anti-commutes
@@ -272,8 +343,6 @@ class StabilizerCode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StabilizerCode":
-        from .code_library import SurfaceLayout  # cycle-free at call time
-
         n = data["n"]
         layout = data.get("layout")
         return cls(

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._gf2 import solve
 from .pauli import PauliOperator
 from .stabilizer_code import StabilizerCode, Syndrome
 
@@ -265,28 +264,14 @@ def extract_syndrome(
     return Syndrome(tuple(bits)), state
 
 
-def _projection_correction(code: StabilizerCode, upto: int) -> PauliOperator:
-    """A Pauli anti-commuting with generator `upto` and commuting with every
-    earlier generator, from the symplectic linear system.  Any solution
-    will do: the encoded state is the one fixed by every generator and Z̄,
-    whichever correction is chosen."""
-    rows = [g.z_bits | (g.x_bits << code.n) for g in code.generators[: upto + 1]]
-    rhs = [0] * upto + [1]
-    sol = solve(rows, rhs, 2 * code.n)
-    if sol is None:
-        raise ValueError("no projection correction exists; generators are not independent")
-    mask = (1 << code.n) - 1
-    return PauliOperator(code.n, sol & mask, sol >> code.n)
-
-
 def encode_by_projection(code: StabilizerCode, rng=None) -> StateVector:
     """Prepare the logical |0...0> state by projective stabilizer measurement.
 
     Runs the extraction circuit for each generator on |0>^n; a '1' outcome
-    is repaired by a Pauli that anti-commutes with that generator and
-    commutes with all previously fixed ones.  The logical Z̄ operators are
-    then measured the same way (repaired with the paired X̄) so the result
-    is the codeword fixed by every generator and every Z̄, independent of
+    is repaired by the code's pure error for that generator, which
+    anti-commutes with it alone and so keeps every earlier outcome.  The
+    logical Z̄ operators are then measured the same way (repaired with the
+    paired X̄) so the result is the codeword fixed by every generator and every Z̄, independent of
     the measurement record (the default rng only decides which corrections
     fire, never the final state).
     """
@@ -299,7 +284,7 @@ def encode_by_projection(code: StabilizerCode, rng=None) -> StateVector:
     for i, g in enumerate(code.generators):
         outcome, state, _ = _extract_one(state, g, rng=rng)
         if outcome == 1:
-            state = apply_pauli(state, _projection_correction(code, i))
+            state = apply_pauli(state, code.pure_errors[i])
     for xbar, zbar in code.logicals:
         outcome, state, _ = _extract_one(state, zbar, rng=rng)
         if outcome == 1:

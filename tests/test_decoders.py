@@ -6,6 +6,7 @@ import pytest
 
 from stabkit import code_library as library
 from stabkit.decoders import (
+    DEFAULT_DEFECT_CAP,
     DecoderError,
     InstanceTooLargeError,
     LookupDecoder,
@@ -13,9 +14,9 @@ from stabkit.decoders import (
     build_lookup,
     minimum_weight_matching,
 )
-from stabkit.noise import derive_seed, iid_xz, sample
+from stabkit.noise import derive_seed, iid_xz, sample, sample_batch
 from stabkit.pauli import enumerate_paulis, format_sparse, from_support, identity, multiply, parse, weight
-from stabkit.stabilizer_code import Syndrome, correctable_weight
+from stabkit.stabilizer_code import StabilizerCode, Syndrome, correctable_weight
 
 
 def brute_force_matching_cost(dist, boundary):
@@ -29,6 +30,25 @@ def brute_force_matching_cost(dist, boundary):
             best = min(best, dist[i][j] + rec(rest[:pos] + rest[pos + 1 :]))
         return best
     return rec(tuple(range(len(boundary))))
+
+
+def d7_syndromes():
+    """Syndrome values of sampled surface_d7 errors, sparse ones (p = .02)
+    and dense ones (p = .15); some of the dense ones flag more than
+    DEFAULT_DEFECT_CAP Z-checks."""
+    code = library.surface_code(7)
+    values = []
+    for seed, p in enumerate((0.02, 0.15)):
+        errors = code.pack_batch(*sample_batch(iid_xz(p, p), code.n, seed, 0, 30))
+        values += [int.from_bytes(row.tobytes(), "little") for row in code.syndrome_batch(errors)]
+    return code, values
+
+
+def over_cap(decoder, code, value):
+    """(X-sector defects > cap, either sector's defects > cap)."""
+    problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
+    sizes = [len(problems[sector].defects) for sector in "XZ"]
+    return sizes[0] > DEFAULT_DEFECT_CAP, max(sizes) > DEFAULT_DEFECT_CAP
 
 
 class TestLookup:
@@ -125,13 +145,27 @@ class TestMatchingSolver:
         k = 17
         dist = [[1] * k for _ in range(k)]
         with pytest.raises(InstanceTooLargeError):
-            minimum_weight_matching(dist, [1] * k, cap=16)
+            minimum_weight_matching(dist, [1] * k)
 
 
 class TestMwpmDecoder:
     def test_requires_layout(self):
         with pytest.raises(DecoderError):
             MwpmDecoder(library.shor_nine())
+
+    def test_requires_the_layout_logicals(self):
+        # Z̄ times a Z-check is an equally valid logical, but the boundary
+        # flips are measured against the top row, so the decoder refuses it.
+        code = library.surface_code(3)
+        xbar, zbar = code.logicals[0]
+        check = next(g for g in code.generators if g.z_bits & zbar.z_bits)
+        moved = StabilizerCode(
+            code.name, code.n, code.k, code.generators, ((xbar, multiply(zbar, check)),),
+            code.declared_distance, code.layout,
+        )
+        assert moved.validate().ok
+        with pytest.raises(DecoderError, match="top row"):
+            MwpmDecoder(moved)
 
     def test_zero_syndrome(self):
         code = library.surface_code(2)
@@ -206,6 +240,28 @@ class TestMwpmDecoder:
                 assert cost == brute_force_matching_cost(dist, list(problem.boundary_costs))
                 checked += 1
 
+    def test_recovery_coset_minimum_is_the_matching_cost(self):
+        # The recovery is not a minimum-weight chain, but its logical class
+        # is the matched one: the lightest operator in its coset of X-type
+        # (Z-type) stabilizers weighs what that sector's matching costs.
+        rng = random.Random(41)
+        for lam in (3, 4):
+            code = library.surface_code(lam)
+            decoder = MwpmDecoder(code)
+            spans = {"X": [0], "Z": [0]}
+            for g in code.generators:
+                for sector, bits in (("X", g.x_bits), ("Z", g.z_bits)):
+                    if bits:
+                        spans[sector] += [s ^ bits for s in spans[sector]]
+            for _ in range(150):
+                value = rng.getrandbits(code.m)
+                recovery = decoder.decode_value(value)
+                problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
+                for sector, bits in (("X", recovery.x_bits), ("Z", recovery.z_bits)):
+                    problem = problems[sector]
+                    cost, _ = minimum_weight_matching(problem.pair_costs, problem.boundary_costs)
+                    assert min((bits ^ s).bit_count() for s in spans[sector]) == cost
+
     def test_matching_problem_invariants(self):
         code = library.surface_code(3)
         decoder = MwpmDecoder(code)
@@ -236,11 +292,19 @@ class TestMwpmDecoder:
                 assert (len(defects) + boundary_matches) % 2 == 0
 
     def test_instance_cap_propagates(self):
-        code = library.surface_code(5)
-        decoder = MwpmDecoder(code, defect_cap=2)
-        error = parse("X3 X11 X19 X27 X35", n=41)
-        with pytest.raises(InstanceTooLargeError):
-            decoder.decode_value(code.syndrome_value(error))
+        code, values = d7_syndromes()
+        decoder = MwpmDecoder(code)
+        dense_z_checks = decoded = 0
+        for value in values:
+            dense_x_sector, dense = over_cap(decoder, code, value)
+            dense_z_checks += dense_x_sector
+            if dense:
+                with pytest.raises(InstanceTooLargeError):
+                    decoder.decode_value(value)
+            else:
+                assert code.syndrome_value(decoder.decode_value(value)) == value
+                decoded += 1
+        assert dense_z_checks > 0 and decoded > 0
 
     def test_uniform_decode_dispatch(self):
         # Both decoders implement the one protocol: name, decode_value and
@@ -292,11 +356,11 @@ class TestDecodeBatch:
         assert (misses > 0) == (max_weight == 1)
 
     def test_mwpm_batch_matches_scalar_and_flags_give_ups(self):
-        code = library.surface_code(3)
-        decoder = MwpmDecoder(code, defect_cap=2)
-        rng = random.Random(62)
-        values = [0] + [rng.getrandbits(code.m) for _ in range(150)]
+        code, values = d7_syndromes()
+        values = [0] + values
+        decoder = MwpmDecoder(code)
         recoveries, failed = decoder.decode_batch(self._syndromes(code, values))
+        assert any(over_cap(decoder, code, value)[0] for value in values)
         for value, row, flag in zip(values, recoveries, failed):
             try:
                 expected = decoder.decode_value(value)

@@ -194,6 +194,7 @@ class TestCrossOracle:
             (library.three_qubit_bitflip(), LookupDecoder(library.three_qubit_bitflip())),
             (library.four_two_two(), LookupDecoder(library.four_two_two())),
             (library.shor_nine(), LookupDecoder(library.shor_nine())),
+            (library.surface_code(3), MwpmDecoder(library.surface_code(3))),
         ]
         trials = 100 // len(cases) + 1
         for seed, (code, decoder) in enumerate(cases):

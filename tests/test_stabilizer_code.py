@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stabkit import code_library as library
-from stabkit.pauli import from_support, identity, multiply, parse
+from stabkit.pauli import commutes, from_support, identity, multiply, parse
 from stabkit.stabilizer_code import (
     StabilizerCode,
     Syndrome,
@@ -195,6 +195,32 @@ class TestBatch:
         success = code.classify_batch(packed)
         assert list(success) == [code.in_stabilizer_group(op) for op in ops]
         assert success.any() and not success.all()
+
+
+class TestPureErrors:
+    @pytest.mark.parametrize(
+        "code",
+        ALL_CODES + [library.surface_code(4), library.surface_code(5)],
+        ids=lambda code: code.name,
+    )
+    def test_each_flips_its_generator_alone_and_commutes_with_logicals(self, code):
+        assert len(code.pure_errors) == code.m
+        logicals = [p for pair in code.logicals for p in pair]
+        for i, error in enumerate(code.pure_errors):
+            assert code.syndrome_value(error) == 1 << i
+            assert all(commutes(error, logical) for logical in logicals)
+
+    def test_duplicated_generator_rejected(self):
+        code = library.three_qubit_bitflip()
+        duplicated = StabilizerCode(
+            name="duplicated",
+            n=3,
+            k=1,
+            generators=code.generators + code.generators[:1],
+            logicals=code.logicals,
+        )
+        with pytest.raises(ValueError):
+            duplicated.pure_errors
 
 
 class TestDistance:
