@@ -11,10 +11,20 @@ X-checks are the Z-sector defects and match each other or the left/right
 boundaries.  Edge weights count the data qubits on a shortest lattice path.
 Unused virtual boundary nodes pair among themselves at zero cost, which
 the solver realises by letting every defect take its boundary option
-independently.  The matching itself is solved exactly: edges that cannot
-beat two boundary matches are pruned, the defect graph splits into
-connected components, and each component is solved by bitmask dynamic
-programming.
+independently.  The matching is exact.  An edge that cannot beat two
+boundary matches is pruned; that rule depends only on the layout, so each
+sector builds its pruning graph once.  One bitmask DP (`_optimum`) solves
+any defect set, resolving the lowest defect first.
+
+`decode_batch` splits each sector by component of the pruned graph, as
+cost and flip parity both add over components.  Packed AND+popcount
+arithmetic resolves isolated defects (the boundary is the only option) and
+isolated pairs (the kept edge beats two boundary matches, and a pair path
+never flips); only components of three or more defects reach the DP.  Both
+small optima are unique and the DP's picks in a component do not depend on
+the rest, so the split equals the unsplit DP of `decode_value`, tie-breaks
+included.  It uses no float matmul: BLAS threads oversubscribe the CPUs
+that `montecarlo`'s worker pool already fills.
 
 Recovery: the matching only picks each sector's logical class.  A boundary
 match toward coordinate 0 (top for X-errors, left for Z-errors) crosses the
@@ -40,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .pauli import PauliOperator, enumerate_paulis, format_sparse, identity
-from .stabilizer_code import StabilizerCode, SurfaceLayout, Syndrome
+from .stabilizer_code import StabilizerCode, SurfaceLayout, Syndrome, _pack_bits, and_popcount
 
 LOOKUP_SYNDROME_GUARD = 20
 DEFAULT_DEFECT_CAP = 16
@@ -135,89 +145,81 @@ def minimum_weight_matching(
     defects.
     """
     k = len(boundary)
-    if k > DEFAULT_DEFECT_CAP:
-        raise InstanceTooLargeError(f"instance too large: {k} defects exceed cap {DEFAULT_DEFECT_CAP}")
-    if k == 0:
-        return 0, []
-
-    # An edge can only help if it beats two boundary matches; dropping ties
-    # keeps the optimal cost and splits the graph into small components.
-    adjacency = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if dist[i][j] < boundary[i] + boundary[j]:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-
-    seen = [False] * k
-    total = 0
+    _check_cap(k)
+    memo, mask = {0: _NOTHING}, (1 << k) - 1
+    neighbours, flips = _neighbours(dist, boundary), [False] * k
+    cost = (memo.get(mask) or _optimum(mask, memo, neighbours, boundary, dist, flips))[0]
     pairs: list[tuple[int, int | None]] = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        component = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        component.sort()
-        cost, local_pairs = _match_component(component, dist, boundary, adjacency)
-        total += cost
-        pairs.extend(local_pairs)
-    return total, pairs
-
-
-def _match_component(
-    nodes: list[int], dist, boundary, adjacency
-) -> tuple[int, list[tuple[int, int | None]]]:
-    """Memoized DP over one connected component, always resolving the lowest
-    unmatched defect.  Pair options are restricted to surviving edges: a
-    dropped edge costs at least as much as two boundary matches, so some
-    optimal solution never uses one.
-    """
-    local = {node: i for i, node in enumerate(nodes)}
-    adj = [
-        [(local[w], dist[v][w]) for w in adjacency[v] if w in local] for v in nodes
-    ]
-    bnd = [boundary[v] for v in nodes]
-    full = (1 << len(nodes)) - 1
-    memo: dict[int, tuple[int, tuple[int, int]]] = {0: (0, (0, -1))}
-
-    def solve(mask: int) -> int:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit[0]
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        cost = bnd[low] + solve(rest)
-        pick = (low, -1)
-        for other, w in adj[low]:
-            bit = 1 << other
-            if rest & bit:
-                trial = w + solve(rest ^ bit)
-                if trial < cost:
-                    cost = trial
-                    pick = (low, other)
-        memo[mask] = (cost, pick)
-        return cost
-
-    best = solve(full)
-    pairs = []
-    mask = full
     while mask:
-        low, other = memo[mask][1]
-        if other < 0:
-            pairs.append((nodes[low], None))
-            mask ^= 1 << low
-        else:
-            pairs.append((nodes[low], nodes[other]))
-            mask ^= (1 << low) | (1 << other)
-    return best, pairs
+        low = mask & -mask
+        partner = memo[mask][2]
+        pairs.append((low.bit_length() - 1, None if partner < 0 else partner))
+        mask ^= low if partner < 0 else low | 1 << partner
+    return cost, pairs
+
+
+def _check_cap(defects: int) -> None:
+    if defects > DEFAULT_DEFECT_CAP:
+        raise InstanceTooLargeError(
+            f"instance too large: {defects} defects exceed cap {DEFAULT_DEFECT_CAP}"
+        )
+
+
+def _neighbours(dist, boundary) -> list[int]:
+    """Bitmask per defect of the pair edges that beat two boundary matches;
+    dropping the rest (ties too) keeps the optimal cost and splits the
+    defect graph into small components."""
+    k = len(boundary)
+    return [
+        sum(1 << j for j in range(k) if j != i and dist[i][j] < boundary[i] + boundary[j])
+        for i in range(k)
+    ]
+
+
+# Memo entry of the empty defect set: (cost, flip parity, partner).
+_NOTHING = (0, False, -1)
+
+
+def _optimum(mask: int, memo: dict, neighbours, boundary, dist, flips) -> tuple[int, bool, int]:
+    """Memo entry (cost, flip parity of the boundary matches, partner) of
+    the exact optimum on the defects of `mask`, which is non-empty and not
+    yet in `memo` (callers try `memo.get(mask) or _optimum(mask, ...)`).
+    The lowest defect takes its boundary (partner -1) unless a kept edge to
+    a neighbour, tried in ascending order, is strictly cheaper.  An entry
+    depends on `mask` alone, so one memo serves many calls on one table."""
+    low = mask & -mask
+    i = low.bit_length() - 1
+    rest = mask ^ low
+    cost, flip, _ = memo.get(rest) or _optimum(rest, memo, neighbours, boundary, dist, flips)
+    cost += boundary[i]
+    flip ^= flips[i]
+    partner = -1
+    others = neighbours[i] & rest
+    while others:
+        bit = others & -others
+        others ^= bit
+        j = bit.bit_length() - 1
+        sub = rest ^ bit
+        c, f, _ = memo.get(sub) or _optimum(sub, memo, neighbours, boundary, dist, flips)
+        if c + dist[i][j] < cost:
+            cost, flip, partner = c + dist[i][j], f, j
+    hit = memo[mask] = (cost, flip, partner)
+    return hit
+
+
+def _components(mask: int, neighbours: list[int]) -> list[int]:
+    """Connected components of the defects in `mask`, as bitmasks."""
+    components = []
+    while mask:
+        component = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            grown = neighbours[low.bit_length() - 1] & mask & ~component
+            component |= grown
+            frontier = (frontier ^ low) | grown
+        components.append(component)
+        mask ^= component
+    return components
 
 
 # --- surface-code MWPM -------------------------------------------------------
@@ -262,6 +264,14 @@ class _Sector:
         # chains never reach it.  Ties go to the far side.
         self.boundary_flips = [a < b for a, b in zip(near, far)]
         self.conjugate = sum(1 << (q - 1) for q, c in layout.data_coords.items() if c[axis] == 0)
+        # The pruning graph depends only on the layout, so it is built once,
+        # as int bitmasks for the DP and packed words for the batch pass.
+        self.neighbours = _neighbours(self.pair_cost, self.boundary_cost)
+        self.generators = np.array(list(self._local), dtype=np.intp)
+        k, self.words = len(self.coords), -(-len(self.coords) // 64)
+        adjacency = np.array([[m >> j & 1 for j in range(k)] for m in self.neighbours], dtype=bool)
+        self.neighbour_words = _pack_bits(adjacency, self.words)
+        self.flip_words = _pack_bits(np.array([self.boundary_flips]), self.words)
 
     def defects_of(self, syndrome_value: int) -> list[int]:
         """Flagged checks of this sector, in ascending generator order (the
@@ -284,13 +294,39 @@ class _Sector:
             ),
         )
 
+    def _flip(self, mask: int, memo: dict) -> bool:
+        entry = memo.get(mask) or _optimum(
+            mask, memo, self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips
+        )
+        return entry[1]
+
     def logical_flip(self, syndrome_value: int) -> bool:
-        """Parity of the defects the matching sends to a flipping boundary."""
+        """Parity of the defects the matching sends to a flipping boundary,
+        from one DP over the whole sector: the reference for `logical_flips`."""
         defects = self.defects_of(syndrome_value)
-        dist = [[self.pair_cost[i][j] for j in defects] for i in defects]
-        boundary = [self.boundary_cost[i] for i in defects]
-        _, pairs = minimum_weight_matching(dist, boundary)
-        return sum(self.boundary_flips[defects[a]] for a, b in pairs if b is None) % 2 == 1
+        _check_cap(len(defects))
+        return self._flip(sum(1 << i for i in defects), {0: _NOTHING})
+
+    def logical_flips(self, present: np.ndarray, skip: np.ndarray) -> np.ndarray:
+        """`logical_flip` of each row of `present` (flagged checks in sector
+        order), except that rows in `skip` stay out of the DP.  Isolated
+        defects add their boundary flips and isolated pairs add nothing;
+        only components of three or more defects reach the DP, which keeps
+        one memo for the batch."""
+        words = self.words
+        degree = and_popcount(_pack_bits(present, words), self.neighbour_words)
+        isolated = present & (degree == 0)
+        single = present & (degree == 1)
+        paired = single & (and_popcount(_pack_bits(single, words), self.neighbour_words) == 1)
+        flips = (and_popcount(_pack_bits(isolated, words), self.flip_words)[:, 0] & 1).astype(bool)
+        rest = _pack_bits(present & ~isolated & ~paired, words)
+        memo = {0: _NOTHING}
+        for row in np.flatnonzero(rest.any(axis=1) & ~skip):
+            flip, mask = False, int.from_bytes(rest[row].tobytes(), "little")
+            for component in _components(mask, self.neighbours):
+                flip ^= self._flip(component, memo)
+            flips[row] ^= flip
+        return flips
 
 
 class MwpmDecoder:
@@ -308,6 +344,11 @@ class MwpmDecoder:
         # them to every worker.
         self._pure = [code._symplectic(p) for p in code.pure_errors]
         self._xbar, self._zbar = (code._symplectic(p) for p in code.logicals[0])
+        # Column q of the pure-error matrix, as a syndrome-sized bitmask:
+        # recovery bit q is the parity of (syndrome & column q).
+        pure = np.unpackbits(code.pack(code.pure_errors).view(np.uint8), axis=1, bitorder="little")
+        self._pure_columns = _pack_bits(pure[:, : 2 * code.n].T.astype(bool), -(-code.m // 64))
+        self._logical_words = code.pack(code.logicals[0])
         conjugates = (self._x_checks.conjugate, self._z_checks.conjugate << code.n)
         if (self._xbar, self._zbar) != conjugates:
             raise DecoderError("MWPM needs X̄ down the left column and Z̄ across the top row")
@@ -320,7 +361,8 @@ class MwpmDecoder:
         """Recovery for a syndrome value (bit i = generator i): the pure
         errors of the set bits, times X̄ and Z̄ where the matching picks the
         other logical class.  It equals the matching chains up to a
-        stabilizer, but is not itself of minimum weight."""
+        stabilizer, but is not itself of minimum weight.  Each sector runs
+        one unsplit DP, so this is the reference `decode_batch` must equal."""
         v = 0
         if self._z_checks.logical_flip(value):
             v = self._xbar
@@ -334,18 +376,16 @@ class MwpmDecoder:
         return PauliOperator(n, v & ((1 << n) - 1), v >> n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`decode_value` row by row; rows that raise DecoderError are
-        flagged in the returned mask and keep the identity recovery."""
-        recoveries = np.zeros((len(syndromes), self.code.words), dtype=np.uint64)
-        failed = np.zeros(len(syndromes), dtype=bool)
-        rows, ops = [], []
-        # A zero syndrome has no defects, so its recovery is the identity.
-        for row in np.flatnonzero(syndromes.any(axis=1)):
-            value = int.from_bytes(syndromes[row].tobytes(), "little")
-            try:
-                ops.append(self.decode_value(value))
-                rows.append(row)
-            except DecoderError:
-                failed[row] = True
-        recoveries[rows] = self.code.pack(ops)
+        """Packed `decode_value` of each row, with the matching split by
+        component (`_Sector.logical_flips`); rows on which `decode_value`
+        raises InstanceTooLargeError are flagged and keep the identity."""
+        bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
+        sectors = (self._z_checks, self._x_checks)
+        present = [bits[:, sector.generators] for sector in sectors]
+        failed = np.maximum(*(defects.sum(axis=1) for defects in present)) > DEFAULT_DEFECT_CAP
+        parities = (and_popcount(syndromes, self._pure_columns) & 1).astype(bool)
+        recoveries = _pack_bits(parities, self.code.words)
+        for sector, defects, logical in zip(sectors, present, self._logical_words):
+            recoveries[sector.logical_flips(defects, failed)] ^= logical
+        recoveries[failed] = 0
         return recoveries, failed

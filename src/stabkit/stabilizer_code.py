@@ -214,14 +214,6 @@ class StabilizerCode:
             for v in right_inverse(self._check_rows)[: self.m]
         )
 
-    def _parities(self, ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """(len(ops), len(rows)) booleans: 1 where an operator anti-commutes
-        with a row.  Word by word, so temporaries stay (ops x rows)."""
-        acc = np.zeros((len(ops), len(rows)), dtype=np.uint8)
-        for w in range(self.words):
-            acc ^= np.bitwise_count(ops[:, w, None] & rows[None, :, w])
-        return (acc & 1).astype(bool)
-
     # -- operations ------------------------------------------------------
 
     def syndrome_value(self, error: PauliOperator) -> int:
@@ -249,12 +241,13 @@ class StabilizerCode:
     def syndrome_batch(self, ops: np.ndarray) -> np.ndarray:
         """Packed syndromes of packed operators: one row of ceil(m/64) words
         each, bit i (of the little-endian word sequence) for generator i."""
-        return _pack_bits(self._parities(ops, self._check_words[: self.m]), -(-self.m // 64))
+        parities = and_popcount(ops, self._check_words[: self.m]) & 1
+        return _pack_bits(parities.astype(bool), -(-self.m // 64))
 
     def classify_batch(self, residuals: np.ndarray) -> np.ndarray:
         """Success flags of packed residuals: zero syndrome and commuting
         with every logical operator (stabilizer-group membership)."""
-        return ~self._parities(residuals, self._check_words).any(axis=1)
+        return ~(and_popcount(residuals, self._check_words) & 1).any(axis=1)
 
     def in_stabilizer_group(self, p: PauliOperator) -> bool:
         if p.n != self.n:
@@ -363,6 +356,18 @@ class StabilizerCode:
     @classmethod
     def from_json(cls, text: str) -> "StabilizerCode":
         return cls.from_dict(json.loads(text))
+
+
+def and_popcount(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(a), len(rows)) uint8: popcount of a[i] & rows[j] over the words
+    of `a`, one word at a time so temporaries stay (len(a), len(rows)).
+    A sum past 255 wraps, which keeps its parity (the only use of the
+    count in syndromes, classification and recoveries); the decoder's
+    defect degrees are read only on rows under its defect cap, far below."""
+    acc = np.zeros((len(a), len(rows)), dtype=np.uint8)
+    for w in range(a.shape[1]):
+        acc += np.bitwise_count(a[:, w, None] & rows[None, :, w])
+    return acc
 
 
 def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:

@@ -32,6 +32,12 @@ def brute_force_matching_cost(dist, boundary):
     return rec(tuple(range(len(boundary))))
 
 
+def sampled_syndromes(code, p, seed, trials):
+    """Syndrome values of `trials` sampled iid_xz(p, p) errors."""
+    errors = code.pack_batch(*sample_batch(iid_xz(p, p), code.n, seed, 0, trials))
+    return [int.from_bytes(row.tobytes(), "little") for row in code.syndrome_batch(errors)]
+
+
 def d7_syndromes():
     """Syndrome values of sampled surface_d7 errors, sparse ones (p = .02)
     and dense ones (p = .15); some of the dense ones flag more than
@@ -39,9 +45,25 @@ def d7_syndromes():
     code = library.surface_code(7)
     values = []
     for seed, p in enumerate((0.02, 0.15)):
-        errors = code.pack_batch(*sample_batch(iid_xz(p, p), code.n, seed, 0, 30))
-        values += [int.from_bytes(row.tobytes(), "little") for row in code.syndrome_batch(errors)]
+        values += sampled_syndromes(code, p, seed, 30)
     return code, values
+
+
+def component_sizes(problem):
+    """Sizes of the connected components of a matching problem's defect
+    graph, keeping the edges that beat two boundary matches."""
+    cost, bnd = problem.pair_costs, problem.boundary_costs
+    unseen, sizes = set(range(len(bnd))), []
+    while unseen:
+        stack, size = [unseen.pop()], 0
+        while stack:
+            i = stack.pop()
+            size += 1
+            linked = {j for j in unseen if cost[i][j] < bnd[i] + bnd[j]}
+            unseen -= linked
+            stack += linked
+        sizes.append(size)
+    return sizes
 
 
 def over_cap(decoder, code, value):
@@ -356,17 +378,37 @@ class TestDecodeBatch:
         assert (misses > 0) == (max_weight == 1)
 
     def test_mwpm_batch_matches_scalar_and_flags_give_ups(self):
+        # decode_batch resolves isolated defects and pairs in numpy and the
+        # rest by component; decode_value runs one DP per whole sector.  The
+        # cases cover every path: surface_d9 sectors (72 checks) span two
+        # words, and the low-rate rows are mostly isolated defects or pairs.
         code, values = d7_syndromes()
-        values = [0] + values
-        decoder = MwpmDecoder(code)
-        recoveries, failed = decoder.decode_batch(self._syndromes(code, values))
-        assert any(over_cap(decoder, code, value)[0] for value in values)
-        for value, row, flag in zip(values, recoveries, failed):
-            try:
-                expected = decoder.decode_value(value)
-            except DecoderError:
-                assert flag and not row.any()
-                continue
-            assert not flag
-            assert np.array_equal(row, code.pack([expected])[0])
-        assert failed.any() and not failed.all()
+        cases = [(code, [0] + values)]
+        for lam, rates, n in ((9, (0.03, 0.1), 40), (5, (0.005, 0.03), 60), (7, (0.005, 0.03), 60)):
+            code = library.surface_code(lam)
+            values = [v for s, p in enumerate(rates, 5) for v in sampled_syndromes(code, p, s, n)]
+            cases.append((code, values))
+        names = {1: "isolated only", 2: "isolated pair"}
+        paths, x_sector_over_cap = set(), False
+        for code, values in cases:
+            decoder = MwpmDecoder(code)
+            recoveries, failed = decoder.decode_batch(self._syndromes(code, values))
+            for value, row, flag in zip(values, recoveries, failed):
+                problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
+                sizes = [size for problem in problems.values() for size in component_sizes(problem)]
+                x_over, over = over_cap(decoder, code, value)
+                x_sector_over_cap |= x_over
+                if over:
+                    paths.add("over cap")
+                elif sizes:
+                    paths.add(names.get(max(sizes), "component >= 3"))
+                try:
+                    expected = decoder.decode_value(value)
+                except DecoderError:
+                    assert flag and not row.any()
+                    continue
+                assert not flag
+                assert np.array_equal(row, code.pack([expected])[0])
+            assert not failed.all()
+        assert paths == {"isolated only", "isolated pair", "component >= 3", "over cap"}
+        assert x_sector_over_cap

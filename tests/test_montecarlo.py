@@ -178,6 +178,20 @@ class TestSweep:
         b = sweep(code, decoder, "iid_xz", [0.05, 0.1], 2000, 31).to_csv()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "lam, p_values, counts",
+        [
+            (5, [0.08, 0.10, 0.12], [(183, 0), (242, 0), (375, 0)]),
+            (7, [0.06, 0.09], [(72, 14), (263, 97)]),
+        ],
+    )
+    def test_mwpm_golden_counts(self, lam, p_values, counts):
+        # Fixed-seed (failures, decoder give-ups): a decoder change that
+        # moves an optimum, a tie-break or the defect cap changes them.
+        code = library.surface_code(lam)
+        report = sweep(code, MwpmDecoder(code), "iid_xz", p_values, 1000, master_seed=2024)
+        assert [(pt.failures, pt.decoder_failures) for pt in report.points] == counts
+
 
 def _unpack(code, row) -> PauliOperator:
     """The Pauli of one packed row (x bits, then z bits, little-endian)."""
