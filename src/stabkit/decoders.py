@@ -20,11 +20,11 @@ any defect set, resolving the lowest defect first.
 cost and flip parity both add over components.  Packed AND+popcount
 arithmetic resolves isolated defects (the boundary is the only option) and
 isolated pairs (the kept edge beats two boundary matches, and a pair path
-never flips); only components of three or more defects reach the DP.  Both
-small optima are unique and the DP's picks in a component do not depend on
-the rest, so the split equals the unsplit DP of `decode_value`, tie-breaks
-included.  It uses no float matmul: BLAS threads oversubscribe the CPUs
-that `montecarlo`'s worker pool already fills.
+never flips); only components of three or more reach the DP (one memo per
+row).  Both small optima are unique and the DP's picks in a component do
+not depend on the rest, so the split equals the unsplit DP of
+`decode_value`, tie-breaks included.  It uses no float matmul: BLAS threads
+oversubscribe the CPUs that `montecarlo`'s worker pool already fills.
 
 Recovery: the matching only picks each sector's logical class.  A boundary
 match toward coordinate 0 (top for X-errors, left for Z-errors) crosses the
@@ -311,8 +311,8 @@ class _Sector:
         """`logical_flip` of each row of `present` (flagged checks in sector
         order), except that rows in `skip` stay out of the DP.  Isolated
         defects add their boundary flips and isolated pairs add nothing;
-        only components of three or more defects reach the DP, which keeps
-        one memo for the batch."""
+        only components of three or more defects reach the DP, with one memo
+        per row, so a batch's memory does not grow with its length."""
         words = self.words
         degree = and_popcount(_pack_bits(present, words), self.neighbour_words)
         isolated = present & (degree == 0)
@@ -320,9 +320,9 @@ class _Sector:
         paired = single & (and_popcount(_pack_bits(single, words), self.neighbour_words) == 1)
         flips = (and_popcount(_pack_bits(isolated, words), self.flip_words)[:, 0] & 1).astype(bool)
         rest = _pack_bits(present & ~isolated & ~paired, words)
-        memo = {0: _NOTHING}
         for row in np.flatnonzero(rest.any(axis=1) & ~skip):
             flip, mask = False, int.from_bytes(rest[row].tobytes(), "little")
+            memo = {0: _NOTHING}
             for component in _components(mask, self.neighbours):
                 flip ^= self._flip(component, memo)
             flips[row] ^= flip

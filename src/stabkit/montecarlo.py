@@ -4,13 +4,16 @@ physical rates and threshold-crossing scans.
 Determinism contract: trial i of a point draws from the counter-based
 SplitMix64 stream that starts at ``derive_seed(point_seed, i)`` (see
 `noise`), and per-point seeds derive from the master seed, so a report is
-bit-identical for a fixed master seed no matter how trials are chunked over
-workers or sliced into batches.  Failure counts are plain sums, so
-aggregation order cannot matter either.
+bit-identical for a fixed master seed no matter how trials are split into
+tasks, ordered over workers or sliced into batches.  Failure counts are
+plain sums, so aggregation order cannot matter either.
 
-Each worker runs its chunk of trials as batches of at most _SLICE_TRIALS:
-sample, pack, syndrome, decode and classify each run once per batch on
-bit-packed arrays (`StabilizerCode.syndrome_batch`, `decode_batch`,
+Each public call opens at most one process pool and submits every task of
+every point to it at once, largest code and then highest p first; a point
+is split into as few tasks as keep every worker busy.  A task runs its
+trials as batches of at most _SLICE_TRIALS: sample, pack, syndrome, decode
+and classify each run once per batch on bit-packed arrays
+(`StabilizerCode.syndrome_batch`, `decode_batch`,
 `StabilizerCode.classify_batch`); this is the only cycle implementation.
 """
 
@@ -138,40 +141,60 @@ def estimate_logical_rate(
     the kept count.  A decoder failure counts as a logical failure and is
     also tallied in `decoder_failures`.
     """
+    return _estimate_points([(code, decoder, noise, master_seed)], trials, post_select, workers)[0]
+
+
+def _estimate_points(jobs, trials: int, post_select: bool, workers: int) -> list[RatePoint]:
+    """`estimate_logical_rate` of each (code, decoder, noise, point_seed) job."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if decoder is None and not post_select:
+    if not post_select and any(job[1] is None for job in jobs):
         raise ValueError("a decoder is required unless running post-selected")
-    chunks = _chunk_ranges(trials, workers)
-    args = [(code, decoder, noise, master_seed, a, b, post_select) for a, b in chunks]
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trials, args))
+    # As few tasks per point as keep every worker busy (one per point from
+    # 2 x workers points on), submitted largest code and then highest p first.
+    pieces = math.ceil(2 * workers / len(jobs)) if workers > 1 else 1
+    size = math.ceil(trials / pieces)
+    chunks = [(a, min(a + size, trials), post_select) for a in range(0, trials, size)]
+    tasks = [job + chunk for job in jobs for chunk in chunks]
+    order = sorted(range(len(tasks)), key=lambda t: (-tasks[t][0].n, -tasks[t][2].headline_rate))
+    counts = np.zeros((len(tasks), 4), dtype=np.int64)
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            counts[order] = list(pool.map(_run_trials, [tasks[t] for t in order]))
     else:
-        results = [_run_trials(a) for a in args]
-    failures = sum(r[0] for r in results)
-    kept = sum(r[1] for r in results)
-    discarded = sum(r[2] for r in results)
-    decoder_failures = sum(r[3] for r in results)
-    p_l = failures / kept if kept else 0.0
-    low, high = wilson_interval(failures, kept) if kept else (0.0, 1.0)
-    return RatePoint(
-        p=noise.headline_rate,
-        trials=kept,
-        failures=failures,
-        p_l=p_l,
-        ci_low=low,
-        ci_high=high,
-        seed=master_seed,
-        discarded=discarded,
-        decoder_failures=decoder_failures,
-    )
+        counts[:] = [_run_trials(task) for task in tasks]
+    totals = counts.reshape(len(jobs), len(chunks), 4).sum(axis=1).tolist()
+    points = []
+    for job, (failures, kept, discarded, decoder_failures) in zip(jobs, totals):
+        low, high = wilson_interval(failures, kept)
+        points.append(
+            RatePoint(
+                p=job[2].headline_rate,
+                trials=kept,
+                failures=failures,
+                p_l=failures / kept if kept else 0.0,
+                ci_low=low,
+                ci_high=high,
+                seed=job[3],
+                discarded=discarded,
+                decoder_failures=decoder_failures,
+            )
+        )
+    return points
 
 
-def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, workers) * 4 if workers > 1 else 1
-    size = max(1, math.ceil(trials / pieces))
-    return [(a, min(a + size, trials)) for a in range(0, trials, size)]
+def _sweep_jobs(code, decoder, noise_kind: str, p_values: list[float], master_seed: int):
+    """One (code, decoder, noise, point_seed) job per p."""
+    if noise_kind not in CHANNELS:
+        raise ValueError(f"unknown noise kind {noise_kind!r}")
+    if not p_values:
+        raise ValueError("empty p grid")
+    if any(b <= a for a, b in zip(p_values, p_values[1:])):
+        raise ValueError("p grid must be strictly increasing")
+    return [
+        (code, decoder, CHANNELS[noise_kind](p), derive_seed(master_seed, index))
+        for index, p in enumerate(p_values)
+    ]
 
 
 def sweep(
@@ -186,27 +209,9 @@ def sweep(
 ) -> SimulationReport:
     """One RatePoint per p under the channel `noise.CHANNELS[noise_kind]`;
     the grid must be strictly increasing."""
-    if noise_kind not in CHANNELS:
-        raise ValueError(f"unknown noise kind {noise_kind!r}")
-    if not p_values:
-        raise ValueError("empty p grid")
-    if any(b <= a for a, b in zip(p_values, p_values[1:])):
-        raise ValueError("p grid must be strictly increasing")
+    jobs = _sweep_jobs(code, decoder, noise_kind, p_values, master_seed)
     start = time.perf_counter()
-    points = []
-    for index, p in enumerate(p_values):
-        point_seed = derive_seed(master_seed, index)
-        points.append(
-            estimate_logical_rate(
-                code,
-                decoder,
-                CHANNELS[noise_kind](p),
-                trials,
-                point_seed,
-                post_select=post_select,
-                workers=workers,
-            )
-        )
+    points = _estimate_points(jobs, trials, post_select, workers)
     return SimulationReport(
         code=code.name,
         decoder=decoder.name if decoder else "none",
@@ -270,25 +275,30 @@ def threshold_scan(
     master_seed: int,
     workers: int = 1,
 ) -> ThresholdScan:
-    """Sweep surface codes of the given distances with MWPM under
-    independent X/Z noise, then estimate the threshold as the mean of the
-    pairwise crossings of the logical-rate curves (log-linear interpolation
-    between adjacent grid points).
+    """Sweep surface codes of the given (distinct) distances with MWPM
+    under independent X/Z noise, then estimate the threshold as the mean of
+    the pairwise crossings of the logical-rate curves (log-linear
+    interpolation between adjacent grid points).
+
+    Every (distance, p) point runs in one call, so points of different
+    distances interleave in one pool: each report carries the whole scan's
+    `wall_time_s`.
     """
     if len(distances) < 2:
         raise ValueError("need at least two distances to locate a crossing")
-    reports: dict[int, SimulationReport] = {}
+    if len(set(distances)) != len(distances):
+        raise ValueError("distances must be distinct")
+    start = time.perf_counter()
+    reports, jobs = {}, []
     for lam in distances:
-        code = surface_code(lam)
-        reports[lam] = sweep(
-            code,
-            MwpmDecoder(code),
-            "iid_xz",
-            p_values,
-            trials,
-            derive_seed(master_seed, lam),
-            workers=workers,
-        )
+        code, seed = surface_code(lam), derive_seed(master_seed, lam)
+        jobs += _sweep_jobs(code, MwpmDecoder(code), "iid_xz", p_values, seed)
+        reports[lam] = SimulationReport(code.name, MwpmDecoder.name, "iid_xz", seed, [])
+    points = iter(_estimate_points(jobs, trials, False, workers))
+    wall_time_s = time.perf_counter() - start
+    for report in reports.values():
+        report.points = [next(points) for _ in p_values]
+        report.wall_time_s = wall_time_s
     crossings = []
     for i, lam_a in enumerate(distances):
         for lam_b in distances[i + 1 :]:

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from stabkit import code_library as library
+from stabkit import montecarlo
 from stabkit import statevector as sv
 from stabkit.decoders import LookupDecoder, MwpmDecoder
 from stabkit.montecarlo import (
@@ -275,3 +277,51 @@ class TestThresholdScan:
     def test_needs_two_distances(self):
         with pytest.raises(ValueError):
             threshold_scan([3], [0.05, 0.1], 100, 0)
+
+    @pytest.mark.parametrize("distances", [[3, 3], [3, 5, 3]])
+    def test_distances_must_be_distinct(self, distances):
+        # A curve "crosses" itself anywhere, so [3, 3] used to report p_th = 0.05.
+        with pytest.raises(ValueError, match="distinct"):
+            threshold_scan(distances, [0.05, 0.08, 0.1], 200, 1)
+
+
+def _pooled_calls(workers):
+    code = library.surface_code(3)
+    rep = sweep(code, MwpmDecoder(code), "iid_xz", [0.05, 0.08, 0.11], 700, 9, workers=workers)
+    scan = threshold_scan([3, 5], [0.06, 0.09, 0.12, 0.15], 300, 9, workers=workers)
+    return rep, scan
+
+
+class TestPooledCalls:
+    def test_multi_point_calls_are_worker_independent(self):
+        def outputs(workers):
+            rep, scan = _pooled_calls(workers)
+            scan_points = [pt for r in scan.reports.values() for pt in r.points]
+            return (
+                rep.to_csv(),
+                [pt.decoder_failures for pt in rep.points],
+                scan.to_csv(),
+                [pt.decoder_failures for pt in scan_points],
+                scan.crossings,
+                scan.p_threshold,
+                scan.sigma,
+            )
+
+        first = outputs(1)
+        for workers in (2, 3):
+            assert outputs(workers) == first
+
+    def test_one_pool_per_public_call(self, monkeypatch):
+        opened = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        _pooled_calls(1)
+        assert opened == []
+        _pooled_calls(2)
+        # One pool for the sweep and one for the whole scan, two processes each.
+        assert opened == [2, 2]
