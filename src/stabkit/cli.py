@@ -10,12 +10,13 @@ byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import __version__
 from .code_library import get_code, registered_names
-from .decoders import LookupDecoder, MwpmDecoder
+from .decoders import DecoderError, LookupDecoder, MwpmDecoder
 from .montecarlo import sweep, threshold_scan
 from .noise import CHANNELS
 from .pauli import enumerate_paulis, format_sparse
@@ -53,7 +54,10 @@ def cmd_codes(args) -> int:
 
 def cmd_validate(args) -> int:
     code = _get_code_or_fail(args.code)
-    report = code.validate(distance_max_weight=args.check_distance)
+    try:
+        report = code.validate(distance_max_weight=args.check_distance)
+    except ValueError as exc:  # the distance search's range or guard
+        raise ConfigError(str(exc)) from exc
     if report.ok:
         print(f"valid, k={code.k}")
         return 0
@@ -77,7 +81,10 @@ def cmd_distance(args) -> int:
     code = _get_code_or_fail(args.code)
     max_weight = args.max_weight or code.n
     letters = tuple(args.letters) if args.letters else ("X", "Y", "Z")
-    found = code_distance(code, max_weight, letters)
+    try:
+        found = code_distance(code, max_weight, letters)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if found is None:
         print(f"distance > {max_weight}")
     else:
@@ -86,13 +93,12 @@ def cmd_distance(args) -> int:
 
 
 def _build_decoder(args, code):
-    if args.decoder == "lookup":
-        return LookupDecoder(code, max_weight=args.max_weight)
-    if args.decoder == "mwpm":
-        if code.layout is None:
-            raise ConfigError(f"decoder mwpm needs a lattice code, {code.name} has no layout")
+    try:
+        if args.decoder == "lookup":
+            return LookupDecoder(code, max_weight=args.max_weight)
         return MwpmDecoder(code)
-    raise ConfigError(f"unknown decoder {args.decoder!r}")
+    except DecoderError as exc:  # lookup-table guard, or mwpm without a layout
+        raise ConfigError(str(exc)) from exc
 
 
 def _p_grid(args) -> list[float]:
@@ -104,24 +110,19 @@ def _p_grid(args) -> list[float]:
         if args.steps == 1:
             return [args.p_start]
         if args.log_grid:
-            import math
-
             if args.p_start <= 0:
                 raise ConfigError("--log-grid needs --p-start > 0")
             a, b = math.log(args.p_start), math.log(args.p_end)
             return [math.exp(a + (b - a) * i / (args.steps - 1)) for i in range(args.steps)]
         h = (args.p_end - args.p_start) / (args.steps - 1)
         return [args.p_start + h * i for i in range(args.steps)]
-    single = args.p if args.noise == "depolarizing" else args.px
-    if single is None:
-        raise ConfigError("give --px/--p for a single point or --p-start/--p-end/--steps")
-    return [single]
+    if args.p is None:
+        raise ConfigError("give --p/--px for a single point or --p-start/--p-end/--steps")
+    return [args.p]
 
 
 def cmd_simulate(args) -> int:
     code = _get_code_or_fail(args.code)
-    if args.noise == "iid_xz" and args.px is not None and args.pz is not None and args.px != args.pz:
-        raise ConfigError("sweeps treat iid_xz symmetrically; --px must equal --pz")
     grid = _p_grid(args)
     post_select = args.post_select
     if args.decoder == "none" and not post_select:
@@ -206,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--code", required=True)
     sub.add_argument("--decoder", choices=("lookup", "mwpm", "none"), default="lookup")
     sub.add_argument("--noise", choices=tuple(CHANNELS), default="iid_x")
-    sub.add_argument("--px", type=float, default=None)
-    sub.add_argument("--pz", type=float, default=None)
-    sub.add_argument("--p", type=float, default=None)
+    sub.add_argument("--p", "--px", type=float, default=None, help="physical rate of one point")
     sub.add_argument("--post-select", action="store_true")
     sub.add_argument("--max-weight", type=int, default=None, help="lookup-table build depth")
     _add_grid_flags(sub)

@@ -28,16 +28,17 @@ oversubscribe the CPUs that `montecarlo`'s worker pool already fills.
 
 Recovery: the matching only picks each sector's logical class.  A boundary
 match toward coordinate 0 (top for X-errors, left for Z-errors) crosses the
-conjugate logical once and a pair path never does.  The recovery is the
-product of `StabilizerCode.pure_errors` over the flagged checks, times X̄
-(Z̄) where the X (Z) sector makes an odd number of such matches: the matched
-chains up to a stabilizer, so the same verdicts, but not minimum weight.
+conjugate logical once and a pair path never does.  `decode_value` returns
+the product of `StabilizerCode.pure_errors` over the flagged checks, times
+X̄ (Z̄) where the X (Z) sector makes an odd number of such matches: the
+matched chains up to a stabilizer, but not minimum weight.
 
 Decoder protocol: a `name`; `decode_value(int) -> PauliOperator` for one
 syndrome value (bit i = generator i), which may raise `DecoderError`; and
-`decode_batch(packed) -> (recoveries, failed)` on the packed syndromes of
-`StabilizerCode.syndrome_batch`, returning packed recoveries
-(`StabilizerCode.pack` rows) and a mask of the rows it gave up on.
+`decode_batch(packed syndromes) -> (classes, failed)`: the
+`StabilizerCode.logical_batch` row of each `decode_value`, and the rows it
+gave up on.  Every recovery has its input syndrome, and pure errors commute
+with every logical, so a trial succeeds iff its error has that class.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from typing import Sequence
 import numpy as np
 
 from .pauli import PauliOperator, enumerate_paulis, format_sparse, identity
-from .stabilizer_code import StabilizerCode, SurfaceLayout, Syndrome, _pack_bits, and_popcount
+from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, SurfaceLayout, Syndrome
+from .stabilizer_code import _pack_bits, and_popcount
 
-LOOKUP_SYNDROME_GUARD = 20
 DEFAULT_DEFECT_CAP = 16
 
 
@@ -113,22 +114,27 @@ class LookupDecoder:
     def __init__(self, code: StabilizerCode, max_weight: int | None = None):
         self.table = build_lookup(code, max_weight)
         self.code = code
-        self._identity = identity(code.n)
 
     def decode_value(self, value: int) -> PauliOperator:
         """Stored recovery for a syndrome value; a miss is the identity."""
-        return self.table.table.get(value, self._identity)
+        return self.table.table.get(value, identity(self.code.n))
 
     @cached_property
-    def _packed_table(self) -> np.ndarray:
-        """Packed recovery per syndrome value; a miss stays the identity."""
-        packed = np.zeros((1 << self.code.m, self.code.words), dtype=np.uint64)
-        packed[list(self.table.table)] = self.code.pack(self.table.table.values())
-        return packed
+    def _class_table(self) -> np.ndarray:
+        """Per syndrome value: the `logical_batch` row of `decode_value`,
+        then a miss column (set where the table has no entry)."""
+        hits = np.fromiter(self.table.table, dtype=np.intp)
+        table = np.zeros((1 << self.code.m, 2 * self.code.k + 1), dtype=bool)
+        table[:, -1] = True
+        table[hits, :-1] = self.code.logical_batch(self.code.pack(self.table.table.values()))
+        table[hits, -1] = False
+        return table
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Packed recoveries for packed syndromes; a lookup never gives up."""
-        return self._packed_table[syndromes[:, 0]], np.zeros(len(syndromes), dtype=bool)
+        """Recovery classes of packed syndromes; a syndrome missing from a
+        truncated table is a failure.  `np.take` gathers twice as fast as []."""
+        rows = np.take(self._class_table, syndromes[:, 0], axis=0)
+        return rows[:, :-1], rows[:, -1]
 
 
 # --- exact minimum-weight matching ------------------------------------------
@@ -344,11 +350,6 @@ class MwpmDecoder:
         # them to every worker.
         self._pure = [code._symplectic(p) for p in code.pure_errors]
         self._xbar, self._zbar = (code._symplectic(p) for p in code.logicals[0])
-        # Column q of the pure-error matrix, as a syndrome-sized bitmask:
-        # recovery bit q is the parity of (syndrome & column q).
-        pure = np.unpackbits(code.pack(code.pure_errors).view(np.uint8), axis=1, bitorder="little")
-        self._pure_columns = _pack_bits(pure[:, : 2 * code.n].T.astype(bool), -(-code.m // 64))
-        self._logical_words = code.pack(code.logicals[0])
         conjugates = (self._x_checks.conjugate, self._z_checks.conjugate << code.n)
         if (self._xbar, self._zbar) != conjugates:
             raise DecoderError("MWPM needs X̄ down the left column and Z̄ across the top row")
@@ -358,11 +359,9 @@ class MwpmDecoder:
         return {sector.sector: sector.problem(sector.defects_of(s.value)) for sector in sectors}
 
     def decode_value(self, value: int) -> PauliOperator:
-        """Recovery for a syndrome value (bit i = generator i): the pure
-        errors of the set bits, times X̄ and Z̄ where the matching picks the
-        other logical class.  It equals the matching chains up to a
-        stabilizer, but is not itself of minimum weight.  Each sector runs
-        one unsplit DP, so this is the reference `decode_batch` must equal."""
+        """Recovery for a syndrome value (bit i = generator i), built as the
+        module docstring says.  Each sector runs one unsplit DP, so this is
+        the reference whose class `decode_batch` must equal."""
         v = 0
         if self._z_checks.logical_flip(value):
             v = self._xbar
@@ -376,16 +375,13 @@ class MwpmDecoder:
         return PauliOperator(n, v & ((1 << n) - 1), v >> n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Packed `decode_value` of each row, with the matching split by
+        """Class of `decode_value` of each row, with the matching split by
         component (`_Sector.logical_flips`); rows on which `decode_value`
-        raises InstanceTooLargeError are flagged and keep the identity."""
+        raises InstanceTooLargeError are flagged and their class is moot."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         present = [bits[:, sector.generators] for sector in sectors]
         failed = np.maximum(*(defects.sum(axis=1) for defects in present)) > DEFAULT_DEFECT_CAP
-        parities = (and_popcount(syndromes, self._pure_columns) & 1).astype(bool)
-        recoveries = _pack_bits(parities, self.code.words)
-        for sector, defects, logical in zip(sectors, present, self._logical_words):
-            recoveries[sector.logical_flips(defects, failed)] ^= logical
-        recoveries[failed] = 0
-        return recoveries, failed
+        flips = [sector.logical_flips(defects, failed) for sector, defects in zip(sectors, present)]
+        # X̄ (the X sector's flip) anti-commutes with Z̄, and Z̄ with X̄.
+        return np.stack(flips[::-1], axis=1), failed

@@ -14,10 +14,10 @@ are ignored throughout (stabilizers are treated projectively).
 Batches of operators, as the Monte Carlo loop uses them, are bit-packed:
 one row of uint64 words per operator holding its symplectic vector (x bits
 0..n-1, then z bits n..2n-1), little-endian across words.  A batch
-syndrome is the popcount parity of those words against the generators, and
-a residual is a success iff it also commutes with every X̄_i and Z̄_i: for
-a valid code that is stabilizer-group membership, decided by 2k parities
-instead of a span reduction.
+syndrome is their popcount parity against the generators, and a logical
+class (`logical_batch`) their parity against each X̄_i and Z̄_i.  For a
+valid code, a recovery with the error's syndrome succeeds (the product is a
+stabilizer) iff both have the same class: 2k parities, not a span reduction.
 
 Pure errors turn a syndrome into an operator: `pure_errors[i]` flips
 syndrome bit i alone and commutes with every logical, so their product over
@@ -28,6 +28,7 @@ it differs from that product by a stabilizer times a logical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -44,6 +45,11 @@ from .pauli import (
 )
 
 _RESIDUAL_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+# Exponential searches fail fast: a lookup table holds at most
+# 2^LOOKUP_SYNDROME_GUARD rows, `distance` tries at most DISTANCE_SEARCH_GUARD Paulis.
+LOOKUP_SYNDROME_GUARD = 20
+DISTANCE_SEARCH_GUARD = 2_000_000
 
 Coord = tuple[int, int]
 
@@ -244,10 +250,10 @@ class StabilizerCode:
         parities = and_popcount(ops, self._check_words[: self.m]) & 1
         return _pack_bits(parities.astype(bool), -(-self.m // 64))
 
-    def classify_batch(self, residuals: np.ndarray) -> np.ndarray:
-        """Success flags of packed residuals: zero syndrome and commuting
-        with every logical operator (stabilizer-group membership)."""
-        return ~(and_popcount(residuals, self._check_words) & 1).any(axis=1)
+    def logical_batch(self, ops: np.ndarray) -> np.ndarray:
+        """(rows, 2k) bools of packed operators: column 2i (2i+1) says the
+        row anti-commutes with X̄_i (Z̄_i)."""
+        return (and_popcount(ops, self._check_words[self.m :]) & 1).astype(bool)
 
     def in_stabilizer_group(self, p: PauliOperator) -> bool:
         if p.n != self.n:
@@ -362,8 +368,8 @@ def and_popcount(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(len(a), len(rows)) uint8: popcount of a[i] & rows[j] over the words
     of `a`, one word at a time so temporaries stay (len(a), len(rows)).
     A sum past 255 wraps, which keeps its parity (the only use of the
-    count in syndromes, classification and recoveries); the decoder's
-    defect degrees are read only on rows under its defect cap, far below."""
+    count in syndromes and logical classes); the decoder's defect degrees
+    are read only on rows under its defect cap, far below."""
     acc = np.zeros((len(a), len(rows)), dtype=np.uint8)
     for w in range(a.shape[1]):
         acc += np.bitwise_count(a[:, w, None] & rows[None, :, w])
@@ -385,11 +391,16 @@ def distance(
 ) -> int | None:
     """Smallest w <= max_weight with an undetected non-stabilizer weight-w
     Pauli (letters restrictable, e.g. ("X",) for the bit-flip-only distance
-    of a detection code).  None means: greater than max_weight.
+    of a detection code).  None means: greater than max_weight.  ValueError
+    before a weight that would take the Paulis tried past the guard.
     """
     if not 1 <= max_weight <= code.n:
         raise ValueError(f"max_weight must be in 1..{code.n}")
+    candidates = 0
     for w in range(1, max_weight + 1):
+        candidates += math.comb(code.n, w) * len(letters) ** w
+        if candidates > DISTANCE_SEARCH_GUARD:
+            raise ValueError(f"distance search to weight {w} tries {candidates:,} Paulis")
         for p in enumerate_paulis(code.n, w, letters):
             if all(commutes(p, g) for g in code.generators):
                 if not code.in_stabilizer_group(p):

@@ -96,16 +96,6 @@ def bloch_rotation(delta_theta: float, delta_phi: float) -> np.ndarray:
     return rz @ ry
 
 
-def _parity_of(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
-
-
 def _index_masks(state_n: int, p: PauliOperator, targets: Sequence[int]) -> tuple[int, int]:
     """Translate a Pauli's qubit masks onto index-bit positions of a register."""
     if len(targets) != p.n:
@@ -147,7 +137,7 @@ def apply_pauli(
         targets = range(1, p.n + 1)
     xm, zm = _index_masks(state.n, p, list(targets))
     idx = np.arange(state.amplitudes.size, dtype=np.int64)
-    signs = 1.0 - 2.0 * _parity_of(idx & zm)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1)
     phase = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
     out = np.empty_like(state.amplitudes)
     out[idx ^ xm] = state.amplitudes * signs * phase
@@ -181,7 +171,7 @@ def apply_controlled_pauli(
     idx = np.arange(state.amplitudes.size, dtype=np.int64)
     sel = (idx >> pc) & 1 == 1
     src = idx[sel]
-    signs = 1.0 - 2.0 * _parity_of(src & zm)
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & zm) & 1)
     phase = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
     out = state.amplitudes.copy()
     out[src ^ xm] = state.amplitudes[src] * signs * phase

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -34,6 +35,13 @@ class TestValidate:
         assert code == 2
         assert err.startswith("ERR_CONFIG:")
 
+    def test_distance_search_past_guard_fails_fast(self, capsys):
+        # Weights 1-5 of surface_d5 are about 1.9e8 candidate Paulis.
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "validate", "surface_d5", "--check-distance", "5")
+        assert code == 2 and err.startswith("ERR_CONFIG:") and err.count("\n") == 1
+        assert time.perf_counter() - start < 30
+
 
 class TestSyndromeTable:
     def test_three_qubit_bitflip_rows(self, capsys):
@@ -64,6 +72,11 @@ class TestDistance:
         code, out, _ = run_cli(capsys, "distance", "two_qubit", "--letters", "X")
         assert code == 0 and out.strip() == "distance 2"
 
+    def test_search_past_guard_is_config_error(self, capsys):
+        # surface_d7 passes the guard at weight 3, after about 3e4 candidates.
+        code, _, err = run_cli(capsys, "distance", "surface_d7")
+        assert code == 2 and err.startswith("ERR_CONFIG:")
+
 
 class TestSimulate:
     def test_three_qubit_point(self, capsys):
@@ -93,6 +106,21 @@ class TestSimulate:
             "simulate", "--code", "shor_nine", "--decoder", "mwpm", "--px", "0.1",
         )
         assert code == 2 and "ERR_CONFIG" in err
+
+    def test_lookup_table_guard_is_config_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--code", "surface_d5", "--decoder", "lookup", "--px", "0.1"
+        )
+        assert code == 2 and err.startswith("ERR_CONFIG:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("noise", ["iid_x", "iid_xz", "depolarizing"])
+    def test_p_and_px_are_one_rate_for_every_channel(self, capsys, noise):
+        common = ["simulate", "--code", "shor_nine", "--noise", noise, "--trials", "500",
+                  "--seed", "3", "--threads", "1"]
+        code_p, out_p, _ = run_cli(capsys, *common, "--p", "0.1")
+        code_px, out_px, _ = run_cli(capsys, *common, "--px", "0.1")
+        assert code_p == code_px == 0
+        assert out_p == out_px and out_p.splitlines()[1].startswith("0.1,500,")
 
     def test_missing_rate_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--code", "shor_nine")

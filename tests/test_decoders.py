@@ -338,15 +338,15 @@ class TestMwpmDecoder:
         errors = list(enumerate_paulis(code.n, 1))
         values = [code.syndrome_value(e) for e in errors]
         packed = code.syndrome_batch(code.pack(errors))
-        results = []
         for decoder in decoders:
             recoveries = [decoder.decode_value(v) for v in values]
             assert [code.syndrome_value(r) for r in recoveries] == values
-            batch, failed = decoder.decode_batch(packed)
+            assert all(code.in_stabilizer_group(multiply(r, e)) for r, e in zip(recoveries, errors))
+            classes, failed = decoder.decode_batch(packed)
             assert not failed.any()
-            assert np.array_equal(batch, code.pack(recoveries))
-            results.append(code.classify_batch(code.pack(errors) ^ batch))
-        assert results[0].all() and results[1].all()
+            assert np.array_equal(classes, code.logical_batch(code.pack(recoveries)))
+            # Every recovery has its error's class: the batch verdict is success.
+            assert np.array_equal(classes, code.logical_batch(code.pack(errors)))
 
 
 class TestDecodeBatch:
@@ -364,17 +364,19 @@ class TestDecodeBatch:
             decoder = LookupDecoder(code, max_weight=max_weight)
             errors = [sample(iid_xz(0.3, 0.3), code.n, rng) for _ in range(200)]
             values = [code.syndrome_value(e) for e in errors]
-            misses += sum(v not in decoder.table.table for v in values)
-            recoveries, failed = decoder.decode_batch(self._syndromes(code, values))
-            assert not failed.any()
+            missed = [v not in decoder.table.table for v in values]
+            misses += sum(missed)
+            classes, failed = decoder.decode_batch(self._syndromes(code, values))
+            assert list(failed) == missed
             expected = [decoder.decode_value(v) for v in values]
-            assert np.array_equal(recoveries, code.pack(expected))
-            success = code.classify_batch(code.pack(errors) ^ recoveries)
+            assert np.array_equal(classes, code.logical_batch(code.pack(expected)))
+            success = (classes == code.logical_batch(code.pack(errors))).all(axis=1) & ~failed
             reference = [
                 code.in_stabilizer_group(multiply(r, e)) for r, e in zip(expected, errors)
             ]
             assert list(success) == reference
-        # The weight-1 tables miss syndromes, which decode to the identity.
+        # The weight-1 tables miss syndromes: `decode_value` returns the
+        # identity and `decode_batch` flags them as failed.
         assert (misses > 0) == (max_weight == 1)
 
     def test_mwpm_batch_matches_scalar_and_flags_give_ups(self):
@@ -392,8 +394,8 @@ class TestDecodeBatch:
         paths, x_sector_over_cap = set(), False
         for code, values in cases:
             decoder = MwpmDecoder(code)
-            recoveries, failed = decoder.decode_batch(self._syndromes(code, values))
-            for value, row, flag in zip(values, recoveries, failed):
+            classes, failed = decoder.decode_batch(self._syndromes(code, values))
+            for value, row, flag in zip(values, classes, failed):
                 problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
                 sizes = [size for problem in problems.values() for size in component_sizes(problem)]
                 x_over, over = over_cap(decoder, code, value)
@@ -405,10 +407,10 @@ class TestDecodeBatch:
                 try:
                     expected = decoder.decode_value(value)
                 except DecoderError:
-                    assert flag and not row.any()
+                    assert flag  # a given-up row's class is never read
                     continue
                 assert not flag
-                assert np.array_equal(row, code.pack([expected])[0])
+                assert np.array_equal(row, code.logical_batch(code.pack([expected]))[0])
             assert not failed.all()
         assert paths == {"isolated only", "isolated pair", "component >= 3", "over cap"}
         assert x_sector_over_cap

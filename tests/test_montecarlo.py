@@ -21,7 +21,7 @@ from stabkit.montecarlo import (
     threshold_scan,
     wilson_interval,
 )
-from stabkit.noise import iid_x, iid_xz, sample_batch
+from stabkit.noise import CHANNELS, derive_seed, iid_x, iid_xz, sample_batch
 from stabkit.pauli import PauliOperator, multiply, parse
 
 
@@ -194,6 +194,30 @@ class TestSweep:
         report = sweep(code, MwpmDecoder(code), "iid_xz", p_values, 1000, master_seed=2024)
         assert [(pt.failures, pt.decoder_failures) for pt in report.points] == counts
 
+    @pytest.mark.parametrize(
+        "max_weight, noise, counts",
+        [(None, "depolarizing", [(54, 0), (188, 0)]), (1, "iid_xz", [(363, 262), (916, 698)])],
+    )
+    def test_lookup_golden_counts(self, max_weight, noise, counts):
+        # Fixed-seed (failures, decoder give-ups) of Shor lookups; a full
+        # table never gives up, and a truncated one gives up exactly on the
+        # syndromes it misses (replayed here from the same draws).
+        code = library.shor_nine()
+        decoder = LookupDecoder(code, max_weight)
+        report = sweep(code, decoder, noise, [0.05, 0.10], 2000, master_seed=2024)
+        assert [(pt.failures, pt.decoder_failures) for pt in report.points] == counts
+        for index, pt in enumerate(report.points):
+            draws = sample_batch(CHANNELS[noise](pt.p), code.n, derive_seed(2024, index), 0, 2000)
+            syndromes = code.syndrome_batch(code.pack_batch(*draws))[:, 0]
+            assert pt.decoder_failures == sum(int(v) not in decoder.table.table for v in syndromes)
+
+    def test_post_selected_golden_counts(self):
+        # Fixed-seed (failures, kept, discarded) of a detection code.
+        code = library.four_two_two()
+        report = sweep(code, None, "iid_x", [0.05, 0.20], 2000, 2024, post_select=True)
+        counts = [(pt.failures, pt.trials, pt.discarded) for pt in report.points]
+        assert counts == [(22, 1658, 342), (298, 1100, 900)]
+
 
 def _unpack(code, row) -> PauliOperator:
     """The Pauli of one packed row (x bits, then z bits, little-endian)."""
@@ -204,7 +228,9 @@ def _unpack(code, row) -> PauliOperator:
 class TestCrossOracle:
     def test_commutation_cycle_matches_statevector_replay(self):
         # Replays the batch stages of `_run_trials` (sample, pack, syndrome,
-        # decode, classify) on a dense logical state, trial by trial.
+        # decode, classify) on a dense logical state, trial by trial: the
+        # recovery of `decode_value` must restore the state exactly where
+        # the batch's class verdict says the trial succeeds.
         rng = random.Random(20260809)
         cases = [
             (library.three_qubit_bitflip(), LookupDecoder(library.three_qubit_bitflip())),
@@ -227,14 +253,14 @@ class TestCrossOracle:
             logical = sv.StateVector(code.n, amps)
             errors = code.pack_batch(*sample_batch(iid_xz(0.15, 0.15), code.n, seed, 0, trials))
             syndromes = code.syndrome_batch(errors)
-            recoveries, failed = decoder.decode_batch(syndromes)
-            success = code.classify_batch(errors ^ recoveries) & ~failed
+            classes, failed = decoder.decode_batch(syndromes)
+            success = (code.logical_batch(errors) == classes).all(axis=1) & ~failed
             assert success.any() and not success.all()
             for row in range(trials):
                 corrupted = sv.apply_pauli(logical, _unpack(code, errors[row]))
                 syndrome, post = sv.extract_syndrome(code, corrupted)
                 assert syndrome.value == int.from_bytes(syndromes[row].tobytes(), "little")
-                recovered = sv.apply_pauli(post, _unpack(code, recoveries[row]))
+                recovered = sv.apply_pauli(post, decoder.decode_value(syndrome.value))
                 restored = sv.fidelity(recovered, logical) > 1 - 1e-9
                 assert restored == success[row]
 

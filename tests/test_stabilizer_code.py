@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabkit import code_library as library
+from stabkit import stabilizer_code
 from stabkit.pauli import commutes, from_support, identity, multiply, parse
 from stabkit.stabilizer_code import (
     StabilizerCode,
@@ -190,9 +191,15 @@ class TestBatch:
         x = np.array([[(op.x_bits >> q) & 1 for q in range(code.n)] for op in ops], dtype=bool)
         z = np.array([[(op.z_bits >> q) & 1 for q in range(code.n)] for op in ops], dtype=bool)
         assert np.array_equal(code.pack_batch(x, z), packed)
-        for op, row in zip(ops, code.syndrome_batch(packed)):
+        syndromes = code.syndrome_batch(packed)
+        for op, row in zip(ops, syndromes):
             assert int.from_bytes(row.tobytes(), "little") == code.syndrome_value(op)
-        success = code.classify_batch(packed)
+        classes = code.logical_batch(packed)
+        logicals = [p for pair in code.logicals for p in pair]
+        for op, row in zip(ops, classes):
+            assert list(row) == [not commutes(op, logical) for logical in logicals]
+        # Zero syndrome and no logical bit set is stabilizer-group membership.
+        success = ~syndromes.any(axis=1) & ~classes.any(axis=1)
         assert list(success) == [code.in_stabilizer_group(op) for op in ops]
         assert success.any() and not success.all()
 
@@ -253,6 +260,23 @@ class TestDistance:
         for code in ALL_CODES:
             if code.declared_distance is not None:
                 assert distance(code, code.n) == code.declared_distance
+
+    def test_guard_counts_candidates_through_each_weight(self, monkeypatch):
+        # Shor weights 1-3: 9*3 + 36*9 + 84*27 = 2,619 candidate Paulis.
+        monkeypatch.setattr(stabilizer_code, "DISTANCE_SEARCH_GUARD", 2619)
+        assert distance(library.shor_nine(), 9) == 3
+        monkeypatch.setattr(stabilizer_code, "DISTANCE_SEARCH_GUARD", 2618)
+        with pytest.raises(ValueError, match="weight 3 tries 2,619 Paulis"):
+            distance(library.shor_nine(), 9)
+        # Letters restrict the count: X-only weights 1-3 are 9 + 36 + 84.
+        monkeypatch.setattr(stabilizer_code, "DISTANCE_SEARCH_GUARD", 129)
+        assert distance(library.shor_nine(), 3, letters=("X",)) == 3
+
+    def test_default_guard(self):
+        # surface_d7 passes 2e6 candidates at weight 3 (2,699,175 in all).
+        assert stabilizer_code.DISTANCE_SEARCH_GUARD == 2_000_000
+        with pytest.raises(ValueError, match="weight 3 tries 2,699,175 Paulis"):
+            distance(library.surface_code(7), 3)
 
 
 class TestCorrectableWeight:
