@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: codes, validate, syndrome-table, distance, simulate,
-threshold.  Exit codes: 0 ok, 2 configuration error, 3 runtime error;
-failures print a single machine-greppable ERR_CONFIG/ERR_RUNTIME line to
-stderr.  All qubit labels in output are 1-based and CSV output is
-byte-reproducible for a fixed seed.
+threshold.  Exit codes: 0 ok, 2 configuration error (any input the
+library rejects), 3 runtime error (I/O); failures print a single
+machine-greppable ERR_CONFIG/ERR_RUNTIME line to stderr.  All qubit
+labels in output are 1-based and CSV output is byte-reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -26,23 +27,12 @@ CONFIG_ERROR = 2
 RUNTIME_ERROR = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _get_code_or_fail(name: str):
-    try:
-        return get_code(name)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_codes(args) -> int:
@@ -53,21 +43,18 @@ def cmd_codes(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    code = _get_code_or_fail(args.code)
-    try:
-        report = code.validate(distance_max_weight=args.check_distance)
-    except ValueError as exc:  # the distance search's range or guard
-        raise ConfigError(str(exc)) from exc
+    code = get_code(args.code)
+    report = code.validate(distance_max_weight=args.check_distance)
     if report.ok:
         print(f"valid, k={code.k}")
         return 0
     for problem in report.problems:
         print(f"invalid: {problem}")
-    raise ConfigError(f"code {code.name} failed validation")
+    raise ValueError(f"code {code.name} failed validation")
 
 
 def cmd_syndrome_table(args) -> int:
-    code = _get_code_or_fail(args.code)
+    code = get_code(args.code)
     letters = tuple(args.letters) if args.letters else ("X", "Y", "Z")
     lines = ["error\tsyndrome"]
     for w in range(0, args.max_weight + 1):
@@ -78,13 +65,10 @@ def cmd_syndrome_table(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    code = _get_code_or_fail(args.code)
+    code = get_code(args.code)
     max_weight = args.max_weight or code.n
     letters = tuple(args.letters) if args.letters else ("X", "Y", "Z")
-    try:
-        found = code_distance(code, max_weight, letters)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    found = code_distance(code, max_weight, letters)
     if found is None:
         print(f"distance > {max_weight}")
     else:
@@ -93,40 +77,37 @@ def cmd_distance(args) -> int:
 
 
 def _build_decoder(args, code):
-    try:
-        if args.decoder == "lookup":
-            return LookupDecoder(code, max_weight=args.max_weight)
-        return MwpmDecoder(code)
-    except DecoderError as exc:  # lookup-table guard, or mwpm without a layout
-        raise ConfigError(str(exc)) from exc
+    if args.decoder == "lookup":
+        return LookupDecoder(code, max_weight=args.max_weight)
+    return MwpmDecoder(code)
 
 
 def _p_grid(args) -> list[float]:
     if args.steps is not None:
         if args.steps < 1:
-            raise ConfigError("--steps must be >= 1")
+            raise ValueError("--steps must be >= 1")
         if args.p_start is None or args.p_end is None:
-            raise ConfigError("--p-start and --p-end are required with --steps")
+            raise ValueError("--p-start and --p-end are required with --steps")
         if args.steps == 1:
             return [args.p_start]
         if args.log_grid:
             if args.p_start <= 0:
-                raise ConfigError("--log-grid needs --p-start > 0")
+                raise ValueError("--log-grid needs --p-start > 0")
             a, b = math.log(args.p_start), math.log(args.p_end)
             return [math.exp(a + (b - a) * i / (args.steps - 1)) for i in range(args.steps)]
         h = (args.p_end - args.p_start) / (args.steps - 1)
         return [args.p_start + h * i for i in range(args.steps)]
     if args.p is None:
-        raise ConfigError("give --p/--px for a single point or --p-start/--p-end/--steps")
+        raise ValueError("give --p/--px for a single point or --p-start/--p-end/--steps")
     return [args.p]
 
 
 def cmd_simulate(args) -> int:
-    code = _get_code_or_fail(args.code)
+    code = get_code(args.code)
     grid = _p_grid(args)
     post_select = args.post_select
     if args.decoder == "none" and not post_select:
-        raise ConfigError("--decoder none is only meaningful with --post-select")
+        raise ValueError("--decoder none is only meaningful with --post-select")
     decoder = None if args.decoder == "none" else _build_decoder(args, code)
     report = sweep(
         code,
@@ -144,10 +125,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_threshold(args) -> int:
     distances = [int(tok) for tok in args.distances.split(",")]
-    if len(distances) < 2:
-        raise ConfigError("--distances needs at least two comma-separated values")
     if args.steps is None or args.p_start is None or args.p_end is None:
-        raise ConfigError("threshold scans require --p-start, --p-end and --steps")
+        raise ValueError("threshold scans require --p-start, --p-end and --steps")
     grid = _p_grid(args)
     scan = threshold_scan(distances, grid, args.trials, args.seed, workers=args.threads)
     _emit(scan.to_json() if args.format == "json" else scan.to_csv(), args.out)
@@ -225,10 +204,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ValueError, KeyError, DecoderError) as exc:  # inputs the library rejects
         print(f"ERR_CONFIG: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except (ValueError, KeyError, OSError) as exc:
+    except OSError as exc:
         print(f"ERR_RUNTIME: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -13,18 +13,18 @@ Unused virtual boundary nodes pair among themselves at zero cost, which
 the solver realises by letting every defect take its boundary option
 independently.  The matching is exact.  An edge that cannot beat two
 boundary matches is pruned; that rule depends only on the layout, so each
-sector builds its pruning graph once.  One bitmask DP (`_optimum`) solves
-any defect set, resolving the lowest defect first.
-
-`decode_batch` splits each sector by component of the pruned graph, as
-cost and flip parity both add over components.  Packed AND+popcount
-arithmetic resolves isolated defects (the boundary is the only option) and
-isolated pairs (the kept edge beats two boundary matches, and a pair path
-never flips); only components of three or more reach the DP (one memo per
-row).  Both small optima are unique and the DP's picks in a component do
-not depend on the rest, so the split equals the unsplit DP of
-`decode_value`, tie-breaks included.  It uses no float matmul: BLAS threads
-oversubscribe the CPUs that `montecarlo`'s worker pool already fills.
+sector builds its pruning graph once.  Cost and flip parity add over the
+components of the pruned graph, so every entry point splits the defects
+with `_components` (the only code that applies `DEFAULT_DEFECT_CAP`: a
+component over it raises InstanceTooLargeError) and solves each with one
+bitmask DP (`_optimum`), lowest defect first.  The DP's picks in a
+component do not depend on the rest, so the split equals the unsplit DP,
+tie-breaks included.  `decode_batch` first resolves isolated defects (the
+boundary is the only option) and isolated pairs (the kept edge beats two
+boundary matches; a pair path never flips) with packed AND+popcount
+arithmetic; both optima are unique, so the DP would pick them too, and it
+runs on the rest with one memo per row.  It uses no float matmul: BLAS
+threads oversubscribe the CPUs that `montecarlo`'s worker pool fills.
 
 Recovery: the matching only picks each sector's logical class.  A boundary
 match toward coordinate 0 (top for X-errors, left for Z-errors) crosses the
@@ -147,28 +147,20 @@ def minimum_weight_matching(
 
     dist[i][j] is the pair cost, boundary[i] the cost of sending defect i
     to its boundary.  Returns (total cost, pairs) with None marking a
-    boundary match.  Raises InstanceTooLargeError above DEFAULT_DEFECT_CAP
-    defects.
+    boundary match.  Solves one component at a time; raises
+    InstanceTooLargeError if one has more than DEFAULT_DEFECT_CAP defects.
     """
     k = len(boundary)
-    _check_cap(k)
-    memo, mask = {0: _NOTHING}, (1 << k) - 1
-    neighbours, flips = _neighbours(dist, boundary), [False] * k
-    cost = (memo.get(mask) or _optimum(mask, memo, neighbours, boundary, dist, flips))[0]
-    pairs: list[tuple[int, int | None]] = []
-    while mask:
-        low = mask & -mask
-        partner = memo[mask][2]
-        pairs.append((low.bit_length() - 1, None if partner < 0 else partner))
-        mask ^= low if partner < 0 else low | 1 << partner
+    memo, neighbours, flips = {0: _NOTHING}, _neighbours(dist, boundary), [False] * k
+    cost, pairs = 0, []
+    for mask in _components((1 << k) - 1, neighbours):
+        cost += _optimum(mask, memo, neighbours, boundary, dist, flips)[0]
+        while mask:
+            low = mask & -mask
+            partner = memo[mask][2]
+            pairs.append((low.bit_length() - 1, None if partner < 0 else partner))
+            mask ^= low if partner < 0 else low | 1 << partner
     return cost, pairs
-
-
-def _check_cap(defects: int) -> None:
-    if defects > DEFAULT_DEFECT_CAP:
-        raise InstanceTooLargeError(
-            f"instance too large: {defects} defects exceed cap {DEFAULT_DEFECT_CAP}"
-        )
 
 
 def _neighbours(dist, boundary) -> list[int]:
@@ -214,7 +206,9 @@ def _optimum(mask: int, memo: dict, neighbours, boundary, dist, flips) -> tuple[
 
 
 def _components(mask: int, neighbours: list[int]) -> list[int]:
-    """Connected components of the defects in `mask`, as bitmasks."""
+    """Connected components of the defects in `mask`, as bitmasks.  The
+    only place that applies the cap: raises InstanceTooLargeError if a
+    component has more than DEFAULT_DEFECT_CAP defects."""
     components = []
     while mask:
         component = frontier = mask & -mask
@@ -223,6 +217,11 @@ def _components(mask: int, neighbours: list[int]) -> list[int]:
             grown = neighbours[low.bit_length() - 1] & mask & ~component
             component |= grown
             frontier = (frontier ^ low) | grown
+        if component.bit_count() > DEFAULT_DEFECT_CAP:
+            raise InstanceTooLargeError(
+                f"instance too large: a {component.bit_count()}-defect component"
+                f" exceeds cap {DEFAULT_DEFECT_CAP}"
+            )
         components.append(component)
         mask ^= component
     return components
@@ -300,39 +299,36 @@ class _Sector:
             ),
         )
 
-    def _flip(self, mask: int, memo: dict) -> bool:
-        entry = memo.get(mask) or _optimum(
-            mask, memo, self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips
-        )
-        return entry[1]
-
     def logical_flip(self, syndrome_value: int) -> bool:
         """Parity of the defects the matching sends to a flipping boundary,
-        from one DP over the whole sector: the reference for `logical_flips`."""
-        defects = self.defects_of(syndrome_value)
-        _check_cap(len(defects))
-        return self._flip(sum(1 << i for i in defects), {0: _NOTHING})
+        solved one component at a time: the reference for `shortcut`."""
+        mask = sum(1 << i for i in self.defects_of(syndrome_value))
+        return self.flip(_components(mask, self.neighbours))
 
-    def logical_flips(self, present: np.ndarray, skip: np.ndarray) -> np.ndarray:
-        """`logical_flip` of each row of `present` (flagged checks in sector
-        order), except that rows in `skip` stay out of the DP.  Isolated
-        defects add their boundary flips and isolated pairs add nothing;
-        only components of three or more defects reach the DP, with one memo
-        per row, so a batch's memory does not grow with its length."""
-        words = self.words
+    def flip(self, components: list[int]) -> bool:
+        """Flip parity of the optimum on disjoint `components` (one memo)."""
+        memo, flip = {0: _NOTHING}, False
+        for mask in components:
+            flip ^= _optimum(
+                mask, memo, self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips
+            )[1]
+        return flip
+
+    def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Numpy pass over the rows of `present` (flagged checks in sector
+        order): the boundary flips of isolated defects (isolated pairs add
+        nothing), and the packed rest, the components of three or more that
+        `flip` must solve.  Degrees count in uint8, so a row with more than
+        255 defects skips the pass and is left whole."""
+        words, small = self.words, present
+        if present.shape[1] > 255:  # else no row can have 256 defects
+            small = present & (present.sum(axis=1, keepdims=True) <= 255)
         degree = and_popcount(_pack_bits(present, words), self.neighbour_words)
-        isolated = present & (degree == 0)
-        single = present & (degree == 1)
+        isolated = small & (degree == 0)
+        single = small & (degree == 1)
         paired = single & (and_popcount(_pack_bits(single, words), self.neighbour_words) == 1)
         flips = (and_popcount(_pack_bits(isolated, words), self.flip_words)[:, 0] & 1).astype(bool)
-        rest = _pack_bits(present & ~isolated & ~paired, words)
-        for row in np.flatnonzero(rest.any(axis=1) & ~skip):
-            flip, mask = False, int.from_bytes(rest[row].tobytes(), "little")
-            memo = {0: _NOTHING}
-            for component in _components(mask, self.neighbours):
-                flip ^= self._flip(component, memo)
-            flips[row] ^= flip
-        return flips
+        return flips, _pack_bits(present & ~isolated & ~paired, words)
 
 
 class MwpmDecoder:
@@ -360,8 +356,9 @@ class MwpmDecoder:
 
     def decode_value(self, value: int) -> PauliOperator:
         """Recovery for a syndrome value (bit i = generator i), built as the
-        module docstring says.  Each sector runs one unsplit DP, so this is
-        the reference whose class `decode_batch` must equal."""
+        module docstring says.  Each sector is split by component with no
+        numpy pass, so this is the reference whose class `decode_batch`
+        must equal."""
         v = 0
         if self._z_checks.logical_flip(value):
             v = self._xbar
@@ -375,13 +372,25 @@ class MwpmDecoder:
         return PauliOperator(n, v & ((1 << n) - 1), v >> n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class of `decode_value` of each row, with the matching split by
-        component (`_Sector.logical_flips`); rows on which `decode_value`
-        raises InstanceTooLargeError are flagged and their class is moot."""
+        """Class of `decode_value` of each row.  `_Sector.shortcut` resolves
+        isolated defects and pairs; a row with defects left takes the
+        components of both sectors before any DP, so a row that gives up (a
+        component over the cap: flagged, its class moot) runs no DP."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
-        present = [bits[:, sector.generators] for sector in sectors]
-        failed = np.maximum(*(defects.sum(axis=1) for defects in present)) > DEFAULT_DEFECT_CAP
-        flips = [sector.logical_flips(defects, failed) for sector, defects in zip(sectors, present)]
+        flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))
+        failed = np.zeros(len(syndromes), dtype=bool)
+        for row in np.flatnonzero(rests[0].any(axis=1) | rests[1].any(axis=1)):
+            try:
+                split = [
+                    _components(int.from_bytes(rest[row].tobytes(), "little"), sector.neighbours)
+                    for sector, rest in zip(sectors, rests)
+                ]
+            except InstanceTooLargeError:
+                failed[row] = True
+                continue
+            for sector, flip, components in zip(sectors, flips, split):
+                if components:
+                    flip[row] ^= sector.flip(components)
         # X̄ (the X sector's flip) anti-commutes with Z̄, and Z̄ with X̄.
         return np.stack(flips[::-1], axis=1), failed

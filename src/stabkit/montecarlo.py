@@ -140,9 +140,9 @@ def estimate_logical_rate(
 
     Post-selected mode (detection codes) discards nonzero-syndrome trials
     and reports them in `discarded`; `trials` in the returned point is then
-    the kept count.  A decoder failure (an over-cap matching, or a syndrome
-    missing from a truncated lookup table) counts as a logical failure and
-    is also tallied in `decoder_failures`.
+    the kept count.  A decoder failure (a matching component over the cap,
+    or a syndrome missing from a truncated lookup table) counts as a
+    logical failure and is also tallied in `decoder_failures`.
     """
     return _estimate_points([(code, decoder, noise, master_seed)], trials, post_select, workers)[0]
 

@@ -368,8 +368,8 @@ def and_popcount(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(len(a), len(rows)) uint8: popcount of a[i] & rows[j] over the words
     of `a`, one word at a time so temporaries stay (len(a), len(rows)).
     A sum past 255 wraps, which keeps its parity (the only use of the
-    count in syndromes and logical classes); the decoder's defect degrees
-    are read only on rows under its defect cap, far below."""
+    count in syndromes and logical classes); the MWPM decoder reads defect
+    degrees only on rows with at most 255 defects in a sector."""
     acc = np.zeros((len(a), len(rows)), dtype=np.uint8)
     for w in range(a.shape[1]):
         acc += np.bitwise_count(a[:, w, None] & rows[None, :, w])

@@ -196,3 +196,21 @@ class TestThreshold:
             "--steps", "2",
         )
         assert code == 2 and "ERR_CONFIG" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--code", "three_qubit_bitflip", "--p-start", "0.2", "--p-end", "0.1",
+         "--steps", "3"],
+        ["simulate", "--code", "three_qubit_bitflip", "--p", "1.5"],
+        ["simulate", "--code", "three_qubit_bitflip", "--p", "0.1", "--trials", "0"],
+        ["threshold", "--distances", "3,3", "--p-start", "0.05", "--p-end", "0.15",
+         "--steps", "2"],
+    ],
+    ids=["decreasing-grid", "rate-above-one", "zero-trials", "repeated-distance"],
+)
+def test_library_input_errors_are_config_errors(capsys, argv):
+    # The library, not the CLI, rejects these inputs with ValueError.
+    code, _, err = run_cli(capsys, *argv, "--threads", "1")
+    assert code == 2 and err.startswith("ERR_CONFIG:") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from stabkit import code_library as library
+from stabkit import decoders as decoders_module
 from stabkit.decoders import (
     DEFAULT_DEFECT_CAP,
     DecoderError,
@@ -20,7 +22,9 @@ from stabkit.stabilizer_code import StabilizerCode, Syndrome, correctable_weight
 
 
 def brute_force_matching_cost(dist, boundary):
-    """Minimum over every pairing, each defect pairable with the boundary."""
+    """Minimum over every pairing, each defect pairable with the boundary
+    (memoised on the unmatched set, which prunes nothing)."""
+    @functools.cache
     def rec(unmatched):
         if not unmatched:
             return 0
@@ -67,10 +71,10 @@ def component_sizes(problem):
 
 
 def over_cap(decoder, code, value):
-    """(X-sector defects > cap, either sector's defects > cap)."""
+    """(an X-sector component > cap, any component > cap)."""
     problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
-    sizes = [len(problems[sector].defects) for sector in "XZ"]
-    return sizes[0] > DEFAULT_DEFECT_CAP, max(sizes) > DEFAULT_DEFECT_CAP
+    largest = [max(component_sizes(problems[sector]), default=0) for sector in "XZ"]
+    return largest[0] > DEFAULT_DEFECT_CAP, max(largest) > DEFAULT_DEFECT_CAP
 
 
 class TestLookup:
@@ -168,6 +172,23 @@ class TestMatchingSolver:
         dist = [[1] * k for _ in range(k)]
         with pytest.raises(InstanceTooLargeError):
             minimum_weight_matching(dist, [1] * k)
+
+    def test_cap_applies_per_component(self):
+        # 9 + 8 defects in two far-apart clusters: over the cap in total,
+        # but each cluster is one component within it, so it is solved.
+        rng = random.Random(5)
+        cluster = [0] * 9 + [1] * 8
+        k = len(cluster)
+        dist = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                near = cluster[i] == cluster[j]
+                dist[i][j] = dist[j][i] = rng.randint(1, 4) if near else 100
+        boundary = [rng.randint(3, 6) for _ in range(k)]
+        cost, pairs = minimum_weight_matching(dist, boundary)
+        assert cost == brute_force_matching_cost(dist, boundary)
+        covered = sorted(x for a, b in pairs for x in ((a,) if b is None else (a, b)))
+        assert covered == list(range(k))
 
 
 class TestMwpmDecoder:
@@ -328,6 +349,28 @@ class TestMwpmDecoder:
                 decoded += 1
         assert dense_z_checks > 0 and decoded > 0
 
+    def test_split_equals_the_unsplit_dp(self):
+        # The DP's picks in a component do not depend on the others, so on
+        # a sector within the cap, solving by component (`logical_flip`)
+        # gives the flip of one DP over the whole unsplit defect set.
+        d7, d7_values = d7_syndromes()
+        d5 = library.surface_code(5)
+        split = 0
+        for code, values in ((d7, d7_values), (d5, sampled_syndromes(d5, 0.1, 3, 60))):
+            decoder = MwpmDecoder(code)
+            for value in values:
+                for sector in (decoder._z_checks, decoder._x_checks):
+                    mask = sum(1 << i for i in sector.defects_of(value))
+                    if not 0 < mask.bit_count() <= DEFAULT_DEFECT_CAP:
+                        continue
+                    whole = decoders_module._optimum(
+                        mask, {0: decoders_module._NOTHING}, sector.neighbours,
+                        sector.boundary_cost, sector.pair_cost, sector.boundary_flips,
+                    )
+                    assert sector.logical_flip(value) == whole[1]
+                    split += len(decoders_module._components(mask, sector.neighbours)) > 1
+        assert split > 50
+
     def test_uniform_decode_dispatch(self):
         # Both decoders implement the one protocol: name, decode_value and
         # decode_batch, and on the d3 surface code they agree that every
@@ -381,12 +424,16 @@ class TestDecodeBatch:
 
     def test_mwpm_batch_matches_scalar_and_flags_give_ups(self):
         # decode_batch resolves isolated defects and pairs in numpy and the
-        # rest by component; decode_value runs one DP per whole sector.  The
-        # cases cover every path: surface_d9 sectors (72 checks) span two
-        # words, and the low-rate rows are mostly isolated defects or pairs.
+        # rest by component; decode_value splits by component with no numpy
+        # pass.  The cases cover every path: surface_d9 sectors (72 checks)
+        # span two words, the low-rate rows are mostly isolated defects or
+        # pairs, and three d7 rows at p = .12 (seed 7) have a sector over
+        # the cap in total but no component over it.
         code, values = d7_syndromes()
         cases = [(code, [0] + values)]
-        for lam, rates, n in ((9, (0.03, 0.1), 40), (5, (0.005, 0.03), 60), (7, (0.005, 0.03), 60)):
+        for lam, rates, n in (
+            (9, (0.03, 0.1), 40), (5, (0.005, 0.03), 60), (7, (0.005, 0.03, 0.12), 60)
+        ):
             code = library.surface_code(lam)
             values = [v for s, p in enumerate(rates, 5) for v in sampled_syndromes(code, p, s, n)]
             cases.append((code, values))
@@ -398,10 +445,14 @@ class TestDecodeBatch:
             for value, row, flag in zip(values, classes, failed):
                 problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
                 sizes = [size for problem in problems.values() for size in component_sizes(problem)]
+                largest_sector = max(len(problem.defects) for problem in problems.values())
                 x_over, over = over_cap(decoder, code, value)
                 x_sector_over_cap |= x_over
+                assert flag == over  # the cap applies to each component
                 if over:
                     paths.add("over cap")
+                elif largest_sector > DEFAULT_DEFECT_CAP:
+                    paths.add("sector over cap, components within")
                 elif sizes:
                     paths.add(names.get(max(sizes), "component >= 3"))
                 try:
@@ -412,5 +463,54 @@ class TestDecodeBatch:
                 assert not flag
                 assert np.array_equal(row, code.logical_batch(code.pack([expected]))[0])
             assert not failed.all()
-        assert paths == {"isolated only", "isolated pair", "component >= 3", "over cap"}
+        assert paths == {
+            "isolated only", "isolated pair", "component >= 3", "over cap",
+            "sector over cap, components within",
+        }
         assert x_sector_over_cap
+
+    def test_a_row_that_gives_up_runs_no_dp(self, monkeypatch):
+        # The X-error sector has a three-defect component for the DP and
+        # the Z-error sector, split second, one over the cap: both sectors
+        # are split before any DP runs, so the flagged row costs none.
+        code = library.surface_code(7)
+        decoder = MwpmDecoder(code)
+        z_checks, x_checks = decoder._z_checks, decoder._x_checks
+        linked = [j for j in range(len(z_checks.ids)) if z_checks.neighbours[0] >> j & 1]
+        triple = sum(1 << int(z_checks.generators[i]) for i in (0, *linked[:2]))
+        with pytest.raises(InstanceTooLargeError):
+            decoder.decode_value(x_checks.sector_mask)
+        calls = []
+        optimum = decoders_module._optimum
+        monkeypatch.setattr(
+            decoders_module, "_optimum", lambda *args: calls.append(args[0]) or optimum(*args)
+        )
+        _, failed = decoder.decode_batch(self._syndromes(code, [triple | x_checks.sector_mask]))
+        assert failed.all() and not calls
+        _, failed = decoder.decode_batch(self._syndromes(code, [triple]))
+        assert not failed.any() and calls
+
+    def test_rows_past_uint8_degrees_go_whole_to_the_split(self):
+        # d20 Z-checks: with all 380 flagged, some defects have 256 or 257
+        # flagged neighbours, and with one check plus 256 of its neighbours
+        # flagged, that check has 256.  A uint8 degree reads these as 0 or
+        # 1, so such rows skip the numpy pass: it resolves nothing.
+        code = library.surface_code(20)
+        decoder = MwpmDecoder(code)
+        sector = decoder._z_checks
+        k = len(sector.ids)
+        hub = max(range(k), key=lambda i: sector.neighbours[i].bit_count())
+        star = [hub] + [j for j in range(k) if sector.neighbours[hub] >> j & 1][:256]
+        present = np.zeros((2, k), dtype=bool)
+        present[0] = True
+        present[1, star] = True
+        flips, rest = sector.shortcut(present)
+        assert not flips.any()
+        unpacked = np.unpackbits(rest.view(np.uint8), axis=1, bitorder="little")[:, :k]
+        assert np.array_equal(unpacked, present)
+        values = [sum(1 << int(g) for g in sector.generators[row]) for row in present]
+        _, failed = decoder.decode_batch(self._syndromes(code, values))
+        assert failed.all()
+        for value in values:
+            with pytest.raises(InstanceTooLargeError):
+                decoder.decode_value(value)

@@ -184,7 +184,7 @@ class TestSweep:
         "lam, p_values, counts",
         [
             (5, [0.08, 0.10, 0.12], [(183, 0), (242, 0), (375, 0)]),
-            (7, [0.06, 0.09], [(72, 14), (263, 97)]),
+            (7, [0.06, 0.09], [(70, 12), (259, 93)]),
         ],
     )
     def test_mwpm_golden_counts(self, lam, p_values, counts):
