@@ -205,7 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, DecoderError) as exc:  # inputs the library rejects
-        print(f"ERR_CONFIG: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"ERR_CONFIG: {message}", file=sys.stderr)
         return CONFIG_ERROR
     except OSError as exc:
         print(f"ERR_RUNTIME: {exc}", file=sys.stderr)

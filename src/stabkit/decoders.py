@@ -19,12 +19,17 @@ with `_components` (the only code that applies `DEFAULT_DEFECT_CAP`: a
 component over it raises InstanceTooLargeError) and solves each with one
 bitmask DP (`_optimum`), lowest defect first.  The DP's picks in a
 component do not depend on the rest, so the split equals the unsplit DP,
-tie-breaks included.  `decode_batch` first resolves isolated defects (the
-boundary is the only option) and isolated pairs (the kept edge beats two
-boundary matches; a pair path never flips) with packed AND+popcount
-arithmetic; both optima are unique, so the DP would pick them too, and it
-runs on the rest with one memo per row.  It uses no float matmul: BLAS
-threads oversubscribe the CPUs that `montecarlo`'s worker pool fills.
+tie-breaks included.  The DP skips, unsolved, a partner that an
+admissible bound shows cannot be strictly cheaper than its current pick
+(each defect pays its boundary cost or half a kept edge, so twice an
+optimum is at least the sum of those minima); only a strictly cheaper
+partner replaces a pick, so every memo entry is the unbounded DP's.
+`decode_batch` first resolves isolated defects (the boundary is the only
+option) and isolated pairs (the kept edge beats two boundary matches; a
+pair path never flips) with packed AND+popcount arithmetic; both optima
+are unique, so the DP would pick them too, and it runs on the rest with
+one memo per row.  It uses no float matmul: BLAS threads oversubscribe
+the CPUs that `montecarlo`'s worker pool fills.
 
 Recovery: the matching only picks each sector's logical class.  A boundary
 match toward coordinate 0 (top for X-errors, left for Z-errors) crosses the
@@ -145,16 +150,17 @@ def minimum_weight_matching(
 ) -> tuple[int, list[tuple[int, int | None]]]:
     """Exact minimum-cost matching of defects to each other or the boundary.
 
-    dist[i][j] is the pair cost, boundary[i] the cost of sending defect i
-    to its boundary.  Returns (total cost, pairs) with None marking a
-    boundary match.  Solves one component at a time; raises
+    dist[i][j] = dist[j][i] is the pair cost, boundary[i] the cost of
+    sending defect i to its boundary.  Returns (total cost, pairs) with None
+    marking a boundary match.  Solves one component at a time; raises
     InstanceTooLargeError if one has more than DEFAULT_DEFECT_CAP defects.
     """
     k = len(boundary)
-    memo, neighbours, flips = {0: _NOTHING}, _neighbours(dist, boundary), [False] * k
-    cost, pairs = 0, []
+    neighbours, rings = _neighbours(dist, boundary)
+    memo, flips, cost, pairs = {0: _NOTHING}, [False] * k, 0, []
     for mask in _components((1 << k) - 1, neighbours):
-        cost += _optimum(mask, memo, neighbours, boundary, dist, flips)[0]
+        half, bound = _half_costs(mask, rings)
+        cost += _optimum(mask, memo, (neighbours, boundary, dist, flips, half), bound)[0]
         while mask:
             low = mask & -mask
             partner = memo[mask][2]
@@ -163,44 +169,76 @@ def minimum_weight_matching(
     return cost, pairs
 
 
-def _neighbours(dist, boundary) -> list[int]:
-    """Bitmask per defect of the pair edges that beat two boundary matches;
-    dropping the rest (ties too) keeps the optimal cost and splits the
-    defect graph into small components."""
-    k = len(boundary)
-    return [
-        sum(1 << j for j in range(k) if j != i and dist[i][j] < boundary[i] + boundary[j])
-        for i in range(k)
-    ]
+def _neighbours(dist, boundary) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Per defect i, a bitmask of the pair edges that beat two boundary
+    matches (dropping the rest, ties too, keeps the optimal cost and splits
+    the defect graph into small components), and those edges as rings for
+    `_half_costs`: (w, mask of the edges of cost w) for each w below
+    2 boundary[i], ascending, then (2 boundary[i], -1 = every defect)."""
+    masks, rings = [], []
+    for i, b in enumerate(boundary):
+        kept, ring = 0, {2 * b: -1}
+        for j, w in enumerate(dist[i]):
+            if j != i and w < b + boundary[j]:
+                kept |= 1 << j
+                if w < 2 * b:
+                    ring[w] = ring.get(w, 0) | 1 << j
+        masks.append(kept)
+        rings.append(sorted(ring.items()))
+    return masks, rings
 
 
 # Memo entry of the empty defect set: (cost, flip parity, partner).
 _NOTHING = (0, False, -1)
 
 
-def _optimum(mask: int, memo: dict, neighbours, boundary, dist, flips) -> tuple[int, bool, int]:
+def _half_costs(mask: int, rings) -> tuple[dict[int, int], int]:
+    """`_optimum`'s h_i for each defect i of `mask` (the first ring of i
+    that meets `mask`), and their sum."""
+    half, todo = {}, mask
+    while todo:
+        i = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        for w, ring in rings[i]:
+            if ring & mask:
+                break
+        half[i] = w
+    return half, sum(half.values())
+
+
+def _optimum(mask: int, memo: dict, graph, bound: int) -> tuple[int, bool, int]:
     """Memo entry (cost, flip parity of the boundary matches, partner) of
     the exact optimum on the defects of `mask`, which is non-empty and not
     yet in `memo` (callers try `memo.get(mask) or _optimum(mask, ...)`).
-    The lowest defect takes its boundary (partner -1) unless a kept edge to
-    a neighbour, tried in ascending order, is strictly cheaper.  An entry
-    depends on `mask` alone, so one memo serves many calls on one table."""
+    The lowest defect i takes its boundary (partner -1) unless a kept edge
+    to a neighbour j, tried in ascending order, is strictly cheaper.  An
+    entry depends on `mask` alone, so one memo serves many calls on one table.
+
+    `graph` is (neighbours, boundary, dist, flips, half), with half[i] =
+    h_i = min(2 boundary[i], dist[i][j] over kept edges i-j in a superset
+    of `mask`); `bound` is the sum of h over `mask`.  With dist symmetric a
+    defect pays its boundary or half an edge, so 2 opt(S) >= sum of h over
+    S (admissible).  j is skipped unsolved when 2 dist[i][j] + bound(rest
+    - j) >= 2 cost: it cannot be strictly cheaper, so no entry changes."""
+    neighbours, boundary, dist, flips, half = graph
     low = mask & -mask
     i = low.bit_length() - 1
     rest = mask ^ low
-    cost, flip, _ = memo.get(rest) or _optimum(rest, memo, neighbours, boundary, dist, flips)
+    bound -= half[i]
+    cost, flip, _ = memo.get(rest) or _optimum(rest, memo, graph, bound)
     cost += boundary[i]
     flip ^= flips[i]
     partner = -1
-    others = neighbours[i] & rest
+    others, row = neighbours[i] & rest, dist[i]
     while others:
         bit = others & -others
         others ^= bit
         j = bit.bit_length() - 1
-        sub = rest ^ bit
-        c, f, _ = memo.get(sub) or _optimum(sub, memo, neighbours, boundary, dist, flips)
-        if c + dist[i][j] < cost:
-            cost, flip, partner = c + dist[i][j], f, j
+        if 2 * (row[j] - cost) + bound < half[j]:
+            sub = rest ^ bit
+            c, f, _ = memo.get(sub) or _optimum(sub, memo, graph, bound - half[j])
+            if c + row[j] < cost:
+                cost, flip, partner = c + row[j], f, j
     hit = memo[mask] = (cost, flip, partner)
     return hit
 
@@ -270,8 +308,9 @@ class _Sector:
         self.boundary_flips = [a < b for a, b in zip(near, far)]
         self.conjugate = sum(1 << (q - 1) for q, c in layout.data_coords.items() if c[axis] == 0)
         # The pruning graph depends only on the layout, so it is built once,
-        # as int bitmasks for the DP and packed words for the batch pass.
-        self.neighbours = _neighbours(self.pair_cost, self.boundary_cost)
+        # as int bitmasks and cost rings for the DP and packed words for the
+        # batch pass.
+        self.neighbours, self.rings = _neighbours(self.pair_cost, self.boundary_cost)
         self.generators = np.array(list(self._local), dtype=np.intp)
         k, self.words = len(self.coords), -(-len(self.coords) // 64)
         adjacency = np.array([[m >> j & 1 for j in range(k)] for m in self.neighbours], dtype=bool)
@@ -309,9 +348,9 @@ class _Sector:
         """Flip parity of the optimum on disjoint `components` (one memo)."""
         memo, flip = {0: _NOTHING}, False
         for mask in components:
-            flip ^= _optimum(
-                mask, memo, self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips
-            )[1]
+            half, bound = _half_costs(mask, self.rings)
+            graph = (self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips, half)
+            flip ^= _optimum(mask, memo, graph, bound)[1]
         return flip
 
     def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

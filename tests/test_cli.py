@@ -31,9 +31,10 @@ class TestValidate:
         assert code == 0 and "valid, k=1" in out
 
     def test_unknown_code(self, capsys):
+        # The library raises KeyError, whose str() would quote the message.
         code, _, err = run_cli(capsys, "validate", "nonsense")
         assert code == 2
-        assert err.startswith("ERR_CONFIG:")
+        assert err.startswith("ERR_CONFIG: unknown code name 'nonsense'")
 
     def test_distance_search_past_guard_fails_fast(self, capsys):
         # Weights 1-5 of surface_d5 are about 1.9e8 candidate Paulis.

@@ -36,6 +36,59 @@ def brute_force_matching_cost(dist, boundary):
     return rec(tuple(range(len(boundary))))
 
 
+def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
+    """`decoders._optimum` without its bound: every kept neighbour of the
+    lowest defect is solved and tried.  The oracle for the bounded DP."""
+    low = mask & -mask
+    i = low.bit_length() - 1
+    rest = mask ^ low
+    cost, flip, _ = memo.get(rest) or unbounded_optimum(rest, memo, neighbours, boundary, dist, flips)
+    cost += boundary[i]
+    flip ^= flips[i]
+    partner = -1
+    others = neighbours[i] & rest
+    while others:
+        bit = others & -others
+        others ^= bit
+        j = bit.bit_length() - 1
+        sub = rest ^ bit
+        c, f, _ = memo.get(sub) or unbounded_optimum(sub, memo, neighbours, boundary, dist, flips)
+        if c + dist[i][j] < cost:
+            cost, flip, partner = c + dist[i][j], f, j
+    hit = memo[mask] = (cost, flip, partner)
+    return hit
+
+
+def both_dps(mask, neighbours, boundary, dist, flips):
+    """(bounded memo, unbounded memo) of one defect set, each solved with a
+    fresh memo; the top-level entry is memo[mask]."""
+    memos = {0: decoders_module._NOTHING}, {0: decoders_module._NOTHING}
+    rings = decoders_module._neighbours(dist, boundary)[1]
+    half, bound = decoders_module._half_costs(mask, rings)
+    decoders_module._optimum(mask, memos[0], (neighbours, boundary, dist, flips, half), bound)
+    unbounded_optimum(mask, memos[1], neighbours, boundary, dist, flips)
+    return memos
+
+
+def sampled_components(lam, rates, seed, trials):
+    """(sector, component) for the components of three or more defects, the
+    ones the DP solves, in sampled surface-code syndromes; rows with a
+    component over the cap are skipped."""
+    code = library.surface_code(lam)
+    decoder = MwpmDecoder(code)
+    found = []
+    for s, p in enumerate(rates, seed):
+        for value in sampled_syndromes(code, p, s, trials):
+            for sector in (decoder._z_checks, decoder._x_checks):
+                mask = sum(1 << i for i in sector.defects_of(value))
+                try:
+                    components = decoders_module._components(mask, sector.neighbours)
+                except InstanceTooLargeError:
+                    continue
+                found += [(sector, c) for c in components if c.bit_count() >= 3]
+    return found
+
+
 def sampled_syndromes(code, p, seed, trials):
     """Syndrome values of `trials` sampled iid_xz(p, p) errors."""
     errors = code.pack_batch(*sample_batch(iid_xz(p, p), code.n, seed, 0, trials))
@@ -189,6 +242,62 @@ class TestMatchingSolver:
         assert cost == brute_force_matching_cost(dist, boundary)
         covered = sorted(x for a, b in pairs for x in ((a,) if b is None else (a, b)))
         assert covered == list(range(k))
+
+
+class TestBoundedDp:
+    """`_optimum` skips a neighbour whose lower bound cannot beat the
+    current pick; every entry it computes must equal the unbounded DP's."""
+
+    def assert_same_entries(self, mask, neighbours, boundary, dist, flips):
+        bounded, unbounded = both_dps(mask, neighbours, boundary, dist, flips)
+        assert bounded[mask] == unbounded[mask]
+        assert all(unbounded[m] == entry for m, entry in bounded.items())
+        return bounded[mask]
+
+    def test_sampled_components_equal_the_unbounded_dp(self):
+        rates = (0.07, 0.08, 0.09, 0.1, 0.11, 0.12)
+        checked = 0
+        for lam, trials in ((5, 30), (7, 20)):
+            for sector, mask in sampled_components(lam, rates, 40, trials):
+                self.assert_same_entries(
+                    mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
+                    sector.boundary_flips,
+                )
+                checked += mask.bit_count() >= 10
+        assert checked > 20
+
+    def test_tied_random_instances_equal_the_unbounded_dp(self):
+        # Costs 1-3 make many matchings tie, so the pick rests on the
+        # ascending tie-break; random flips make the parity depend on it.
+        rng = random.Random(123)
+        for _ in range(250):
+            k = rng.randint(1, 12)
+            dist = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    dist[i][j] = dist[j][i] = rng.randint(1, 3)
+            boundary = [rng.randint(1, 3) for _ in range(k)]
+            flips = [rng.random() < 0.5 for _ in range(k)]
+            neighbours = decoders_module._neighbours(dist, boundary)[0]
+            whole = (1 << k) - 1
+            cost = self.assert_same_entries(whole, neighbours, boundary, dist, flips)[0]
+            for mask in decoders_module._components(whole, neighbours):
+                self.assert_same_entries(mask, neighbours, boundary, dist, flips)
+            assert cost == minimum_weight_matching(dist, boundary)[0]
+            assert cost == brute_force_matching_cost(dist, boundary)
+
+    def test_the_bound_prunes(self):
+        # d7 at p = .10: the bounded memo holds about 35% of the unbounded
+        # DP's states, so the bound is doing its work (no timing needed).
+        states = [0, 0]
+        for sector, mask in sampled_components(7, (0.1,), 17, 200):
+            memos = both_dps(
+                mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
+                sector.boundary_flips,
+            )
+            states = [total + len(memo) - 1 for total, memo in zip(states, memos)]
+        assert states[1] > 5000
+        assert states[0] <= 0.6 * states[1]
 
 
 class TestMwpmDecoder:
@@ -363,9 +472,13 @@ class TestMwpmDecoder:
                     mask = sum(1 << i for i in sector.defects_of(value))
                     if not 0 < mask.bit_count() <= DEFAULT_DEFECT_CAP:
                         continue
+                    half, bound = decoders_module._half_costs(mask, sector.rings)
+                    graph = (
+                        sector.neighbours, sector.boundary_cost, sector.pair_cost,
+                        sector.boundary_flips, half,
+                    )
                     whole = decoders_module._optimum(
-                        mask, {0: decoders_module._NOTHING}, sector.neighbours,
-                        sector.boundary_cost, sector.pair_cost, sector.boundary_flips,
+                        mask, {0: decoders_module._NOTHING}, graph, bound
                     )
                     assert sector.logical_flip(value) == whole[1]
                     split += len(decoders_module._components(mask, sector.neighbours)) > 1
