@@ -15,21 +15,30 @@ independently.  The matching is exact.  An edge that cannot beat two
 boundary matches is pruned; that rule depends only on the layout, so each
 sector builds its pruning graph once.  Cost and flip parity add over the
 components of the pruned graph, so every entry point splits the defects
-with `_components` (the only code that applies `DEFAULT_DEFECT_CAP`: a
-component over it raises InstanceTooLargeError) and solves each with one
-bitmask DP (`_optimum`), lowest defect first.  The DP's picks in a
-component do not depend on the rest, so the split equals the unsplit DP,
-tie-breaks included.  The DP skips, unsolved, a partner that an
-admissible bound shows cannot be strictly cheaper than its current pick
-(each defect pays its boundary cost or half a kept edge, so twice an
-optimum is at least the sum of those minima); only a strictly cheaper
-partner replaces a pick, so every memo entry is the unbounded DP's.
-`decode_batch` first resolves isolated defects (the boundary is the only
-option) and isolated pairs (the kept edge beats two boundary matches; a
-pair path never flips) with packed AND+popcount arithmetic; both optima
-are unique, so the DP would pick them too, and it runs on the rest with
-one memo per row.  It uses no float matmul: BLAS threads oversubscribe
-the CPUs that `montecarlo`'s worker pool fills.
+with `_components` and solves one component at a time.  A one-sided
+component, whose k defects all have the same boundary flip f, needs no
+solving: a pair path never flips and pairs cover an even number of
+defects, so every matching of it makes k mod 2 boundary matches and flips
+f (k mod 2), the parity of its flipping defects.  It is settled so at any
+size; only mixed components reach the bitmask DP (`_optimum`), lowest
+defect first, and only a mixed component over `DEFAULT_DEFECT_CAP` gives
+up (InstanceTooLargeError; `_components` is the only code that applies
+the cap, and `minimum_weight_matching`, which returns the pairs, caps
+every component).  The DP's picks in a component do not depend on the
+rest, so the split equals the unsplit DP, tie-breaks included.  The DP
+skips, unsolved, a partner that an admissible bound shows cannot be
+strictly cheaper than its current pick (each defect pays its boundary
+cost or half a kept edge, so twice an optimum is at least the sum of
+those minima; on small components the zero bound); only a strictly
+cheaper partner replaces a pick, so every memo entry is the unbounded
+DP's.  `decode_batch` first uses packed AND+popcount arithmetic.  It
+resolves isolated defects (the boundary is the only option) and isolated
+pairs (the kept edge beats two boundary matches; a pair path never flips),
+whose optima are unique, so the DP would pick them too.  It then settles a
+sector's leftover defects by parity when they are one-sided.  The rest is
+split and solved by component, with one memo per row.  It uses no float
+matmul: BLAS threads oversubscribe the CPUs that `montecarlo`'s worker
+pool fills.
 
 Recovery: the matching only picks each sector's logical class.  A boundary
 match toward coordinate 0 (top for X-errors, left for Z-errors) crosses the
@@ -60,6 +69,9 @@ from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, SurfaceLayou
 from .stabilizer_code import _pack_bits, and_popcount
 
 DEFAULT_DEFECT_CAP = 16
+# Components up to this size run the DP with the zero bound (every h = 0):
+# on them `_half_costs` costs more than it prunes (measured at d3-d7).
+_SMALL_COMPONENT = 5
 
 
 class DecoderError(Exception):
@@ -243,10 +255,13 @@ def _optimum(mask: int, memo: dict, graph, bound: int) -> tuple[int, bool, int]:
     return hit
 
 
-def _components(mask: int, neighbours: list[int]) -> list[int]:
+def _components(mask: int, neighbours: list[int], flipping: int | None = None) -> list[int]:
     """Connected components of the defects in `mask`, as bitmasks.  The
     only place that applies the cap: raises InstanceTooLargeError if a
-    component has more than DEFAULT_DEFECT_CAP defects."""
+    component has more than DEFAULT_DEFECT_CAP defects, unless `flipping`
+    (the defects whose boundary match flips) shows it one-sided, which
+    `_Sector.flip` settles without the DP.  With `flipping` None (no
+    flips: the caller needs the pairs) every component is capped."""
     components = []
     while mask:
         component = frontier = mask & -mask
@@ -255,7 +270,9 @@ def _components(mask: int, neighbours: list[int]) -> list[int]:
             grown = neighbours[low.bit_length() - 1] & mask & ~component
             component |= grown
             frontier = (frontier ^ low) | grown
-        if component.bit_count() > DEFAULT_DEFECT_CAP:
+        if component.bit_count() > DEFAULT_DEFECT_CAP and (
+            flipping is None or component & flipping not in (0, component)
+        ):
             raise InstanceTooLargeError(
                 f"instance too large: a {component.bit_count()}-defect component"
                 f" exceeds cap {DEFAULT_DEFECT_CAP}"
@@ -306,11 +323,16 @@ class _Sector:
         # (Z̄ on the top row, X̄ on the left column: `conjugate`) once; pair
         # chains never reach it.  Ties go to the far side.
         self.boundary_flips = [a < b for a, b in zip(near, far)]
+        self.flipping = sum(1 << i for i, f in enumerate(self.boundary_flips) if f)
         self.conjugate = sum(1 << (q - 1) for q, c in layout.data_coords.items() if c[axis] == 0)
         # The pruning graph depends only on the layout, so it is built once,
         # as int bitmasks and cost rings for the DP and packed words for the
         # batch pass.
         self.neighbours, self.rings = _neighbours(self.pair_cost, self.boundary_cost)
+        self.small_graph = (
+            self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips,
+            [0] * len(self.coords),
+        )
         self.generators = np.array(list(self._local), dtype=np.intp)
         k, self.words = len(self.coords), -(-len(self.coords) // 64)
         adjacency = np.array([[m >> j & 1 for j in range(k)] for m in self.neighbours], dtype=bool)
@@ -340,25 +362,42 @@ class _Sector:
 
     def logical_flip(self, syndrome_value: int) -> bool:
         """Parity of the defects the matching sends to a flipping boundary,
-        solved one component at a time: the reference for `shortcut`."""
+        solved one component at a time: the reference for `shortcut`.  Only
+        a mixed component over the cap gives up (InstanceTooLargeError)."""
         mask = sum(1 << i for i in self.defects_of(syndrome_value))
-        return self.flip(_components(mask, self.neighbours))
+        return self.flip(_components(mask, self.neighbours, self.flipping))
 
     def flip(self, components: list[int]) -> bool:
-        """Flip parity of the optimum on disjoint `components` (one memo)."""
+        """Flip parity of the optimum on disjoint `components` (one memo).
+        A one-sided component, whose defects all flip or all do not, is
+        settled by the parity of its flipping defects: a pair path never
+        flips and pairs cover an even number of defects, so every matching
+        of k defects that all flip f makes k mod 2 boundary matches and
+        flips f (k mod 2).  Only mixed components reach the DP, those of
+        at most `_SMALL_COMPONENT` defects with the zero bound."""
         memo, flip = {0: _NOTHING}, False
         for mask in components:
-            half, bound = _half_costs(mask, self.rings)
-            graph = (self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips, half)
+            side = mask & self.flipping
+            if side in (0, mask):
+                flip ^= side.bit_count() & 1
+                continue
+            if mask.bit_count() <= _SMALL_COMPONENT:
+                graph, bound = self.small_graph, 0
+            else:
+                half, bound = _half_costs(mask, self.rings)
+                graph = (self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips, half)
             flip ^= _optimum(mask, memo, graph, bound)[1]
         return flip
 
     def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Numpy pass over the rows of `present` (flagged checks in sector
-        order): the boundary flips of isolated defects (isolated pairs add
-        nothing), and the packed rest, the components of three or more that
-        `flip` must solve.  Degrees count in uint8, so a row with more than
-        255 defects skips the pass and is left whole."""
+        order).  It settles isolated defects (the boundary is the only
+        option) and isolated pairs (they never flip), and then a row's
+        other defects too if they are one-sided (by parity, as in `flip`).
+        Returns the flip parity of the settled defects and the packed
+        rest, which `flip` must solve by component.  Degrees count in
+        uint8, so a row with more than 255 defects skips the isolated pass;
+        it is still settled whole if one-sided."""
         words, small = self.words, present
         if present.shape[1] > 255:  # else no row can have 256 defects
             small = present & (present.sum(axis=1, keepdims=True) <= 255)
@@ -366,8 +405,13 @@ class _Sector:
         isolated = small & (degree == 0)
         single = small & (degree == 1)
         paired = single & (and_popcount(_pack_bits(single, words), self.neighbour_words) == 1)
-        flips = (and_popcount(_pack_bits(isolated, words), self.flip_words)[:, 0] & 1).astype(bool)
-        return flips, _pack_bits(present & ~isolated & ~paired, words)
+        rest = present & ~isolated & ~paired
+        packed = _pack_bits(rest, words)
+        flipping = packed & self.flip_words
+        one_sided = ~flipping.any(axis=1) | (flipping == packed).all(axis=1)
+        settled = _pack_bits(isolated | rest & one_sided[:, None], words)
+        packed[one_sided] = 0
+        return (and_popcount(settled, self.flip_words)[:, 0] & 1).astype(bool), packed
 
 
 class MwpmDecoder:
@@ -412,18 +456,20 @@ class MwpmDecoder:
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class of `decode_value` of each row.  `_Sector.shortcut` resolves
-        isolated defects and pairs; a row with defects left takes the
-        components of both sectors before any DP, so a row that gives up (a
-        component over the cap: flagged, its class moot) runs no DP."""
+        isolated defects and pairs and settles one-sided leftovers; a row
+        with defects left takes the components of both sectors before any
+        DP, so a row that gives up (a mixed component over the cap: flagged,
+        its class moot) runs no DP."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))
         failed = np.zeros(len(syndromes), dtype=bool)
-        for row in np.flatnonzero(rests[0].any(axis=1) | rests[1].any(axis=1)):
+        left = np.flatnonzero(rests[0].any(axis=1) | rests[1].any(axis=1))
+        for row, *masks in zip(left.tolist(), *(_row_ints(rest[left]) for rest in rests)):
             try:
                 split = [
-                    _components(int.from_bytes(rest[row].tobytes(), "little"), sector.neighbours)
-                    for sector, rest in zip(sectors, rests)
+                    _components(mask, sector.neighbours, sector.flipping)
+                    for sector, mask in zip(sectors, masks)
                 ]
             except InstanceTooLargeError:
                 failed[row] = True
@@ -433,3 +479,11 @@ class MwpmDecoder:
                     flip[row] ^= sector.flip(components)
         # X̄ (the X sector's flip) anti-commutes with Z̄, and Z̄ with X̄.
         return np.stack(flips[::-1], axis=1), failed
+
+
+def _row_ints(packed: np.ndarray) -> list[int]:
+    """Rows of packed uint64 words as Python ints, in one `tolist` when
+    they are single words."""
+    if packed.shape[1] == 1:
+        return packed[:, 0].tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

@@ -140,9 +140,13 @@ def estimate_logical_rate(
 
     Post-selected mode (detection codes) discards nonzero-syndrome trials
     and reports them in `discarded`; `trials` in the returned point is then
-    the kept count.  A decoder failure (a matching component over the cap,
-    or a syndrome missing from a truncated lookup table) counts as a
-    logical failure and is also tallied in `decoder_failures`.
+    the kept count.  A decoder failure counts as a logical failure and is
+    also tallied in `decoder_failures`: a syndrome missing from a truncated
+    lookup table, or an MWPM matching component over the cap with defects
+    on both sides of the lattice's middle.  A one-sided component (all its
+    boundary matches flip, or none does) is settled exactly at any size:
+    pair paths never flip and pairs cover an even number of defects, so
+    every matching of it has the same flip parity.
     """
     return _estimate_points([(code, decoder, noise, master_seed)], trials, post_select, workers)[0]
 

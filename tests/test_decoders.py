@@ -60,13 +60,17 @@ def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
 
 
 def both_dps(mask, neighbours, boundary, dist, flips):
-    """(bounded memo, unbounded memo) of one defect set, each solved with a
-    fresh memo; the top-level entry is memo[mask]."""
-    memos = {0: decoders_module._NOTHING}, {0: decoders_module._NOTHING}
+    """(bounded memo, unbounded memo, zero-bound memo) of one defect set,
+    each solved with a fresh memo; the top-level entry is memo[mask].  The
+    zero bound (every h = 0) is the one `_Sector.flip` uses on small
+    components."""
+    memos = tuple({0: decoders_module._NOTHING} for _ in range(3))
     rings = decoders_module._neighbours(dist, boundary)[1]
     half, bound = decoders_module._half_costs(mask, rings)
     decoders_module._optimum(mask, memos[0], (neighbours, boundary, dist, flips, half), bound)
     unbounded_optimum(mask, memos[1], neighbours, boundary, dist, flips)
+    zeros = [0] * len(boundary)
+    decoders_module._optimum(mask, memos[2], (neighbours, boundary, dist, flips, zeros), 0)
     return memos
 
 
@@ -89,6 +93,13 @@ def sampled_components(lam, rates, seed, trials):
     return found
 
 
+def packed(code, values):
+    """Syndrome values as `syndrome_batch`-shaped rows of uint64 words."""
+    words = -(-code.m // 64)
+    data = b"".join(v.to_bytes(8 * words, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
+
+
 def sampled_syndromes(code, p, seed, trials):
     """Syndrome values of `trials` sampled iid_xz(p, p) errors."""
     errors = code.pack_batch(*sample_batch(iid_xz(p, p), code.n, seed, 0, trials))
@@ -106,28 +117,62 @@ def d7_syndromes():
     return code, values
 
 
-def component_sizes(problem):
-    """Sizes of the connected components of a matching problem's defect
-    graph, keeping the edges that beat two boundary matches."""
+def components_of(problem):
+    """Connected components (lists of defect positions) of a matching
+    problem's defect graph, keeping the edges that beat two boundary
+    matches."""
     cost, bnd = problem.pair_costs, problem.boundary_costs
-    unseen, sizes = set(range(len(bnd))), []
+    unseen, components = set(range(len(bnd))), []
     while unseen:
-        stack, size = [unseen.pop()], 0
+        stack, component = [unseen.pop()], []
         while stack:
             i = stack.pop()
-            size += 1
+            component.append(i)
             linked = {j for j in unseen if cost[i][j] < bnd[i] + bnd[j]}
             unseen -= linked
             stack += linked
-        sizes.append(size)
-    return sizes
+        components.append(component)
+    return components
+
+
+def sector_components(sector, value):
+    """(components of `value`'s defects in `sector`, as lists of boundary
+    flips) from `components_of`."""
+    defects = sector.defects_of(value)
+    flips = [sector.boundary_flips[i] for i in defects]
+    return [[flips[i] for i in c] for c in components_of(sector.problem(defects))]
 
 
 def over_cap(decoder, code, value):
-    """(an X-sector component > cap, any component > cap)."""
-    problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
-    largest = [max(component_sizes(problems[sector]), default=0) for sector in "XZ"]
-    return largest[0] > DEFAULT_DEFECT_CAP, max(largest) > DEFAULT_DEFECT_CAP
+    """(an X-sector component > cap, any component > cap), counting only
+    mixed components: a one-sided one (every defect's boundary match flips,
+    or none does) is settled by parity at any size."""
+    over = [
+        any(len(c) > DEFAULT_DEFECT_CAP and len(set(c)) == 2 for c in sector_components(s, value))
+        for s in (decoder._z_checks, decoder._x_checks)
+    ]
+    return over[0], any(over)
+
+
+def toy_sector(dist, boundary, flips):
+    """A `_Sector` on a given matching instance instead of a lattice, for
+    calling `flip` on it."""
+    sector = object.__new__(decoders_module._Sector)
+    sector.pair_cost, sector.boundary_cost, sector.boundary_flips = dist, boundary, flips
+    sector.neighbours, sector.rings = decoders_module._neighbours(dist, boundary)
+    sector.small_graph = (sector.neighbours, boundary, dist, flips, [0] * len(boundary))
+    sector.flipping = sum(1 << i for i, f in enumerate(flips) if f)
+    return sector
+
+
+def matched_flip(sector, value):
+    """The flip parity of `minimum_weight_matching`'s pairs on `value`'s
+    defects in `sector` (its boundary matches to a flipping side): the
+    DP on every component, with no one-sided rule."""
+    defects = sector.defects_of(value)
+    problem = sector.problem(defects)
+    _, pairs = minimum_weight_matching(problem.pair_costs, problem.boundary_costs)
+    return sum(sector.boundary_flips[defects[a]] for a, b in pairs if b is None) % 2 == 1
 
 
 class TestLookup:
@@ -249,9 +294,10 @@ class TestBoundedDp:
     current pick; every entry it computes must equal the unbounded DP's."""
 
     def assert_same_entries(self, mask, neighbours, boundary, dist, flips):
-        bounded, unbounded = both_dps(mask, neighbours, boundary, dist, flips)
-        assert bounded[mask] == unbounded[mask]
+        bounded, unbounded, zero = both_dps(mask, neighbours, boundary, dist, flips)
+        assert bounded[mask] == unbounded[mask] == zero[mask]
         assert all(unbounded[m] == entry for m, entry in bounded.items())
+        assert all(unbounded[m] == entry for m, entry in zero.items())
         return bounded[mask]
 
     def test_sampled_components_equal_the_unbounded_dp(self):
@@ -295,9 +341,110 @@ class TestBoundedDp:
                 mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
                 sector.boundary_flips,
             )
-            states = [total + len(memo) - 1 for total, memo in zip(states, memos)]
+            states = [total + len(memo) - 1 for total, memo in zip(states, memos[:2])]
         assert states[1] > 5000
         assert states[0] <= 0.6 * states[1]
+
+
+class TestOneSidedComponents:
+    """A component whose defects all flip, or none does, is settled by the
+    parity of its flipping defects instead of the DP, at any size."""
+
+    def test_random_components_equal_the_dp(self):
+        # Costs 1-3 make many matchings tie: a one-sided flip must not
+        # depend on which optimum the DP picks.  Each defect takes the
+        # instance's side f (random) with probability 0.7, else a random
+        # flip, so components are often one-sided and sometimes mixed.
+        rng = random.Random(71)
+        one_sided = set()
+        for _ in range(300):
+            k = rng.randint(1, 12)
+            dist = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    dist[i][j] = dist[j][i] = rng.randint(1, 3)
+            boundary = [rng.randint(1, 3) for _ in range(k)]
+            side = rng.random() < 0.5
+            flips = [side if rng.random() < 0.7 else rng.random() < 0.5 for _ in range(k)]
+            sector = toy_sector(dist, boundary, flips)
+            cost = 0
+            for mask in decoders_module._components((1 << k) - 1, sector.neighbours, sector.flipping):
+                half, bound = decoders_module._half_costs(mask, sector.rings)
+                graph = (sector.neighbours, boundary, dist, flips, half)
+                c, f, _ = decoders_module._optimum(mask, {0: decoders_module._NOTHING}, graph, bound)
+                assert sector.flip([mask]) == f
+                cost += c
+                sides = {flips[i] for i in range(k) if mask >> i & 1}
+                if mask.bit_count() > 1 and len(sides) == 1:
+                    one_sided.add((sides.pop(), mask.bit_count() % 2))
+            assert cost == brute_force_matching_cost(dist, boundary)
+        # Both sides, with even and odd sizes, were settled by parity.
+        assert one_sided == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+    def test_batch_settles_one_sided_leftovers(self):
+        # Sampled d5/d7/d9 rows: `decode_batch` equals `decode_value` and
+        # the parity of `minimum_weight_matching`'s boundary matches, and a
+        # sector whose leftover (its components of three or more defects)
+        # is one-sided is settled in the numpy pass: nothing is left of it.
+        settled = 0
+        for lam, rates in ((5, (0.03, 0.08)), (7, (0.01, 0.03, 0.08)), (9, (0.02, 0.06))):
+            code = library.surface_code(lam)
+            decoder = MwpmDecoder(code)
+            sectors = (decoder._z_checks, decoder._x_checks)
+            values = [v for s, p in enumerate(rates, 11) for v in sampled_syndromes(code, p, s, 40)]
+            classes, failed = decoder.decode_batch(packed(code, values))
+            bits = np.unpackbits(packed(code, values).view(np.uint8), axis=1, bitorder="little")
+            rests = [sector.shortcut(bits[:, sector.generators].astype(bool))[1] for sector in sectors]
+            for index, (value, row, flag) in enumerate(zip(values, classes, failed)):
+                assert flag == over_cap(decoder, code, value)[1]
+                if flag:
+                    continue
+                expected = code.logical_batch(code.pack([decoder.decode_value(value)]))[0]
+                assert np.array_equal(row, expected)
+                assert list(row) == [matched_flip(sectors[1], value), matched_flip(sectors[0], value)]
+                for sector, rest in zip(sectors, rests):
+                    leftover = {f for c in sector_components(sector, value) if len(c) >= 3 for f in c}
+                    if len(leftover) == 1:
+                        assert not rest[index].any()
+                        settled += 1
+        assert settled > 20
+
+    def test_one_sided_component_over_the_cap_decodes(self):
+        # d9 X-error sector: the two flipping rows nearest the top (18
+        # defects) are one component, four non-flipping bottom defects
+        # another.  Sending every defect to its own boundary is a matching,
+        # and on one-sided components every matching has the same flip, so
+        # the class is the parity of the flipping defects.  The first two
+        # rows are settled in the numpy pass, the last two (mixed leftover)
+        # in `flip`.  A mixed component over the cap still gives up.
+        code = library.surface_code(9)
+        decoder = MwpmDecoder(code)
+        sector = decoder._z_checks
+        flips, costs = sector.boundary_flips, sector.boundary_cost
+        def side(f, b):
+            return [i for i in range(len(flips)) if flips[i] == f and costs[i] == b]
+        top, extra, bottom = side(True, 1) + side(True, 2), side(True, 3)[:1], side(False, 1)[:4]
+        rows = [top, top + extra, top + bottom, top + extra + bottom]
+        values = [sum(1 << int(sector.generators[i]) for i in row) for row in rows]
+        sizes = [sorted(map(len, sector_components(sector, v))) for v in values]
+        assert sizes == [[18], [19], [4, 18], [4, 19]]
+        assert all(len(set(c)) == 1 for v in values for c in sector_components(sector, v))
+        expected = [sum(flips[i] for i in row) % 2 == 1 for row in rows]
+        assert expected == [False, True, False, True]
+        bits = np.zeros((len(rows), len(flips)), dtype=bool)
+        for r, row in enumerate(rows):
+            bits[r, row] = True
+        assert sector.shortcut(bits)[1].any(axis=1).tolist() == [False, False, True, True]
+        classes, failed = decoder.decode_batch(packed(code, values))
+        assert not failed.any()
+        assert classes.tolist() == [[False, f] for f in expected]
+        for value, row in zip(values, classes):
+            assert np.array_equal(row, code.logical_batch(code.pack([decoder.decode_value(value)]))[0])
+        mixed = sector.sector_mask
+        assert [len(set(c)) for c in sector_components(sector, mixed)] == [2]
+        with pytest.raises(InstanceTooLargeError):
+            decoder.decode_value(mixed)
+        assert decoder.decode_batch(packed(code, [mixed]))[1].all()
 
 
 class TestMwpmDecoder:
@@ -506,11 +653,6 @@ class TestMwpmDecoder:
 
 
 class TestDecodeBatch:
-    def _syndromes(self, code, values):
-        words = -(-code.m // 64)
-        data = b"".join(v.to_bytes(8 * words, "little") for v in values)
-        return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
-
     @pytest.mark.parametrize("max_weight", [None, 1])
     def test_lookup_batch_matches_scalar(self, max_weight):
         rng = random.Random(61)
@@ -522,7 +664,7 @@ class TestDecodeBatch:
             values = [code.syndrome_value(e) for e in errors]
             missed = [v not in decoder.table.table for v in values]
             misses += sum(missed)
-            classes, failed = decoder.decode_batch(self._syndromes(code, values))
+            classes, failed = decoder.decode_batch(packed(code, values))
             assert list(failed) == missed
             expected = [decoder.decode_value(v) for v in values]
             assert np.array_equal(classes, code.logical_batch(code.pack(expected)))
@@ -554,10 +696,10 @@ class TestDecodeBatch:
         paths, x_sector_over_cap = set(), False
         for code, values in cases:
             decoder = MwpmDecoder(code)
-            classes, failed = decoder.decode_batch(self._syndromes(code, values))
+            classes, failed = decoder.decode_batch(packed(code, values))
             for value, row, flag in zip(values, classes, failed):
                 problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
-                sizes = [size for problem in problems.values() for size in component_sizes(problem)]
+                sizes = [len(c) for problem in problems.values() for c in components_of(problem)]
                 largest_sector = max(len(problem.defects) for problem in problems.values())
                 x_over, over = over_cap(decoder, code, value)
                 x_sector_over_cap |= x_over
@@ -583,14 +725,19 @@ class TestDecodeBatch:
         assert x_sector_over_cap
 
     def test_a_row_that_gives_up_runs_no_dp(self, monkeypatch):
-        # The X-error sector has a three-defect component for the DP and
-        # the Z-error sector, split second, one over the cap: both sectors
-        # are split before any DP runs, so the flagged row costs none.
+        # The X-error sector has a mixed three-defect component (one side
+        # flips, the other does not) for the DP and the Z-error sector,
+        # split second, one over the cap: both sectors are split before
+        # any DP runs, so the flagged row costs none.
         code = library.surface_code(7)
         decoder = MwpmDecoder(code)
         z_checks, x_checks = decoder._z_checks, decoder._x_checks
-        linked = [j for j in range(len(z_checks.ids)) if z_checks.neighbours[0] >> j & 1]
-        triple = sum(1 << int(z_checks.generators[i]) for i in (0, *linked[:2]))
+        flips, linked = z_checks.boundary_flips, z_checks.neighbours
+        k = len(z_checks.ids)
+        i, j = next((i, j) for i in range(k) for j in range(k) if linked[i] >> j & 1 and flips[i] != flips[j])
+        third = next(h for h in range(k) if h != j and linked[i] >> h & 1)
+        triple = sum(1 << int(z_checks.generators[h]) for h in (i, j, third))
+        assert [sorted(map(len, sector_components(z_checks, triple)))] == [[3]]
         with pytest.raises(InstanceTooLargeError):
             decoder.decode_value(x_checks.sector_mask)
         calls = []
@@ -598,9 +745,9 @@ class TestDecodeBatch:
         monkeypatch.setattr(
             decoders_module, "_optimum", lambda *args: calls.append(args[0]) or optimum(*args)
         )
-        _, failed = decoder.decode_batch(self._syndromes(code, [triple | x_checks.sector_mask]))
+        _, failed = decoder.decode_batch(packed(code, [triple | x_checks.sector_mask]))
         assert failed.all() and not calls
-        _, failed = decoder.decode_batch(self._syndromes(code, [triple]))
+        _, failed = decoder.decode_batch(packed(code, [triple]))
         assert not failed.any() and calls
 
     def test_rows_past_uint8_degrees_go_whole_to_the_split(self):
@@ -622,7 +769,7 @@ class TestDecodeBatch:
         unpacked = np.unpackbits(rest.view(np.uint8), axis=1, bitorder="little")[:, :k]
         assert np.array_equal(unpacked, present)
         values = [sum(1 << int(g) for g in sector.generators[row]) for row in present]
-        _, failed = decoder.decode_batch(self._syndromes(code, values))
+        _, failed = decoder.decode_batch(packed(code, values))
         assert failed.all()
         for value in values:
             with pytest.raises(InstanceTooLargeError):
