@@ -174,6 +174,25 @@ class TestSimulate:
         assert ps[0] == pytest.approx(0.01) and ps[2] == pytest.approx(0.1)
         assert ps[1] == pytest.approx(0.0316227766, rel=1e-6)
 
+    def test_log_grid_needs_positive_ends(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--code", "three_qubit_bitflip", "--p-start", "0.01",
+            "--p-end", "0", "--steps", "3", "--log-grid", "--threads", "1",
+        )
+        assert code == 2
+        assert err == "ERR_CONFIG: --log-grid needs --p-start and --p-end > 0\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_config_error(self, capsys, threads):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--code", "three_qubit_bitflip", "--px", "0.1",
+            "--trials", "100", "--threads", threads,
+        )
+        assert code == 2 and out == ""
+        assert err == "ERR_CONFIG: workers must be >= 1\n"
+
 
 class TestThreshold:
     def test_tiny_scan(self, capsys):

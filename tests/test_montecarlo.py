@@ -49,9 +49,30 @@ class TestWilson:
 class TestCycle:
     def test_noiseless_always_succeeds(self):
         code = library.three_qubit_bitflip()
-        args = (code, LookupDecoder(code), iid_x(0.0), 0, 0, 100, False)
-        # (failures, kept, discarded, decoder failures)
-        assert _run_trials(args) == (0, 100, 0, 0)
+        args = (code, LookupDecoder(code), False, [(iid_x(0.0), 0, 0, 100)])
+        # (failures, kept, discarded, decoder failures) of the one part
+        assert _run_trials(args).tolist() == [[0, 100, 0, 0]]
+
+    def test_uneven_parts_tally_per_part(self):
+        # Parts of 1 to 3,000 trials, some sharing a batch and one spanning
+        # two, with their own rates, seeds and start offsets: each part's
+        # counts must be those of its own trials, replayed stage by stage.
+        code = library.shor_nine()
+        decoder = LookupDecoder(code, max_weight=1)
+        parts = [
+            (iid_xz(0.05, 0.05), 11, 17, 18),
+            (iid_xz(0.20, 0.20), 12, 0, 2047),
+            (iid_x(0.30), 13, 5, 5),
+            (iid_xz(0.10, 0.10), 14, 300, 305),
+            (iid_xz(0.15, 0.15), 15, 1000, 4000),
+        ]
+        counts = _run_trials((code, decoder, False, parts)).tolist()
+        for (noise, seed, start, stop), row in zip(parts, counts):
+            errors = code.pack_batch(*sample_batch(noise, code.n, seed, start, stop))
+            classes, failed = decoder.decode_batch(code.syndrome_batch(errors))
+            wrong = (code.logical_batch(errors) != classes).any(axis=1) | failed
+            assert row == [int(wrong.sum()), stop - start, 0, int(failed.sum())]
+        assert counts[-1][3] > 0
 
     def test_three_qubit_double_flip_fails(self):
         code = library.three_qubit_bitflip()
@@ -131,6 +152,40 @@ class TestEstimate:
 
 
 class TestSweep:
+    @pytest.mark.parametrize(
+        "name, decoder, noise, p_values, post_select",
+        [
+            ("surface_d7", MwpmDecoder, "iid_xz", [0.08, 0.10, 0.12], False),
+            ("shor_nine", lambda code: LookupDecoder(code, 1), "depolarizing",
+             [0.05, 0.10, 0.20], False),
+            ("four_two_two", lambda code: None, "iid_x", [0.05, 0.20, 0.30], True),
+        ],
+        ids=["mwpm-give-ups", "truncated-lookup", "post-selected"],
+    )
+    def test_points_sharing_batches_match_points_run_alone(
+        self, name, decoder, noise, p_values, post_select
+    ):
+        # 3 x 700 trials run in-process as one task of two batches: the
+        # first holds all three points, and the last point spans both.
+        assert 2 * 700 < montecarlo._SLICE_TRIALS < 3 * 700
+        code = library.get_code(name)
+        decoder = decoder(code)
+        report = sweep(code, decoder, noise, p_values, 700, 41, post_select=post_select)
+        alone = [
+            estimate_logical_rate(
+                code, decoder, CHANNELS[noise](p), 700, derive_seed(41, index), post_select
+            )
+            for index, p in enumerate(p_values)
+        ]
+        assert report.points == alone
+        assert sum(pt.decoder_failures + pt.discarded for pt in alone) > 0
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        code = library.three_qubit_bitflip()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep(code, LookupDecoder(code), "iid_x", [0.1], 100, 0, workers=workers)
+
     def test_unknown_noise_kind_rejected(self):
         code = library.three_qubit_bitflip()
         with pytest.raises(ValueError, match="unknown noise kind"):
