@@ -1,51 +1,37 @@
 """Syndrome decoding: exhaustive minimum-weight lookup tables and exact
-minimum-weight perfect matching on surface-code lattices.
+minimum-weight perfect matching on the check graphs of CSS codes.
 
 Tie-breaking is the same everywhere: minimum weight first, then the
 enumeration order of `pauli.enumerate_paulis` (ascending support, letters
 X < Y < Z), so decoded recoveries are reproducible golden values.
 
-Matching model: flagged Z-checks are the defects of the X-error sector and
-may match each other or the top/bottom (X-type) boundaries; flagged
-X-checks are the Z-sector defects and match each other or the left/right
-boundaries.  Edge weights count the data qubits on a shortest lattice path.
-Unused virtual boundary nodes pair among themselves at zero cost, which
-the solver realises by letting every defect take its boundary option
-independently.  The matching is exact.  An edge that cannot beat two
-boundary matches is pruned; that rule depends only on the layout, so each
-sector builds its pruning graph once.  Cost and flip parity add over the
-components of the pruned graph, so every entry point splits the defects
-with `_components` and solves one component at a time.  A one-sided
-component, whose k defects all have the same boundary flip f, needs no
-solving: a pair path never flips and pairs cover an even number of
-defects, so every matching of it makes k mod 2 boundary matches and flips
-f (k mod 2), the parity of its flipping defects.  It is settled so at any
-size; only mixed components reach the bitmask DP (`_optimum`), lowest
-defect first, and only a mixed component over `DEFAULT_DEFECT_CAP` gives
-up (InstanceTooLargeError; `_components` is the only code that applies
-the cap, and `minimum_weight_matching`, which returns the pairs, caps
-every component).  The DP's picks in a component do not depend on the
-rest, so the split equals the unsplit DP, tie-breaks included.  The DP
-skips, unsolved, a partner that an admissible bound shows cannot be
-strictly cheaper than its current pick (each defect pays its boundary
-cost or half a kept edge, so twice an optimum is at least the sum of
-those minima; on small components the zero bound); only a strictly
-cheaper partner replaces a pick, so every memo entry is the unbounded
-DP's.  `decode_batch` first uses packed AND+popcount arithmetic.  It
-resolves isolated defects (the boundary is the only option) and isolated
-pairs (the kept edge beats two boundary matches; a pair path never flips),
-whose optima are unique, so the DP would pick them too.  It then settles a
-sector's leftover defects by parity when they are one-sided.  The rest is
-split and solved by component, with one memo per row.  It uses no float
+Matching model (Dennis et al., quant-ph/0110143) on a graph built from the
+check matrix, as PyMatching builds it (arXiv:2105.13082): flagged Z-checks
+are the defects of the X-error sector, flagged X-checks those of the
+Z-error sector.  A data qubit is an edge between the two checks of the
+sector's type that hold it, or to the boundary if only one does.  A pair
+cost counts the qubits on a shortest path between two checks, a boundary
+cost those on a shortest path that ends in a boundary edge.  Every defect
+may take its boundary independently (unused virtual boundary nodes pair
+at zero cost), and the matching is exact.  Edges that cannot beat two
+boundary matches are pruned, once per sector.  Cost and flip parity add
+over the components of the pruned graph, and the DP's picks in one do not
+depend on the rest, so every entry point splits the defects with
+`_components` (the only code that applies `DEFAULT_DEFECT_CAP`) and
+solves each alone: a one-sided component by parity (`_Sector.flip`), a
+mixed one by the bounded bitmask DP (`_optimum`).  `decode_batch` first
+settles isolated defects, isolated pairs and one-sided leftovers with
+packed AND+popcount arithmetic (`_Sector.shortcut`).  It uses no float
 matmul: BLAS threads oversubscribe the CPUs that `montecarlo`'s worker
 pool fills.
 
-Recovery: the matching only picks each sector's logical class.  A boundary
-match toward coordinate 0 (top for X-errors, left for Z-errors) crosses the
-conjugate logical once and a pair path never does.  `decode_value` returns
-the product of `StabilizerCode.pure_errors` over the flagged checks, times
-X̄ (Z̄) where the X (Z) sector makes an odd number of such matches: the
-matched chains up to a stabilizer, but not minimum weight.
+Recovery: the matching only picks each sector's logical class.  An edge
+flips if its qubit is on the logical that the sector's errors can
+anti-commute with (for X-errors, the Z-type one of X̄ and Z̄); no pair edge
+does, and a boundary tie goes to no flip.  `decode_value` returns the
+product of `StabilizerCode.pure_errors` over the flagged checks, times the
+pair's other logical where a sector makes an odd number of flipping
+matches: the matched chains up to a stabilizer, but not minimum weight.
 
 Decoder protocol: a `name`; `decode_value(int) -> PauliOperator` for one
 syndrome value (bit i = generator i), which may raise `DecoderError`; and
@@ -65,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .pauli import PauliOperator, enumerate_paulis, format_sparse, identity
-from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, SurfaceLayout, Syndrome
+from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
 from .stabilizer_code import _pack_bits, and_popcount
 
 DEFAULT_DEFECT_CAP = 16
@@ -282,7 +268,7 @@ def _components(mask: int, neighbours: list[int], flipping: int | None = None) -
     return components
 
 
-# --- surface-code MWPM -------------------------------------------------------
+# --- MWPM on a CSS code's check graph ----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -290,54 +276,32 @@ class MatchingProblem:
     """One sector's matching instance, exposed for inspection and tests."""
 
     sector: str  # "X": X-errors / flagged Z-checks; "Z": Z-errors / flagged X-checks
-    defects: tuple[tuple[str, tuple[int, int]], ...]  # (check id, coordinate)
+    defects: tuple[tuple[int], ...]  # (generator index,) of each flagged check
     boundary_costs: tuple[int, ...]
     pair_costs: tuple[tuple[int, ...], ...]
 
 
 class _Sector:
-    """Precomputed geometry for one check species of a surface layout."""
+    """One sector's matching instance, on the checks with generator indices
+    `checks` (ascending), and the pruning graph built from it once."""
 
-    def __init__(self, layout: SurfaceLayout, check_kind: str):
-        side = 2 * layout.lam - 1
-        self.sector = "X" if check_kind == "Z" else "Z"  # error species decoded
-        self.coords, self.ids, self._local = [], [], {}
-        for gi, rec in enumerate(layout.ancilla_records):
-            if rec.kind == check_kind:
-                self._local[gi] = len(self.coords)  # generator -> defect index
-                self.coords.append(rec.coord)
-                self.ids.append(rec.ancilla_id)
-        self.sector_mask = sum(1 << gi for gi in self._local)
-        # Z-checks pair through vertical steps to the top/bottom boundary;
-        # X-checks through horizontal steps to the left/right boundary.
-        axis = 0 if check_kind == "Z" else 1
-        self.pair_cost = [
-            [(abs(a[0] - b[0]) + abs(a[1] - b[1])) // 2 for b in self.coords]
-            for a in self.coords
-        ]
-        # Chain lengths exiting toward coordinate 0 and toward the far side.
-        near = [(coord[axis] + 1) // 2 for coord in self.coords]
-        far = [(side - coord[axis]) // 2 for coord in self.coords]
-        self.boundary_cost = list(map(min, near, far))
-        # A chain to the coordinate-0 side crosses the conjugate logical
-        # (Z̄ on the top row, X̄ on the left column: `conjugate`) once; pair
-        # chains never reach it.  Ties go to the far side.
-        self.boundary_flips = [a < b for a, b in zip(near, far)]
-        self.flipping = sum(1 << i for i, f in enumerate(self.boundary_flips) if f)
-        self.conjugate = sum(1 << (q - 1) for q, c in layout.data_coords.items() if c[axis] == 0)
-        # The pruning graph depends only on the layout, so it is built once,
-        # as int bitmasks and cost rings for the DP and packed words for the
-        # batch pass.
-        self.neighbours, self.rings = _neighbours(self.pair_cost, self.boundary_cost)
+    def __init__(self, sector, checks, pair_cost, boundary_cost, boundary_flips):
+        self.sector = sector  # error species decoded
+        self.pair_cost, self.boundary_cost = pair_cost, boundary_cost
+        self.boundary_flips = boundary_flips
+        self.sector_mask = sum(1 << gi for gi in checks)
+        self.flipping = sum(1 << i for i, f in enumerate(boundary_flips) if f)
+        # The pruning graph: int bitmasks and cost rings for the DP, words for numpy.
+        self.neighbours, self.rings = _neighbours(pair_cost, boundary_cost)
         self.small_graph = (
-            self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips,
-            [0] * len(self.coords),
+            self.neighbours, boundary_cost, pair_cost, boundary_flips, [0] * len(checks)
         )
-        self.generators = np.array(list(self._local), dtype=np.intp)
-        k, self.words = len(self.coords), -(-len(self.coords) // 64)
-        adjacency = np.array([[m >> j & 1 for j in range(k)] for m in self.neighbours], dtype=bool)
-        self.neighbour_words = _pack_bits(adjacency, self.words)
-        self.flip_words = _pack_bits(np.array([self.boundary_flips]), self.words)
+        self.generators = np.array(checks, dtype=np.intp)
+        k, self.words = len(checks), -(-len(checks) // 64)
+        size = 8 * self.words
+        data = b"".join(m.to_bytes(size, "little") for m in self.neighbours + [self.flipping])
+        words = np.frombuffer(data, dtype="<u8").reshape(k + 1, self.words)
+        self.neighbour_words, self.flip_words = words[:k], words[k:]
 
     def defects_of(self, syndrome_value: int) -> list[int]:
         """Flagged checks of this sector, in ascending generator order (the
@@ -346,14 +310,14 @@ class _Sector:
         v = syndrome_value & self.sector_mask
         while v:
             low = v & -v
-            defects.append(self._local[low.bit_length() - 1])
+            defects.append((self.sector_mask & (low - 1)).bit_count())  # checks below
             v ^= low
         return defects
 
     def problem(self, defects: list[int]) -> MatchingProblem:
         return MatchingProblem(
             sector=self.sector,
-            defects=tuple((self.ids[i], self.coords[i]) for i in defects),
+            defects=tuple((int(self.generators[i]),) for i in defects),
             boundary_costs=tuple(self.boundary_cost[i] for i in defects),
             pair_costs=tuple(
                 tuple(self.pair_cost[i][j] for j in defects) for i in defects
@@ -414,24 +378,71 @@ class _Sector:
         return (and_popcount(settled, self.flip_words)[:, 0] & 1).astype(bool), packed
 
 
+def _check_graph(code: StabilizerCode, sector: str, conjugate: int) -> tuple:
+    """`_Sector` arguments for a CSS code's `sector` ("X" or "Z") errors, by
+    a BFS from each check and from each side's exits; `conjugate` is the
+    support of the logical they can anti-commute with.  Checks no path joins
+    get pair cost 2k, at least two boundary costs (each at most k): pruned."""
+    part = "z_bits" if sector == "X" else "x_bits"
+    checks = [gi for gi, g in enumerate(code.generators) if getattr(g, part)]
+    supports = [getattr(code.generators[gi], part) for gi in checks]
+    once = twice = 0
+    for support in supports:
+        if support & twice:
+            raise DecoderError(f"{code.name!r}: a qubit is in over two checks of one type")
+        twice |= once & support
+        once |= support
+    if twice & conjugate:
+        raise DecoderError(f"{code.name!r}: a qubit of two checks is on the conjugate logical")
+    links = [sum(1 << j for j, t in enumerate(supports) if s & t) for s in supports]  # itself too
+    ends = once & ~twice  # qubits in one check: the boundary edges
+    sides = (ends & ~conjugate, ends & conjugate)  # those that do not flip, and those that do
+    exits = [sum(1 << i for i, s in enumerate(supports) if s & side) for side in sides]
+    k, rows = len(checks), []
+    for seeds in [1 << i for i in range(k)] + exits:
+        row = [2 * k] * k
+        seen = frontier = seeds
+        step = 0
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                j = low.bit_length() - 1
+                row[j] = step
+                grown |= links[j]
+            frontier = grown & ~seen
+            seen |= frontier
+            step += 1
+        rows.append(row)
+    *pair_cost, far, near = rows
+    boundary_cost = [1 + min(a, b) for a, b in zip(near, far)]
+    return sector, checks, pair_cost, boundary_cost, [a < b for a, b in zip(near, far)]
+
+
 class MwpmDecoder:
-    """Exact MWPM decoder for codes carrying a SurfaceLayout."""
+    """Exact MWPM decoder for CSS codes with k = 1, an X-type and a Z-type
+    logical, and each qubit in at most two checks of a type (then off the
+    conjugate logical): of the built-ins, the repetition codes, `two_qubit`,
+    Shor's code and the surface codes.  Others raise DecoderError."""
 
     name = "mwpm"
 
     def __init__(self, code: StabilizerCode):
-        if code.layout is None:
-            raise DecoderError(f"code {code.name!r} has no lattice layout; MWPM needs one")
+        if any(g.x_bits and g.z_bits for g in code.generators):
+            raise DecoderError(f"{code.name!r}: MWPM needs a CSS code (a generator has X and Z)")
+        kinds = ["X" * bool(p.x_bits) + "Z" * bool(p.z_bits) for p in sum(code.logicals, ())]
+        if sorted(kinds) != ["X", "Z"]:
+            raise DecoderError(f"{code.name!r}: MWPM needs k = 1, an X-type and a Z-type logical")
+        pair, c = code.logicals[0], kinds.index("Z")
         self.code = code
-        self._z_checks = _Sector(code.layout, "Z")  # X-error sector
-        self._x_checks = _Sector(code.layout, "X")  # Z-error sector
+        self._z_checks = _Sector(*_check_graph(code, "X", pair[c].z_bits))  # X-error sector
+        self._x_checks = _Sector(*_check_graph(code, "Z", pair[1 - c].x_bits))  # Z-error sector
+        self._columns = (c, 1 - c)  # the class column each sector's flip sets
         # Symplectic vectors, built here so that a pickled decoder carries
         # them to every worker.
         self._pure = [code._symplectic(p) for p in code.pure_errors]
-        self._xbar, self._zbar = (code._symplectic(p) for p in code.logicals[0])
-        conjugates = (self._x_checks.conjugate, self._z_checks.conjugate << code.n)
-        if (self._xbar, self._zbar) != conjugates:
-            raise DecoderError("MWPM needs X̄ down the left column and Z̄ across the top row")
+        self._logicals = [code._symplectic(p) for p in pair]
 
     def matching_problems(self, s: Syndrome) -> dict[str, MatchingProblem]:
         sectors = (self._z_checks, self._x_checks)
@@ -443,10 +454,9 @@ class MwpmDecoder:
         numpy pass, so this is the reference whose class `decode_batch`
         must equal."""
         v = 0
-        if self._z_checks.logical_flip(value):
-            v = self._xbar
-        if self._x_checks.logical_flip(value):
-            v ^= self._zbar
+        for sector, column in zip((self._z_checks, self._x_checks), self._columns):
+            if sector.logical_flip(value):
+                v ^= self._logicals[1 - column]
         while value:
             low = value & -value
             v ^= self._pure[low.bit_length() - 1]
@@ -477,8 +487,8 @@ class MwpmDecoder:
             for sector, flip, components in zip(sectors, flips, split):
                 if components:
                     flip[row] ^= sector.flip(components)
-        # X̄ (the X sector's flip) anti-commutes with Z̄, and Z̄ with X̄.
-        return np.stack(flips[::-1], axis=1), failed
+        # `_columns` is (0, 1) or (1, 0), its own inverse.
+        return np.stack(flips, axis=1)[:, self._columns], failed
 
 
 def _row_ints(packed: np.ndarray) -> list[int]:

@@ -64,7 +64,7 @@ class AncillaRecord:
 
 @dataclass(frozen=True)
 class SurfaceLayout:
-    """Lattice geometry consumed by the matching decoder."""
+    """Lattice geometry of a surface code: JSON material and a test oracle."""
 
     lam: int
     data_coords: dict[int, Coord]

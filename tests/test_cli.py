@@ -101,12 +101,21 @@ class TestSimulate:
         )
         assert code == 2 and "ERR_CONFIG" in err
 
-    def test_mwpm_on_non_surface_rejected(self, capsys):
+    def test_mwpm_on_unsupported_code_rejected(self, capsys):
+        # [[4,2,2]] has k = 2; MWPM decodes one logical qubit.
         code, _, err = run_cli(
             capsys,
-            "simulate", "--code", "shor_nine", "--decoder", "mwpm", "--px", "0.1",
+            "simulate", "--code", "four_two_two", "--decoder", "mwpm", "--px", "0.1",
         )
         assert code == 2 and "ERR_CONFIG" in err
+
+    def test_mwpm_on_shor(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--code", "shor_nine", "--decoder", "mwpm", "--px", "0.1",
+            "--trials", "200", "--threads", "1",
+        )
+        assert code == 0 and out
 
     def test_lookup_table_guard_is_config_error(self, capsys):
         code, _, err = run_cli(

@@ -17,7 +17,9 @@ from stabkit.decoders import (
     minimum_weight_matching,
 )
 from stabkit.noise import derive_seed, iid_xz, sample, sample_batch
-from stabkit.pauli import enumerate_paulis, format_sparse, from_support, identity, multiply, parse, weight
+from stabkit.pauli import (
+    PauliOperator, enumerate_paulis, format_sparse, from_support, identity, multiply, parse, weight,
+)
 from stabkit.stabilizer_code import StabilizerCode, Syndrome, correctable_weight
 
 
@@ -155,14 +157,9 @@ def over_cap(decoder, code, value):
 
 
 def toy_sector(dist, boundary, flips):
-    """A `_Sector` on a given matching instance instead of a lattice, for
-    calling `flip` on it."""
-    sector = object.__new__(decoders_module._Sector)
-    sector.pair_cost, sector.boundary_cost, sector.boundary_flips = dist, boundary, flips
-    sector.neighbours, sector.rings = decoders_module._neighbours(dist, boundary)
-    sector.small_graph = (sector.neighbours, boundary, dist, flips, [0] * len(boundary))
-    sector.flipping = sum(1 << i for i, f in enumerate(flips) if f)
-    return sector
+    """A `_Sector` on a given matching instance instead of a code's checks,
+    for calling `flip` on it."""
+    return decoders_module._Sector("X", list(range(len(boundary))), dist, boundary, flips)
 
 
 def matched_flip(sector, value):
@@ -448,13 +445,33 @@ class TestOneSidedComponents:
 
 
 class TestMwpmDecoder:
-    def test_requires_layout(self):
-        with pytest.raises(DecoderError):
-            MwpmDecoder(library.shor_nine())
+    def test_rejects_codes_off_the_check_graph_model(self):
+        # MWPM needs k = 1, CSS generators, an X-type and a Z-type logical,
+        # and each qubit in at most two checks of a type.
+        five = StabilizerCode(
+            "five_qubit", 5, 1, tuple(map(parse, ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"))),
+            ((parse("XXXXX"), parse("ZZZZZ")),), 3,
+        )
+        star = StabilizerCode(
+            "star", 4, 1, tuple(map(parse, ("ZZII", "ZIZI", "ZIIZ"))),
+            ((parse("XXXX"), parse("IZII")),),
+        )
+        d3 = library.surface_code(3)
+        xbar, zbar = d3.logicals[0]
+        mixed = StabilizerCode(d3.name, d3.n, d3.k, d3.generators, ((xbar, multiply(xbar, zbar)),))
+        cases = [
+            (library.four_two_two(), "k = 1"), (library.four_cycle(), "k = 1"), (five, "CSS"),
+            (mixed, "X-type and a Z-type"), (star, "over two checks"),
+        ]
+        for code, message in cases:
+            assert code.validate().ok, code.name
+            with pytest.raises(DecoderError, match=message):
+                MwpmDecoder(code)
 
     def test_requires_the_layout_logicals(self):
-        # Z̄ times a Z-check is an equally valid logical, but the boundary
-        # flips are measured against the top row, so the decoder refuses it.
+        # Z̄ times a Z-check is an equally valid logical, but it puts qubits
+        # that link two Z-checks on Z̄: a pair path would flip, so the
+        # decoder refuses it.
         code = library.surface_code(3)
         xbar, zbar = code.logicals[0]
         check = next(g for g in code.generators if g.z_bits & zbar.z_bits)
@@ -463,7 +480,7 @@ class TestMwpmDecoder:
             code.declared_distance, code.layout,
         )
         assert moved.validate().ok
-        with pytest.raises(DecoderError, match="top row"):
+        with pytest.raises(DecoderError, match="on the conjugate logical"):
             MwpmDecoder(moved)
 
     def test_zero_syndrome(self):
@@ -733,7 +750,7 @@ class TestDecodeBatch:
         decoder = MwpmDecoder(code)
         z_checks, x_checks = decoder._z_checks, decoder._x_checks
         flips, linked = z_checks.boundary_flips, z_checks.neighbours
-        k = len(z_checks.ids)
+        k = len(z_checks.boundary_cost)
         i, j = next((i, j) for i in range(k) for j in range(k) if linked[i] >> j & 1 and flips[i] != flips[j])
         third = next(h for h in range(k) if h != j and linked[i] >> h & 1)
         triple = sum(1 << int(z_checks.generators[h]) for h in (i, j, third))
@@ -758,7 +775,7 @@ class TestDecodeBatch:
         code = library.surface_code(20)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
-        k = len(sector.ids)
+        k = len(sector.boundary_cost)
         hub = max(range(k), key=lambda i: sector.neighbours[i].bit_count())
         star = [hub] + [j for j in range(k) if sector.neighbours[hub] >> j & 1][:256]
         present = np.zeros((2, k), dtype=bool)
@@ -774,3 +791,92 @@ class TestDecodeBatch:
         for value in values:
             with pytest.raises(InstanceTooLargeError):
                 decoder.decode_value(value)
+
+
+def lightest_errors(code, sector):
+    """Brute force over the 2^n errors of one type ("X" or "Z"): per sector
+    syndrome value, (the lightest weight, the set of the conjugate-logical
+    classes that errors of that weight take).  The conjugate is the logical
+    of the other type, the one these errors can anti-commute with."""
+    conjugate = next(p for p in code.logicals[0] if bool(p.x_bits) != (sector == "X"))
+    support = conjugate.z_bits if sector == "X" else conjugate.x_bits
+    best = {}
+    for bits in range(1 << code.n):
+        error = PauliOperator(code.n, bits, 0) if sector == "X" else PauliOperator(code.n, 0, bits)
+        value = code.syndrome_value(error)
+        entry = (bits.bit_count(), {(bits & support).bit_count() % 2 == 1})
+        old = best.setdefault(value, entry)
+        if entry[0] < old[0]:
+            best[value] = entry
+        elif entry[0] == old[0]:
+            old[1].update(entry[1])
+    return best
+
+
+SMALL_CSS_CODES = ["two_qubit", "three_qubit_bitflip", "three_qubit_phaseflip", "shor_nine"]
+
+
+class TestCheckGraph:
+    """Each sector's matching graph is built from the code's generators;
+    the lattice geometry it replaced is kept here as an oracle."""
+
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 7, 8, 9, 15])
+    def test_surface_costs_equal_the_lattice_geometry(self, lam):
+        # Pair costs are Manhattan distance / 2 between check coordinates.
+        # Z-checks exit vertically (top/bottom), X-checks horizontally
+        # (left/right); the coordinate-0 side holds the conjugate logical
+        # (Z̄ on the top row, X̄ down the left column), so a boundary match
+        # flips iff that side is strictly nearer.
+        code = library.surface_code(lam)
+        decoder = MwpmDecoder(code)
+        side = 2 * lam - 1
+        for sector, kind, axis in ((decoder._z_checks, "Z", 0), (decoder._x_checks, "X", 1)):
+            records = list(enumerate(code.layout.ancilla_records))
+            coords = [r.coord for _, r in records if r.kind == kind]
+            assert sector.generators.tolist() == [gi for gi, r in records if r.kind == kind]
+            assert sector.pair_cost == [
+                [(abs(a[0] - b[0]) + abs(a[1] - b[1])) // 2 for b in coords] for a in coords
+            ]
+            near = [(coord[axis] + 1) // 2 for coord in coords]
+            far = [(side - coord[axis]) // 2 for coord in coords]
+            assert sector.boundary_cost == list(map(min, near, far))
+            assert sector.boundary_flips == [a < b for a, b in zip(near, far)]
+
+    @pytest.mark.parametrize("name", SMALL_CSS_CODES)
+    def test_matching_cost_is_the_lightest_error_on_every_syndrome(self, name):
+        # Per sector: the matching cost of every syndrome is the weight of
+        # the lightest error of that type with it, and the decoded flip is
+        # the class of one such error.
+        code = library.get_code(name)
+        decoder = MwpmDecoder(code)
+        for sector in (decoder._z_checks, decoder._x_checks):
+            best = lightest_errors(code, sector.sector)
+            for value in range(1 << code.m):
+                problem = sector.problem(sector.defects_of(value))
+                cost, _ = minimum_weight_matching(problem.pair_costs, problem.boundary_costs)
+                weight, classes = best[value & sector.sector_mask]
+                assert cost == weight, (sector.sector, value)
+                assert sector.logical_flip(value) in classes, (sector.sector, value)
+
+    @pytest.mark.parametrize("name", SMALL_CSS_CODES)
+    def test_batch_equals_scalar_on_every_syndrome(self, name):
+        code = library.get_code(name)
+        decoder = MwpmDecoder(code)
+        values = list(range(1 << code.m))
+        classes, failed = decoder.decode_batch(packed(code, values))
+        recoveries = [decoder.decode_value(v) for v in values]
+        assert not failed.any()
+        assert [code.syndrome_value(r) for r in recoveries] == values
+        assert np.array_equal(classes, code.logical_batch(code.pack(recoveries)))
+
+    def test_shor_corrects_every_weight_one_error(self):
+        # Shor's X̄ is Z-type, so its X-error sector sets the X̄ class column.
+        code = library.shor_nine()
+        decoder = MwpmDecoder(code)
+        errors = list(enumerate_paulis(code.n, 1))
+        classes, failed = decoder.decode_batch(code.syndrome_batch(code.pack(errors)))
+        assert not failed.any()
+        assert np.array_equal(classes, code.logical_batch(code.pack(errors)))
+        for error in errors:
+            recovery = decoder.decode_value(code.syndrome_value(error))
+            assert code.residual_class(multiply(recovery, error)).success, format_sparse(error)
