@@ -15,11 +15,12 @@ cost those on a shortest path that ends in a boundary edge.  Every defect
 may take its boundary independently (unused virtual boundary nodes pair
 at zero cost), and the matching is exact.  Edges that cannot beat two
 boundary matches are pruned, once per sector.  Cost and flip parity add
-over the components of the pruned graph, and the DP's picks in one do not
+over the components of the pruned graph, and the picks in one do not
 depend on the rest, so every entry point splits the defects with
 `_components` (the only code that applies `DEFAULT_DEFECT_CAP`) and
 solves each alone: a one-sided component by parity (`_Sector.flip`), a
-mixed one by the bounded bitmask DP (`_optimum`).  `decode_batch` first
+mixed one by `_search`, an iterative-deepening search whose picks, ties
+included, are those of a memoised DP over defect sets.  `decode_batch` first
 settles isolated defects, isolated pairs and one-sided leftovers with
 packed AND+popcount arithmetic (`_Sector.shortcut`).  It uses no float
 matmul: BLAS threads oversubscribe the CPUs that `montecarlo`'s worker
@@ -55,9 +56,6 @@ from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
 from .stabilizer_code import _pack_bits, and_popcount
 
 DEFAULT_DEFECT_CAP = 16
-# Components up to this size run the DP with the zero bound (every h = 0):
-# on them `_half_costs` costs more than it prunes (measured at d3-d7).
-_SMALL_COMPONENT = 5
 
 
 class DecoderError(Exception):
@@ -155,13 +153,13 @@ def minimum_weight_matching(
     """
     k = len(boundary)
     neighbours, rings = _neighbours(dist, boundary)
-    memo, flips, cost, pairs = {0: _NOTHING}, [False] * k, 0, []
+    flips, cost, pairs = [False] * k, 0, []
     for mask in _components((1 << k) - 1, neighbours):
         half, bound = _half_costs(mask, rings)
-        cost += _optimum(mask, memo, (neighbours, boundary, dist, flips, half), bound)[0]
-        while mask:
+        c, _, picks = _search(mask, (neighbours, boundary, dist, flips, half), bound)
+        cost += c
+        for partner in picks:
             low = mask & -mask
-            partner = memo[mask][2]
             pairs.append((low.bit_length() - 1, None if partner < 0 else partner))
             mask ^= low if partner < 0 else low | 1 << partner
     return cost, pairs
@@ -186,12 +184,8 @@ def _neighbours(dist, boundary) -> tuple[list[int], list[list[tuple[int, int]]]]
     return masks, rings
 
 
-# Memo entry of the empty defect set: (cost, flip parity, partner).
-_NOTHING = (0, False, -1)
-
-
 def _half_costs(mask: int, rings) -> tuple[dict[int, int], int]:
-    """`_optimum`'s h_i for each defect i of `mask` (the first ring of i
+    """`_search`'s h_i for each defect i of `mask` (the first ring of i
     that meets `mask`), and their sum."""
     half, todo = {}, mask
     while todo:
@@ -204,41 +198,66 @@ def _half_costs(mask: int, rings) -> tuple[dict[int, int], int]:
     return half, sum(half.values())
 
 
-def _optimum(mask: int, memo: dict, graph, bound: int) -> tuple[int, bool, int]:
-    """Memo entry (cost, flip parity of the boundary matches, partner) of
-    the exact optimum on the defects of `mask`, which is non-empty and not
-    yet in `memo` (callers try `memo.get(mask) or _optimum(mask, ...)`).
-    The lowest defect i takes its boundary (partner -1) unless a kept edge
-    to a neighbour j, tried in ascending order, is strictly cheaper.  An
-    entry depends on `mask` alone, so one memo serves many calls on one table.
+def _search(mask: int, graph, bound: int) -> tuple[int, bool, list[int]]:
+    """(cost, flip parity of the boundary matches, picks) of the exact
+    optimum on the non-empty defect set `mask`: walking the picks, the
+    lowest unmatched defect goes to its boundary (-1) or to the pick.
 
     `graph` is (neighbours, boundary, dist, flips, half), with half[i] =
     h_i = min(2 boundary[i], dist[i][j] over kept edges i-j in a superset
     of `mask`); `bound` is the sum of h over `mask`.  With dist symmetric a
-    defect pays its boundary or half an edge, so 2 opt(S) >= sum of h over
-    S (admissible).  j is skipped unsolved when 2 dist[i][j] + bound(rest
-    - j) >= 2 cost: it cannot be strictly cheaper, so no entry changes."""
+    defect pays its boundary or half an edge, so the sum of h over any
+    S within `mask` is at most 2 opt(S) (admissible).
+
+    Iterative deepening (IDA*, Korf 1985) in doubled cost: each pass is a
+    depth-first search under a limit that starts at `bound` rounded up to
+    even and rises by 2.  The lowest defect tries its boundary, then its
+    kept partners in ascending order, as a memoised DP over defect sets
+    that keeps the first strictly cheapest option would.  A branch is
+    entered only if its spent cost plus the h, or a learned bound, of its
+    unmatched set fits the limit; a node that fails learns that its set
+    costs more than the budget it had (without this a star-shaped
+    component takes millions of visits).  A pass is exhaustive below its
+    limit, so the first to complete has limit 2 opt, and the first
+    matching it finds takes, at every depth, the first option that reaches
+    the optimum: the DP's picks, ties included."""
     neighbours, boundary, dist, flips, half = graph
-    low = mask & -mask
-    i = low.bit_length() - 1
-    rest = mask ^ low
-    bound -= half[i]
-    cost, flip, _ = memo.get(rest) or _optimum(rest, memo, graph, bound)
-    cost += boundary[i]
-    flip ^= flips[i]
-    partner = -1
-    others, row = neighbours[i] & rest, dist[i]
-    while others:
-        bit = others & -others
-        others ^= bit
-        j = bit.bit_length() - 1
-        if 2 * (row[j] - cost) + bound < half[j]:
-            sub = rest ^ bit
-            c, f, _ = memo.get(sub) or _optimum(sub, memo, graph, bound - half[j])
-            if c + row[j] < cost:
-                cost, flip, partner = c + row[j], f, j
-    hit = memo[mask] = (cost, flip, partner)
-    return hit
+    learned, picks = {}, []
+    known = learned.get
+
+    def visit(mask, budget, bound):
+        # Flip parity of the first matching of `mask` within `budget`, or None.
+        low = mask & -mask
+        i = low.bit_length() - 1
+        rest = mask ^ low
+        bound -= half[i]
+        spare = budget - 2 * boundary[i]
+        if bound <= spare and known(rest, 0) <= spare:
+            flip = visit(rest, spare, bound) if rest else False
+            if flip is not None:
+                picks.append(-1)
+                return flip ^ flips[i]
+        others, row = neighbours[i] & rest, dist[i]
+        while others:
+            bit = others & -others
+            others ^= bit
+            j = bit.bit_length() - 1
+            spare = budget - 2 * row[j]
+            if bound - half[j] <= spare:
+                sub = rest ^ bit
+                if known(sub, 0) <= spare:
+                    flip = visit(sub, spare, bound - half[j]) if sub else False
+                    if flip is not None:
+                        picks.append(j)
+                        return flip
+        learned[mask] = budget + 2  # 2 opt(mask) is even and above budget
+        return None
+
+    limit = bound + (bound & 1)
+    while (flip := visit(mask, limit, bound)) is None:
+        limit += 2
+    picks.reverse()
+    return limit // 2, flip, picks
 
 
 def _components(mask: int, neighbours: list[int], flipping: int | None = None) -> list[int]:
@@ -246,7 +265,7 @@ def _components(mask: int, neighbours: list[int], flipping: int | None = None) -
     only place that applies the cap: raises InstanceTooLargeError if a
     component has more than DEFAULT_DEFECT_CAP defects, unless `flipping`
     (the defects whose boundary match flips) shows it one-sided, which
-    `_Sector.flip` settles without the DP.  With `flipping` None (no
+    `_Sector.flip` settles without the search.  With `flipping` None (no
     flips: the caller needs the pairs) every component is capped."""
     components = []
     while mask:
@@ -291,11 +310,8 @@ class _Sector:
         self.boundary_flips = boundary_flips
         self.sector_mask = sum(1 << gi for gi in checks)
         self.flipping = sum(1 << i for i, f in enumerate(boundary_flips) if f)
-        # The pruning graph: int bitmasks and cost rings for the DP, words for numpy.
+        # The pruning graph: int bitmasks and cost rings for the search, words for numpy.
         self.neighbours, self.rings = _neighbours(pair_cost, boundary_cost)
-        self.small_graph = (
-            self.neighbours, boundary_cost, pair_cost, boundary_flips, [0] * len(checks)
-        )
         self.generators = np.array(checks, dtype=np.intp)
         k, self.words = len(checks), -(-len(checks) // 64)
         size = 8 * self.words
@@ -332,25 +348,21 @@ class _Sector:
         return self.flip(_components(mask, self.neighbours, self.flipping))
 
     def flip(self, components: list[int]) -> bool:
-        """Flip parity of the optimum on disjoint `components` (one memo).
-        A one-sided component, whose defects all flip or all do not, is
+        """Flip parity of the optimum on disjoint `components`.  A
+        one-sided component, whose defects all flip or all do not, is
         settled by the parity of its flipping defects: a pair path never
         flips and pairs cover an even number of defects, so every matching
         of k defects that all flip f makes k mod 2 boundary matches and
-        flips f (k mod 2).  Only mixed components reach the DP, those of
-        at most `_SMALL_COMPONENT` defects with the zero bound."""
-        memo, flip = {0: _NOTHING}, False
+        flips f (k mod 2).  Only mixed components reach the search."""
+        flip = False
         for mask in components:
             side = mask & self.flipping
             if side in (0, mask):
                 flip ^= side.bit_count() & 1
                 continue
-            if mask.bit_count() <= _SMALL_COMPONENT:
-                graph, bound = self.small_graph, 0
-            else:
-                half, bound = _half_costs(mask, self.rings)
-                graph = (self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips, half)
-            flip ^= _optimum(mask, memo, graph, bound)[1]
+            half, bound = _half_costs(mask, self.rings)
+            graph = (self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips, half)
+            flip ^= _search(mask, graph, bound)[1]
         return flip
 
     def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +480,8 @@ class MwpmDecoder:
         """Class of `decode_value` of each row.  `_Sector.shortcut` resolves
         isolated defects and pairs and settles one-sided leftovers; a row
         with defects left takes the components of both sectors before any
-        DP, so a row that gives up (a mixed component over the cap: flagged,
-        its class moot) runs no DP."""
+        search, so a row that gives up (a mixed component over the cap:
+        flagged, its class moot) runs no search."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))

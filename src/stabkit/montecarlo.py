@@ -8,8 +8,9 @@ bit-identical for a fixed master seed no matter how trials are split into
 tasks, ordered over workers or sliced into batches.  Failure counts are
 plain sums, so aggregation order cannot matter either.
 
-Each public call opens at most one process pool and submits every task of
-every point to it at once, largest code and then highest p first; a point
+Each public call opens at most one process pool (none if all its trials
+fit in one batch) and submits every task of every point to it at once,
+largest code and then highest p first; a point
 is split into as few tasks as keep every worker busy.  In-process,
 consecutive points of one code and decoder are one task.  A task runs its
 trials, point after point, as batches of _SLICE_TRIALS rows: sample,
@@ -178,6 +179,8 @@ def _estimate_points(jobs, trials: int, post_select: bool, workers: int) -> list
         raise ValueError("workers must be >= 1")
     if not post_select and any(job[1] is None for job in jobs):
         raise ValueError("a decoder is required unless running post-selected")
+    if len(jobs) * trials <= _SLICE_TRIALS:
+        workers = 1  # the call is one batch: starting a pool costs more than it saves
     # As few chunks per point as keep every worker busy (one per point from
     # 2 x workers points on); a chunk is (code, decoder, noise, seed, start, stop).
     pieces = math.ceil(2 * workers / len(jobs)) if workers > 1 else 1

@@ -1,6 +1,8 @@
 import functools
 import json
 import random
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -39,8 +41,11 @@ def brute_force_matching_cost(dist, boundary):
 
 
 def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
-    """`decoders._optimum` without its bound: every kept neighbour of the
-    lowest defect is solved and tried.  The oracle for the bounded DP."""
+    """Memo entry (cost, flip parity of the boundary matches, partner) of
+    the optimum on `mask`, by a memoised DP over defect sets with no bound:
+    the lowest defect i takes its boundary (partner -1) unless a kept edge
+    to a neighbour j, every one solved and tried in ascending order, is
+    strictly cheaper.  The oracle for `decoders._search`."""
     low = mask & -mask
     i = low.bit_length() - 1
     rest = mask ^ low
@@ -61,24 +66,45 @@ def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
     return hit
 
 
-def both_dps(mask, neighbours, boundary, dist, flips):
-    """(bounded memo, unbounded memo, zero-bound memo) of one defect set,
-    each solved with a fresh memo; the top-level entry is memo[mask].  The
-    zero bound (every h = 0) is the one `_Sector.flip` uses on small
-    components."""
-    memos = tuple({0: decoders_module._NOTHING} for _ in range(3))
+def search_and_dp(mask, neighbours, boundary, dist, flips):
+    """`_search`'s (cost, flip, picks) on one defect set, the same triple
+    from a fresh unbounded memo (its top entry, and the partners on the
+    walk from `mask` down), and the number of memo states."""
     rings = decoders_module._neighbours(dist, boundary)[1]
     half, bound = decoders_module._half_costs(mask, rings)
-    decoders_module._optimum(mask, memos[0], (neighbours, boundary, dist, flips, half), bound)
-    unbounded_optimum(mask, memos[1], neighbours, boundary, dist, flips)
-    zeros = [0] * len(boundary)
-    decoders_module._optimum(mask, memos[2], (neighbours, boundary, dist, flips, zeros), 0)
-    return memos
+    found = decoders_module._search(mask, (neighbours, boundary, dist, flips, half), bound)
+    memo = {0: (0, False, -1)}
+    cost, flip, _ = unbounded_optimum(mask, memo, neighbours, boundary, dist, flips)
+    picks, rest = [], mask
+    while rest:
+        partner = memo[rest][2]
+        picks.append(partner)
+        rest ^= rest & -rest | (0 if partner < 0 else 1 << partner)
+    return found, (cost, flip, picks), len(memo) - 1
+
+
+def search_calls(run):
+    """Calls of `_search`'s inner depth-first function while `run()` runs."""
+    inner = next(
+        c for c in decoders_module._search.__code__.co_consts if isinstance(c, types.CodeType)
+    )
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is inner
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def sampled_components(lam, rates, seed, trials):
     """(sector, component) for the components of three or more defects, the
-    ones the DP solves, in sampled surface-code syndromes; rows with a
+    ones the search solves, in sampled surface-code syndromes; rows with a
     component over the cap are skipped."""
     code = library.surface_code(lam)
     decoder = MwpmDecoder(code)
@@ -165,7 +191,7 @@ def toy_sector(dist, boundary, flips):
 def matched_flip(sector, value):
     """The flip parity of `minimum_weight_matching`'s pairs on `value`'s
     defects in `sector` (its boundary matches to a flipping side): the
-    DP on every component, with no one-sided rule."""
+    search on every component, with no one-sided rule."""
     defects = sector.defects_of(value)
     problem = sector.problem(defects)
     _, pairs = minimum_weight_matching(problem.pair_costs, problem.boundary_costs)
@@ -286,23 +312,21 @@ class TestMatchingSolver:
         assert covered == list(range(k))
 
 
-class TestBoundedDp:
-    """`_optimum` skips a neighbour whose lower bound cannot beat the
-    current pick; every entry it computes must equal the unbounded DP's."""
+class TestSearch:
+    """`_search` must find the unbounded DP's optimum: the same cost, flip
+    and partner on every step of the walk from the top entry down."""
 
-    def assert_same_entries(self, mask, neighbours, boundary, dist, flips):
-        bounded, unbounded, zero = both_dps(mask, neighbours, boundary, dist, flips)
-        assert bounded[mask] == unbounded[mask] == zero[mask]
-        assert all(unbounded[m] == entry for m, entry in bounded.items())
-        assert all(unbounded[m] == entry for m, entry in zero.items())
-        return bounded[mask]
+    def assert_same_picks(self, mask, neighbours, boundary, dist, flips):
+        found, walked, _ = search_and_dp(mask, neighbours, boundary, dist, flips)
+        assert found == walked
+        return found
 
     def test_sampled_components_equal_the_unbounded_dp(self):
         rates = (0.07, 0.08, 0.09, 0.1, 0.11, 0.12)
         checked = 0
         for lam, trials in ((5, 30), (7, 20)):
             for sector, mask in sampled_components(lam, rates, 40, trials):
-                self.assert_same_entries(
+                self.assert_same_picks(
                     mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
                     sector.boundary_flips,
                 )
@@ -312,9 +336,9 @@ class TestBoundedDp:
     def test_tied_random_instances_equal_the_unbounded_dp(self):
         # Costs 1-3 make many matchings tie, so the pick rests on the
         # ascending tie-break; random flips make the parity depend on it.
+        # A few instances go up to the cap.
         rng = random.Random(123)
-        for _ in range(250):
-            k = rng.randint(1, 12)
+        for k in [rng.randint(1, 12) for _ in range(250)] + [13, 14, 15, 16]:
             dist = [[0] * k for _ in range(k)]
             for i in range(k):
                 for j in range(i + 1, k):
@@ -323,34 +347,55 @@ class TestBoundedDp:
             flips = [rng.random() < 0.5 for _ in range(k)]
             neighbours = decoders_module._neighbours(dist, boundary)[0]
             whole = (1 << k) - 1
-            cost = self.assert_same_entries(whole, neighbours, boundary, dist, flips)[0]
+            cost = self.assert_same_picks(whole, neighbours, boundary, dist, flips)[0]
             for mask in decoders_module._components(whole, neighbours):
-                self.assert_same_entries(mask, neighbours, boundary, dist, flips)
+                self.assert_same_picks(mask, neighbours, boundary, dist, flips)
             assert cost == minimum_weight_matching(dist, boundary)[0]
             assert cost == brute_force_matching_cost(dist, boundary)
 
     def test_the_bound_prunes(self):
-        # d7 at p = .10: the bounded memo holds about 35% of the unbounded
-        # DP's states, so the bound is doing its work (no timing needed).
-        states = [0, 0]
+        # d7 at p = .10: the search visits about a tenth as many defect
+        # sets as the unbounded DP holds states, so the bound and the
+        # iterative deepening do their work (a count, no timing needed).
+        calls = states = 0
         for sector, mask in sampled_components(7, (0.1,), 17, 200):
-            memos = both_dps(
-                mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
-                sector.boundary_flips,
-            )
-            states = [total + len(memo) - 1 for total, memo in zip(states, memos[:2])]
-        assert states[1] > 5000
-        assert states[0] <= 0.6 * states[1]
+            graph = (sector.neighbours, sector.boundary_cost, sector.pair_cost, sector.boundary_flips)
+            states += search_and_dp(mask, *graph)[2]
+            half, bound = decoders_module._half_costs(mask, sector.rings)
+            calls += search_calls(lambda: decoders_module._search(mask, (*graph, half), bound))
+        assert states > 5000
+        assert calls <= 0.25 * states
+
+    @pytest.mark.parametrize("k", [12, 14, 16])
+    def test_learned_bounds_tame_a_star(self, k):
+        # Defect 0 is 1 from every other defect, the others 2 apart, and
+        # every boundary 3: the half-cost bound is far below the optimum,
+        # so without learned bounds each deepening pass re-searches
+        # millions of branches.  With them the search stays within 2^k
+        # calls, and its pairs are the unbounded DP's walk.
+        dist = [[0 if i == j else 1 if 0 in (i, j) else 2 for j in range(k)] for i in range(k)]
+        boundary = [3] * k
+        neighbours = decoders_module._neighbours(dist, boundary)[0]
+        _, (cost, _, picks), _ = search_and_dp((1 << k) - 1, neighbours, boundary, dist, [False] * k)
+        pairs, rest = [], (1 << k) - 1
+        for partner in picks:
+            low = rest & -rest
+            pairs.append((low.bit_length() - 1, None if partner < 0 else partner))
+            rest ^= low | (0 if partner < 0 else 1 << partner)
+        found = []
+        calls = search_calls(lambda: found.append(minimum_weight_matching(dist, boundary)))
+        assert found == [(cost, pairs)]
+        assert calls <= 1 << k
 
 
 class TestOneSidedComponents:
     """A component whose defects all flip, or none does, is settled by the
-    parity of its flipping defects instead of the DP, at any size."""
+    parity of its flipping defects instead of the search, at any size."""
 
     def test_random_components_equal_the_dp(self):
         # Costs 1-3 make many matchings tie: a one-sided flip must not
-        # depend on which optimum the DP picks.  Each defect takes the
-        # instance's side f (random) with probability 0.7, else a random
+        # depend on which optimum the unbounded DP picks.  Each defect takes
+        # the instance's side f (random) with probability 0.7, else a random
         # flip, so components are often one-sided and sometimes mixed.
         rng = random.Random(71)
         one_sided = set()
@@ -366,9 +411,8 @@ class TestOneSidedComponents:
             sector = toy_sector(dist, boundary, flips)
             cost = 0
             for mask in decoders_module._components((1 << k) - 1, sector.neighbours, sector.flipping):
-                half, bound = decoders_module._half_costs(mask, sector.rings)
-                graph = (sector.neighbours, boundary, dist, flips, half)
-                c, f, _ = decoders_module._optimum(mask, {0: decoders_module._NOTHING}, graph, bound)
+                found, (c, f, picks), _ = search_and_dp(mask, sector.neighbours, boundary, dist, flips)
+                assert found == (c, f, picks)
                 assert sector.flip([mask]) == f
                 cost += c
                 sides = {flips[i] for i in range(k) if mask >> i & 1}
@@ -623,9 +667,10 @@ class TestMwpmDecoder:
         assert dense_z_checks > 0 and decoded > 0
 
     def test_split_equals_the_unsplit_dp(self):
-        # The DP's picks in a component do not depend on the others, so on
-        # a sector within the cap, solving by component (`logical_flip`)
-        # gives the flip of one DP over the whole unsplit defect set.
+        # The picks in a component do not depend on the others, so on a
+        # sector within the cap, solving by component (`logical_flip`)
+        # gives the flip of one search, and of the unbounded DP, over the
+        # whole unsplit defect set.
         d7, d7_values = d7_syndromes()
         d5 = library.surface_code(5)
         split = 0
@@ -636,14 +681,11 @@ class TestMwpmDecoder:
                     mask = sum(1 << i for i in sector.defects_of(value))
                     if not 0 < mask.bit_count() <= DEFAULT_DEFECT_CAP:
                         continue
-                    half, bound = decoders_module._half_costs(mask, sector.rings)
-                    graph = (
-                        sector.neighbours, sector.boundary_cost, sector.pair_cost,
-                        sector.boundary_flips, half,
+                    whole, walked, _ = search_and_dp(
+                        mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
+                        sector.boundary_flips,
                     )
-                    whole = decoders_module._optimum(
-                        mask, {0: decoders_module._NOTHING}, graph, bound
-                    )
+                    assert whole == walked
                     assert sector.logical_flip(value) == whole[1]
                     split += len(decoders_module._components(mask, sector.neighbours)) > 1
         assert split > 50
@@ -741,11 +783,11 @@ class TestDecodeBatch:
         }
         assert x_sector_over_cap
 
-    def test_a_row_that_gives_up_runs_no_dp(self, monkeypatch):
+    def test_a_row_that_gives_up_runs_no_search(self, monkeypatch):
         # The X-error sector has a mixed three-defect component (one side
-        # flips, the other does not) for the DP and the Z-error sector,
+        # flips, the other does not) for the search and the Z-error sector,
         # split second, one over the cap: both sectors are split before
-        # any DP runs, so the flagged row costs none.
+        # any search runs, so the flagged row costs none.
         code = library.surface_code(7)
         decoder = MwpmDecoder(code)
         z_checks, x_checks = decoder._z_checks, decoder._x_checks
@@ -758,9 +800,9 @@ class TestDecodeBatch:
         with pytest.raises(InstanceTooLargeError):
             decoder.decode_value(x_checks.sector_mask)
         calls = []
-        optimum = decoders_module._optimum
+        search = decoders_module._search
         monkeypatch.setattr(
-            decoders_module, "_optimum", lambda *args: calls.append(args[0]) or optimum(*args)
+            decoders_module, "_search", lambda *args: calls.append(args[0]) or search(*args)
         )
         _, failed = decoder.decode_batch(packed(code, [triple | x_checks.sector_mask]))
         assert failed.all() and not calls

@@ -406,3 +406,12 @@ class TestPooledCalls:
         _pooled_calls(2)
         # One pool for the sweep and one for the whole scan, two processes each.
         assert opened == [2, 2]
+        # 150 trials fit in one batch, so they run in-process.
+        code = library.surface_code(7)
+        small = [
+            sweep(code, MwpmDecoder(code), "iid_xz", [0.01, 0.02, 0.03], 50, 4, workers=workers)
+            for workers in (1, 2)
+        ]
+        assert opened == [2, 2]
+        assert small[0].to_csv() == small[1].to_csv()
+        assert small[0].points == small[1].points
