@@ -19,12 +19,12 @@ over the components of the pruned graph, and the picks in one do not
 depend on the rest, so every entry point splits the defects with
 `_components` (the only code that applies `DEFAULT_DEFECT_CAP`) and
 solves each alone: a one-sided component by parity (`_Sector.flip`), a
-mixed one by `_search`, an iterative-deepening search whose picks, ties
-included, are those of a memoised DP over defect sets.  `decode_batch` first
-settles isolated defects, isolated pairs and one-sided leftovers with
-packed AND+popcount arithmetic (`_Sector.shortcut`).  It uses no float
-matmul: BLAS threads oversubscribe the CPUs that `montecarlo`'s worker
-pool fills.
+mixed one by `_search`, an exact iterative-deepening search whose ties go,
+at each step, to the first option (boundary, then partners ascending) that
+reaches the optimum.  `decode_batch` first settles isolated defects,
+isolated pairs and one-sided leftovers with packed AND+popcount arithmetic
+(`_Sector.shortcut`).  It uses no float matmul: BLAS threads oversubscribe
+the CPUs that `montecarlo`'s worker pool fills.
 
 Recovery: the matching only picks each sector's logical class.  An edge
 flips if its qubit is on the logical that the sector's errors can
@@ -212,15 +212,13 @@ def _search(mask: int, graph, bound: int) -> tuple[int, bool, list[int]]:
     Iterative deepening (IDA*, Korf 1985) in doubled cost: each pass is a
     depth-first search under a limit that starts at `bound` rounded up to
     even and rises by 2.  The lowest defect tries its boundary, then its
-    kept partners in ascending order, as a memoised DP over defect sets
-    that keeps the first strictly cheapest option would.  A branch is
-    entered only if its spent cost plus the h, or a learned bound, of its
-    unmatched set fits the limit; a node that fails learns that its set
-    costs more than the budget it had (without this a star-shaped
-    component takes millions of visits).  A pass is exhaustive below its
-    limit, so the first to complete has limit 2 opt, and the first
-    matching it finds takes, at every depth, the first option that reaches
-    the optimum: the DP's picks, ties included."""
+    kept partners ascending, each only if its spent cost plus the h, or a
+    learned bound, of the unmatched set fits the limit; a node that fails
+    learns that its set costs more than its budget (without this a
+    star-shaped component takes millions of visits).  A pass is exhaustive
+    below its limit, so the first to complete has limit 2 opt, and its
+    first matching takes at every depth the first option in that order
+    that reaches the optimum: that is the tie-break."""
     neighbours, boundary, dist, flips, half = graph
     learned, picks = {}, []
     known = learned.get
@@ -242,22 +240,19 @@ def _search(mask: int, graph, bound: int) -> tuple[int, bool, list[int]]:
             bit = others & -others
             others ^= bit
             j = bit.bit_length() - 1
-            spare = budget - 2 * row[j]
-            if bound - half[j] <= spare:
-                sub = rest ^ bit
-                if known(sub, 0) <= spare:
-                    flip = visit(sub, spare, bound - half[j]) if sub else False
-                    if flip is not None:
-                        picks.append(j)
-                        return flip
+            spare, sub = budget - 2 * row[j], rest ^ bit
+            if bound - half[j] <= spare and known(sub, 0) <= spare:
+                flip = visit(sub, spare, bound - half[j]) if sub else False
+                if flip is not None:
+                    picks.append(j)
+                    return flip
         learned[mask] = budget + 2  # 2 opt(mask) is even and above budget
         return None
 
     limit = bound + (bound & 1)
     while (flip := visit(mask, limit, bound)) is None:
         limit += 2
-    picks.reverse()
-    return limit // 2, flip, picks
+    return limit // 2, flip, picks[::-1]
 
 
 def _components(mask: int, neighbours: list[int], flipping: int | None = None) -> list[int]:

@@ -8,16 +8,16 @@ bit-identical for a fixed master seed no matter how trials are split into
 tasks, ordered over workers or sliced into batches.  Failure counts are
 plain sums, so aggregation order cannot matter either.
 
-Each public call opens at most one process pool (none if all its trials
-fit in one batch) and submits every task of every point to it at once,
-largest code and then highest p first; a point
-is split into as few tasks as keep every worker busy.  In-process,
-consecutive points of one code and decoder are one task.  A task runs its
-trials, point after point, as batches of _SLICE_TRIALS rows: sample,
-pack, syndrome, decode and classify each run once per batch on bit-packed
-arrays (`StabilizerCode.syndrome_batch`, `decode_batch`,
-`StabilizerCode.logical_batch`), and counts are tallied per point; this is
-the only cycle implementation.
+Each public call opens at most one process pool (none for a small call,
+see _IN_PROCESS_QUBIT_TRIALS) and submits every task of every point to it
+at once, largest code and then highest p first; a point is split into as
+few tasks as keep every worker busy.  In-process, consecutive points of
+one code and decoder are one task.  A task runs its trials, point after
+point, as batches of _SLICE_TRIALS rows: sample, pack, syndrome, decode
+and classify each run once per batch on bit-packed arrays
+(`StabilizerCode.syndrome_batch`, `decode_batch`,
+`StabilizerCode.logical_batch`), and counts are tallied per point; this
+is the only cycle implementation.
 It builds no recovery: a trial fails where the decoder gives up or picks
 another logical class than the error's.
 """
@@ -45,6 +45,9 @@ _Z95 = 1.959963984540054
 # Shor sweep run as one batch; the largest array, the 2048 x n float64
 # draws, is still only 6.9 MB at d15 (n = 421).
 _SLICE_TRIALS = 2048
+# One batch of at most this many trials x qubits runs in-process: on 2 vCPUs
+# that took 0.8-1.15x the time of 2 workers up to d15 (2,048 x 421), 1.33x at d20.
+_IN_PROCESS_QUBIT_TRIALS = 2**19
 _CSV_HEADER = "p,trials,failures,p_L,ci_low,ci_high"
 
 
@@ -179,8 +182,9 @@ def _estimate_points(jobs, trials: int, post_select: bool, workers: int) -> list
         raise ValueError("workers must be >= 1")
     if not post_select and any(job[1] is None for job in jobs):
         raise ValueError("a decoder is required unless running post-selected")
-    if len(jobs) * trials <= _SLICE_TRIALS:
-        workers = 1  # the call is one batch: starting a pool costs more than it saves
+    one_batch = len(jobs) * trials <= _SLICE_TRIALS
+    if one_batch and trials * sum(job[0].n for job in jobs) <= _IN_PROCESS_QUBIT_TRIALS:
+        workers = 1  # a small call: starting a pool costs more than it saves
     # As few chunks per point as keep every worker busy (one per point from
     # 2 x workers points on); a chunk is (code, decoder, noise, seed, start, stop).
     pieces = math.ceil(2 * workers / len(jobs)) if workers > 1 else 1

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import sys
@@ -336,9 +337,10 @@ class TestSearch:
     def test_tied_random_instances_equal_the_unbounded_dp(self):
         # Costs 1-3 make many matchings tie, so the pick rests on the
         # ascending tie-break; random flips make the parity depend on it.
-        # A few instances go up to the cap.
+        # A few instances go up to the cap; the lazy sizes keep each size
+        # drawn just before its costs, as in the 250 instances of k <= 12.
         rng = random.Random(123)
-        for k in [rng.randint(1, 12) for _ in range(250)] + [13, 14, 15, 16]:
+        for k in itertools.chain((rng.randint(1, 12) for _ in range(250)), (13, 14, 15, 16)):
             dist = [[0] * k for _ in range(k)]
             for i in range(k):
                 for j in range(i + 1, k):

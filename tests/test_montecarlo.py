@@ -32,6 +32,20 @@ def three_qubit_closed_form(p):
     return 3 * p**2 * (1 - p) + p**3
 
 
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """The `max_workers` of each process pool that `montecarlo` opens."""
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
 class TestWilson:
     def test_interval_contains_estimate(self):
         low, high = wilson_interval(3, 100)
@@ -128,21 +142,25 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_logical_rate(code, None, iid_x(0.1), 100, 0)
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic_and_worker_independent(self, opened_pools):
+        # More trials than one batch, so workers 2 and 3 split the point over a pool.
+        trials = 2101
+        assert trials > montecarlo._SLICE_TRIALS
         code = library.surface_code(3)
         decoder = MwpmDecoder(code)
         detection = library.two_qubit()
         for workers in (1, 2, 3):
             decoded = estimate_logical_rate(
-                code, decoder, iid_xz(0.08, 0.08), 1999, 5, workers=workers
+                code, decoder, iid_xz(0.08, 0.08), trials, 5, workers=workers
             )
             post_selected = estimate_logical_rate(
-                detection, None, iid_x(0.2), 1999, 5, post_select=True, workers=workers
+                detection, None, iid_x(0.2), trials, 5, post_select=True, workers=workers
             )
             if workers == 1:
                 first = (decoded, post_selected)
                 assert decoded.failures > 0 and post_selected.discarded > 0
             assert (decoded, post_selected) == first
+        assert opened_pools == [2, 2, 3, 3]
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -392,26 +410,28 @@ class TestPooledCalls:
         for workers in (2, 3):
             assert outputs(workers) == first
 
-    def test_one_pool_per_public_call(self, monkeypatch):
-        opened = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    def test_one_pool_per_public_call(self, opened_pools):
         _pooled_calls(1)
-        assert opened == []
+        assert opened_pools == []
         _pooled_calls(2)
         # One pool for the sweep and one for the whole scan, two processes each.
-        assert opened == [2, 2]
+        assert opened_pools == [2, 2]
         # 150 trials fit in one batch, so they run in-process.
         code = library.surface_code(7)
         small = [
             sweep(code, MwpmDecoder(code), "iid_xz", [0.01, 0.02, 0.03], 50, 4, workers=workers)
             for workers in (1, 2)
         ]
-        assert opened == [2, 2]
+        assert opened_pools == [2, 2]
         assert small[0].to_csv() == small[1].to_csv()
         assert small[0].points == small[1].points
+
+    def test_one_batch_of_a_large_code_opens_a_pool(self, opened_pools):
+        code = library.surface_code(13)
+        decoder = MwpmDecoder(code)
+        most = montecarlo._IN_PROCESS_QUBIT_TRIALS // code.n
+        assert most < montecarlo._SLICE_TRIALS
+        for trials in (most, most + 1):
+            pooled = sweep(code, decoder, "iid_xz", [0.01], trials, 6, workers=2)
+            assert pooled.points == sweep(code, decoder, "iid_xz", [0.01], trials, 6).points
+        assert opened_pools == [2]
