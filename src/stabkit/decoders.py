@@ -17,14 +17,16 @@ at zero cost), and the matching is exact.  Edges that cannot beat two
 boundary matches are pruned, once per sector.  Cost and flip parity add
 over the components of the pruned graph, and the picks in one do not
 depend on the rest, so every entry point splits the defects with
-`_components` (the only code that applies `DEFAULT_DEFECT_CAP`) and
-solves each alone: a one-sided component by parity (`_Sector.flip`), a
-mixed one by `_search`, an exact iterative-deepening search whose ties go,
-at each step, to the first option (boundary, then partners ascending) that
-reaches the optimum.  `decode_batch` first settles isolated defects,
-isolated pairs and one-sided leftovers with packed AND+popcount arithmetic
-(`_Sector.shortcut`).  It uses no float matmul: BLAS threads oversubscribe
-the CPUs that `montecarlo`'s worker pool fills.
+`_components` and solves each alone, at any size: a one-sided component by
+parity (`_Sector.flip`), a mixed one by `_search`, an exact
+iterative-deepening search whose ties go, at each step, to the first
+option (boundary, then partners ascending) that reaches the optimum.
+Only a component of more than `_SEARCH_DEFECTS` raises (DecoderError):
+its search could pass Python's recursion limit.  `decode_batch` first
+settles isolated defects, isolated pairs and one-sided leftovers with
+packed AND+popcount arithmetic (`_Sector.shortcut`).  It uses no float
+matmul: BLAS threads oversubscribe the CPUs that `montecarlo`'s worker
+pool fills.
 
 Recovery: the matching only picks each sector's logical class.  An edge
 flips if its qubit is on the logical that the sector's errors can
@@ -38,8 +40,9 @@ Decoder protocol: a `name`; `decode_value(int) -> PauliOperator` for one
 syndrome value (bit i = generator i), which may raise `DecoderError`; and
 `decode_batch(packed syndromes) -> (classes, failed)`: the
 `StabilizerCode.logical_batch` row of each `decode_value`, and the rows it
-gave up on.  Every recovery has its input syndrome, and pure errors commute
-with every logical, so a trial succeeds iff its error has that class.
+gave up on (a truncated lookup table's misses; MWPM gives up on none).
+Every recovery has its input syndrome, and pure errors commute with every
+logical, so a trial succeeds iff its error has that class.
 """
 
 from __future__ import annotations
@@ -55,15 +58,14 @@ from .pauli import PauliOperator, enumerate_paulis, format_sparse, identity
 from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
 from .stabilizer_code import _pack_bits, and_popcount
 
-DEFAULT_DEFECT_CAP = 16
+# `_search` recurses once per pick, so at most once per defect: past this
+# many, with the caller's frames, it could pass Python's default limit of
+# 1,000 frames.
+_SEARCH_DEFECTS = 512
 
 
 class DecoderError(Exception):
     pass
-
-
-class InstanceTooLargeError(DecoderError):
-    """Defect count above the exact solver's cap."""
 
 
 # --- lookup decoding ---------------------------------------------------------
@@ -148,8 +150,7 @@ def minimum_weight_matching(
 
     dist[i][j] = dist[j][i] is the pair cost, boundary[i] the cost of
     sending defect i to its boundary.  Returns (total cost, pairs) with None
-    marking a boundary match.  Solves one component at a time; raises
-    InstanceTooLargeError if one has more than DEFAULT_DEFECT_CAP defects.
+    marking a boundary match.  Solves one component at a time.
     """
     k = len(boundary)
     neighbours, rings = _neighbours(dist, boundary)
@@ -218,7 +219,13 @@ def _search(mask: int, graph, bound: int) -> tuple[int, bool, list[int]]:
     star-shaped component takes millions of visits).  A pass is exhaustive
     below its limit, so the first to complete has limit 2 opt, and its
     first matching takes at every depth the first option in that order
-    that reaches the optimum: that is the tie-break."""
+    that reaches the optimum: that is the tie-break.  Raises DecoderError
+    past `_SEARCH_DEFECTS` defects."""
+    if mask.bit_count() > _SEARCH_DEFECTS:
+        raise DecoderError(
+            f"a {mask.bit_count()}-defect matching component is over the"
+            f" search's {_SEARCH_DEFECTS}"
+        )
     neighbours, boundary, dist, flips, half = graph
     learned, picks = {}, []
     known = learned.get
@@ -255,13 +262,8 @@ def _search(mask: int, graph, bound: int) -> tuple[int, bool, list[int]]:
     return limit // 2, flip, picks[::-1]
 
 
-def _components(mask: int, neighbours: list[int], flipping: int | None = None) -> list[int]:
-    """Connected components of the defects in `mask`, as bitmasks.  The
-    only place that applies the cap: raises InstanceTooLargeError if a
-    component has more than DEFAULT_DEFECT_CAP defects, unless `flipping`
-    (the defects whose boundary match flips) shows it one-sided, which
-    `_Sector.flip` settles without the search.  With `flipping` None (no
-    flips: the caller needs the pairs) every component is capped."""
+def _components(mask: int, neighbours: list[int]) -> list[int]:
+    """Connected components of the defects in `mask`, as bitmasks."""
     components = []
     while mask:
         component = frontier = mask & -mask
@@ -270,13 +272,6 @@ def _components(mask: int, neighbours: list[int], flipping: int | None = None) -
             grown = neighbours[low.bit_length() - 1] & mask & ~component
             component |= grown
             frontier = (frontier ^ low) | grown
-        if component.bit_count() > DEFAULT_DEFECT_CAP and (
-            flipping is None or component & flipping not in (0, component)
-        ):
-            raise InstanceTooLargeError(
-                f"instance too large: a {component.bit_count()}-defect component"
-                f" exceeds cap {DEFAULT_DEFECT_CAP}"
-            )
         components.append(component)
         mask ^= component
     return components
@@ -337,10 +332,9 @@ class _Sector:
 
     def logical_flip(self, syndrome_value: int) -> bool:
         """Parity of the defects the matching sends to a flipping boundary,
-        solved one component at a time: the reference for `shortcut`.  Only
-        a mixed component over the cap gives up (InstanceTooLargeError)."""
+        solved one component at a time: the reference for `shortcut`."""
         mask = sum(1 << i for i in self.defects_of(syndrome_value))
-        return self.flip(_components(mask, self.neighbours, self.flipping))
+        return self.flip(_components(mask, self.neighbours))
 
     def flip(self, components: list[int]) -> bool:
         """Flip parity of the optimum on disjoint `components`.  A
@@ -472,30 +466,19 @@ class MwpmDecoder:
         return PauliOperator(n, v & ((1 << n) - 1), v >> n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class of `decode_value` of each row.  `_Sector.shortcut` resolves
-        isolated defects and pairs and settles one-sided leftovers; a row
-        with defects left takes the components of both sectors before any
-        search, so a row that gives up (a mixed component over the cap:
-        flagged, its class moot) runs no search."""
+        """Class of `decode_value` of each row, none failed.
+        `_Sector.shortcut` resolves isolated defects and pairs and settles
+        one-sided leftovers; `_Sector.flip` solves a row's other defects by
+        component."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))
-        failed = np.zeros(len(syndromes), dtype=bool)
-        left = np.flatnonzero(rests[0].any(axis=1) | rests[1].any(axis=1))
-        for row, *masks in zip(left.tolist(), *(_row_ints(rest[left]) for rest in rests)):
-            try:
-                split = [
-                    _components(mask, sector.neighbours, sector.flipping)
-                    for sector, mask in zip(sectors, masks)
-                ]
-            except InstanceTooLargeError:
-                failed[row] = True
-                continue
-            for sector, flip, components in zip(sectors, flips, split):
-                if components:
-                    flip[row] ^= sector.flip(components)
+        for sector, flip, rest in zip(sectors, flips, rests):
+            left = np.flatnonzero(rest.any(axis=1))
+            for row, mask in zip(left.tolist(), _row_ints(rest[left])):
+                flip[row] ^= sector.flip(_components(mask, sector.neighbours))
         # `_columns` is (0, 1) or (1, 0), its own inverse.
-        return np.stack(flips, axis=1)[:, self._columns], failed
+        return np.stack(flips, axis=1)[:, self._columns], np.zeros(len(syndromes), dtype=bool)
 
 
 def _row_ints(packed: np.ndarray) -> list[int]:

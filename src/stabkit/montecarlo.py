@@ -18,8 +18,9 @@ and classify each run once per batch on bit-packed arrays
 (`StabilizerCode.syndrome_batch`, `decode_batch`,
 `StabilizerCode.logical_batch`), and counts are tallied per point; this
 is the only cycle implementation.
-It builds no recovery: a trial fails where the decoder gives up or picks
-another logical class than the error's.
+It builds no recovery: a trial fails where the decoder gives up (only a
+truncated lookup table does, on a syndrome it misses) or picks another
+logical class than the error's.
 """
 
 from __future__ import annotations
@@ -165,11 +166,8 @@ def estimate_logical_rate(
     and reports them in `discarded`; `trials` in the returned point is then
     the kept count.  A decoder failure counts as a logical failure and is
     also tallied in `decoder_failures`: a syndrome missing from a truncated
-    lookup table, or an MWPM matching component over the cap with defects
-    on both sides of the lattice's middle.  A one-sided component (all its
-    boundary matches flip, or none does) is settled exactly at any size:
-    pair paths never flip and pairs cover an even number of defects, so
-    every matching of it has the same flip parity.
+    lookup table.  MWPM solves every matching component exactly, so it
+    never gives up.
     """
     return _estimate_points([(code, decoder, noise, master_seed)], trials, post_select, workers)[0]
 

@@ -11,9 +11,7 @@ import pytest
 from stabkit import code_library as library
 from stabkit import decoders as decoders_module
 from stabkit.decoders import (
-    DEFAULT_DEFECT_CAP,
     DecoderError,
-    InstanceTooLargeError,
     LookupDecoder,
     MwpmDecoder,
     build_lookup,
@@ -105,8 +103,7 @@ def search_calls(run):
 
 def sampled_components(lam, rates, seed, trials):
     """(sector, component) for the components of three or more defects, the
-    ones the search solves, in sampled surface-code syndromes; rows with a
-    component over the cap are skipped."""
+    ones the search solves, in sampled surface-code syndromes."""
     code = library.surface_code(lam)
     decoder = MwpmDecoder(code)
     found = []
@@ -114,10 +111,7 @@ def sampled_components(lam, rates, seed, trials):
         for value in sampled_syndromes(code, p, s, trials):
             for sector in (decoder._z_checks, decoder._x_checks):
                 mask = sum(1 << i for i in sector.defects_of(value))
-                try:
-                    components = decoders_module._components(mask, sector.neighbours)
-                except InstanceTooLargeError:
-                    continue
+                components = decoders_module._components(mask, sector.neighbours)
                 found += [(sector, c) for c in components if c.bit_count() >= 3]
     return found
 
@@ -137,8 +131,8 @@ def sampled_syndromes(code, p, seed, trials):
 
 def d7_syndromes():
     """Syndrome values of sampled surface_d7 errors, sparse ones (p = .02)
-    and dense ones (p = .15); some of the dense ones flag more than
-    DEFAULT_DEFECT_CAP Z-checks."""
+    and dense ones (p = .15); some of the dense ones flag more than 16
+    Z-checks."""
     code = library.surface_code(7)
     values = []
     for seed, p in enumerate((0.02, 0.15)):
@@ -170,17 +164,6 @@ def sector_components(sector, value):
     defects = sector.defects_of(value)
     flips = [sector.boundary_flips[i] for i in defects]
     return [[flips[i] for i in c] for c in components_of(sector.problem(defects))]
-
-
-def over_cap(decoder, code, value):
-    """(an X-sector component > cap, any component > cap), counting only
-    mixed components: a one-sided one (every defect's boundary match flips,
-    or none does) is settled by parity at any size."""
-    over = [
-        any(len(c) > DEFAULT_DEFECT_CAP and len(set(c)) == 2 for c in sector_components(s, value))
-        for s in (decoder._z_checks, decoder._x_checks)
-    ]
-    return over[0], any(over)
 
 
 def toy_sector(dist, boundary, flips):
@@ -289,15 +272,17 @@ class TestMatchingSolver:
             covered = sorted(x for a, b in pairs for x in ((a,) if b is None else (a, b)))
             assert covered == list(range(k))
 
-    def test_cap(self):
+    def test_a_17_defect_clique_is_solved(self):
+        # Every cost 1: the optimum is 8 pairs and one boundary match, and
+        # the tie-break sends the lowest defect to its boundary first.
         k = 17
         dist = [[1] * k for _ in range(k)]
-        with pytest.raises(InstanceTooLargeError):
-            minimum_weight_matching(dist, [1] * k)
+        pairs = [(0, None)] + [(i, i + 1) for i in range(1, k, 2)]
+        assert minimum_weight_matching(dist, [1] * k) == (9, pairs)
 
-    def test_cap_applies_per_component(self):
-        # 9 + 8 defects in two far-apart clusters: over the cap in total,
-        # but each cluster is one component within it, so it is solved.
+    def test_far_apart_clusters_are_solved_apart(self):
+        # 9 + 8 defects in two far-apart clusters: each cluster is one
+        # component, solved alone.
         rng = random.Random(5)
         cluster = [0] * 9 + [1] * 8
         k = len(cluster)
@@ -337,10 +322,10 @@ class TestSearch:
     def test_tied_random_instances_equal_the_unbounded_dp(self):
         # Costs 1-3 make many matchings tie, so the pick rests on the
         # ascending tie-break; random flips make the parity depend on it.
-        # A few instances go up to the cap; the lazy sizes keep each size
+        # A few instances go up to k = 20; the lazy sizes keep each size
         # drawn just before its costs, as in the 250 instances of k <= 12.
         rng = random.Random(123)
-        for k in itertools.chain((rng.randint(1, 12) for _ in range(250)), (13, 14, 15, 16)):
+        for k in itertools.chain((rng.randint(1, 12) for _ in range(250)), range(13, 21)):
             dist = [[0] * k for _ in range(k)]
             for i in range(k):
                 for j in range(i + 1, k):
@@ -412,7 +397,7 @@ class TestOneSidedComponents:
             flips = [side if rng.random() < 0.7 else rng.random() < 0.5 for _ in range(k)]
             sector = toy_sector(dist, boundary, flips)
             cost = 0
-            for mask in decoders_module._components((1 << k) - 1, sector.neighbours, sector.flipping):
+            for mask in decoders_module._components((1 << k) - 1, sector.neighbours):
                 found, (c, f, picks), _ = search_and_dp(mask, sector.neighbours, boundary, dist, flips)
                 assert found == (c, f, picks)
                 assert sector.flip([mask]) == f
@@ -438,10 +423,8 @@ class TestOneSidedComponents:
             classes, failed = decoder.decode_batch(packed(code, values))
             bits = np.unpackbits(packed(code, values).view(np.uint8), axis=1, bitorder="little")
             rests = [sector.shortcut(bits[:, sector.generators].astype(bool))[1] for sector in sectors]
-            for index, (value, row, flag) in enumerate(zip(values, classes, failed)):
-                assert flag == over_cap(decoder, code, value)[1]
-                if flag:
-                    continue
+            assert not failed.any()
+            for index, (value, row) in enumerate(zip(values, classes)):
                 expected = code.logical_batch(code.pack([decoder.decode_value(value)]))[0]
                 assert np.array_equal(row, expected)
                 assert list(row) == [matched_flip(sectors[1], value), matched_flip(sectors[0], value)]
@@ -452,14 +435,15 @@ class TestOneSidedComponents:
                         settled += 1
         assert settled > 20
 
-    def test_one_sided_component_over_the_cap_decodes(self):
+    def test_components_over_16_decode(self):
         # d9 X-error sector: the two flipping rows nearest the top (18
         # defects) are one component, four non-flipping bottom defects
         # another.  Sending every defect to its own boundary is a matching,
         # and on one-sided components every matching has the same flip, so
         # the class is the parity of the flipping defects.  The first two
         # rows are settled in the numpy pass, the last two (mixed leftover)
-        # in `flip`.  A mixed component over the cap still gives up.
+        # in `flip`.  The whole sector flagged is one mixed component of 72,
+        # which the search solves.
         code = library.surface_code(9)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -485,9 +469,11 @@ class TestOneSidedComponents:
             assert np.array_equal(row, code.logical_batch(code.pack([decoder.decode_value(value)]))[0])
         mixed = sector.sector_mask
         assert [len(set(c)) for c in sector_components(sector, mixed)] == [2]
-        with pytest.raises(InstanceTooLargeError):
-            decoder.decode_value(mixed)
-        assert decoder.decode_batch(packed(code, [mixed]))[1].all()
+        classes, failed = decoder.decode_batch(packed(code, [mixed]))
+        assert not failed.any()
+        assert classes.tolist() == [[False, matched_flip(sector, mixed)]]
+        expected = code.logical_batch(code.pack([decoder.decode_value(mixed)]))
+        assert np.array_equal(classes, expected)
 
 
 class TestMwpmDecoder:
@@ -653,26 +639,24 @@ class TestMwpmDecoder:
                 boundary_matches = sum(1 for _, b in pairs if b is None)
                 assert (len(defects) + boundary_matches) % 2 == 0
 
-    def test_instance_cap_propagates(self):
+    def test_dense_rows_decode_with_their_syndrome(self):
+        # Some dense d7 rows have a mixed X-sector component of more than
+        # 16 defects; every row decodes to a recovery with its syndrome.
         code, values = d7_syndromes()
         decoder = MwpmDecoder(code)
-        dense_z_checks = decoded = 0
+        large = 0
         for value in values:
-            dense_x_sector, dense = over_cap(decoder, code, value)
-            dense_z_checks += dense_x_sector
-            if dense:
-                with pytest.raises(InstanceTooLargeError):
-                    decoder.decode_value(value)
-            else:
-                assert code.syndrome_value(decoder.decode_value(value)) == value
-                decoded += 1
-        assert dense_z_checks > 0 and decoded > 0
+            assert code.syndrome_value(decoder.decode_value(value)) == value
+            components = sector_components(decoder._z_checks, value)
+            large += any(len(c) > 16 and len(set(c)) == 2 for c in components)
+        assert large > 0
 
     def test_split_equals_the_unsplit_dp(self):
         # The picks in a component do not depend on the others, so on a
-        # sector within the cap, solving by component (`logical_flip`)
-        # gives the flip of one search, and of the unbounded DP, over the
-        # whole unsplit defect set.
+        # sector of at most 16 defects (where the unbounded DP on the whole
+        # set stays small), solving by component (`logical_flip`) gives the
+        # flip of one search, and of the unbounded DP, over the whole
+        # unsplit defect set.
         d7, d7_values = d7_syndromes()
         d5 = library.surface_code(5)
         split = 0
@@ -681,7 +665,7 @@ class TestMwpmDecoder:
             for value in values:
                 for sector in (decoder._z_checks, decoder._x_checks):
                     mask = sum(1 << i for i in sector.defects_of(value))
-                    if not 0 < mask.bit_count() <= DEFAULT_DEFECT_CAP:
+                    if not 0 < mask.bit_count() <= 16:
                         continue
                     whole, walked, _ = search_and_dp(
                         mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
@@ -738,13 +722,14 @@ class TestDecodeBatch:
         # identity and `decode_batch` flags them as failed.
         assert (misses > 0) == (max_weight == 1)
 
-    def test_mwpm_batch_matches_scalar_and_flags_give_ups(self):
+    def test_mwpm_batch_matches_scalar(self):
         # decode_batch resolves isolated defects and pairs in numpy and the
         # rest by component; decode_value splits by component with no numpy
         # pass.  The cases cover every path: surface_d9 sectors (72 checks)
         # span two words, the low-rate rows are mostly isolated defects or
-        # pairs, and three d7 rows at p = .12 (seed 7) have a sector over
-        # the cap in total but no component over it.
+        # pairs, dense rows have a mixed component of more than 16 defects,
+        # and three d7 rows at p = .12 (seed 7) have a sector of more than
+        # 16 defects but no component over 16.  No row fails.
         code, values = d7_syndromes()
         cases = [(code, [0] + values)]
         for lam, rates, n in (
@@ -754,68 +739,38 @@ class TestDecodeBatch:
             values = [v for s, p in enumerate(rates, 5) for v in sampled_syndromes(code, p, s, n)]
             cases.append((code, values))
         names = {1: "isolated only", 2: "isolated pair"}
-        paths, x_sector_over_cap = set(), False
+        paths = set()
         for code, values in cases:
             decoder = MwpmDecoder(code)
             classes, failed = decoder.decode_batch(packed(code, values))
-            for value, row, flag in zip(values, classes, failed):
+            assert not failed.any()
+            for value, row in zip(values, classes):
                 problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
                 sizes = [len(c) for problem in problems.values() for c in components_of(problem)]
                 largest_sector = max(len(problem.defects) for problem in problems.values())
-                x_over, over = over_cap(decoder, code, value)
-                x_sector_over_cap |= x_over
-                assert flag == over  # the cap applies to each component
-                if over:
-                    paths.add("over cap")
-                elif largest_sector > DEFAULT_DEFECT_CAP:
-                    paths.add("sector over cap, components within")
+                mixed = [
+                    len(c) for s in (decoder._z_checks, decoder._x_checks)
+                    for c in sector_components(s, value) if len(set(c)) == 2
+                ]
+                if max(mixed, default=0) > 16:
+                    paths.add("mixed component > 16")
+                elif largest_sector > 16:
+                    paths.add("sector > 16, components within")
                 elif sizes:
                     paths.add(names.get(max(sizes), "component >= 3"))
-                try:
-                    expected = decoder.decode_value(value)
-                except DecoderError:
-                    assert flag  # a given-up row's class is never read
-                    continue
-                assert not flag
+                expected = decoder.decode_value(value)
                 assert np.array_equal(row, code.logical_batch(code.pack([expected]))[0])
-            assert not failed.all()
         assert paths == {
-            "isolated only", "isolated pair", "component >= 3", "over cap",
-            "sector over cap, components within",
+            "isolated only", "isolated pair", "component >= 3", "mixed component > 16",
+            "sector > 16, components within",
         }
-        assert x_sector_over_cap
-
-    def test_a_row_that_gives_up_runs_no_search(self, monkeypatch):
-        # The X-error sector has a mixed three-defect component (one side
-        # flips, the other does not) for the search and the Z-error sector,
-        # split second, one over the cap: both sectors are split before
-        # any search runs, so the flagged row costs none.
-        code = library.surface_code(7)
-        decoder = MwpmDecoder(code)
-        z_checks, x_checks = decoder._z_checks, decoder._x_checks
-        flips, linked = z_checks.boundary_flips, z_checks.neighbours
-        k = len(z_checks.boundary_cost)
-        i, j = next((i, j) for i in range(k) for j in range(k) if linked[i] >> j & 1 and flips[i] != flips[j])
-        third = next(h for h in range(k) if h != j and linked[i] >> h & 1)
-        triple = sum(1 << int(z_checks.generators[h]) for h in (i, j, third))
-        assert [sorted(map(len, sector_components(z_checks, triple)))] == [[3]]
-        with pytest.raises(InstanceTooLargeError):
-            decoder.decode_value(x_checks.sector_mask)
-        calls = []
-        search = decoders_module._search
-        monkeypatch.setattr(
-            decoders_module, "_search", lambda *args: calls.append(args[0]) or search(*args)
-        )
-        _, failed = decoder.decode_batch(packed(code, [triple | x_checks.sector_mask]))
-        assert failed.all() and not calls
-        _, failed = decoder.decode_batch(packed(code, [triple]))
-        assert not failed.any() and calls
 
     def test_rows_past_uint8_degrees_go_whole_to_the_split(self):
         # d20 Z-checks: with all 380 flagged, some defects have 256 or 257
         # flagged neighbours, and with one check plus 256 of its neighbours
         # flagged, that check has 256.  A uint8 degree reads these as 0 or
-        # 1, so such rows skip the numpy pass: it resolves nothing.
+        # 1, so such rows skip the numpy pass: it resolves nothing, and the
+        # search solves both rows.
         code = library.surface_code(20)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -830,11 +785,26 @@ class TestDecodeBatch:
         unpacked = np.unpackbits(rest.view(np.uint8), axis=1, bitorder="little")[:, :k]
         assert np.array_equal(unpacked, present)
         values = [sum(1 << int(g) for g in sector.generators[row]) for row in present]
-        _, failed = decoder.decode_batch(packed(code, values))
-        assert failed.all()
-        for value in values:
-            with pytest.raises(InstanceTooLargeError):
-                decoder.decode_value(value)
+        classes, failed = decoder.decode_batch(packed(code, values))
+        assert not failed.any()
+        expected = code.logical_batch(code.pack([decoder.decode_value(v) for v in values]))
+        assert np.array_equal(classes, expected)
+
+    def test_a_component_past_the_search_limit_raises(self):
+        # d46 Z-checks all flagged: one mixed component of 2,070 defects,
+        # whose search would recurse past Python's default limit of 1,000
+        # frames.  Both entry points raise DecoderError instead.
+        code = library.surface_code(46)
+        decoder = MwpmDecoder(code)
+        sector = decoder._z_checks
+        whole = (1 << len(sector.boundary_cost)) - 1
+        assert decoders_module._components(whole, sector.neighbours) == [whole]
+        assert 0 < whole & sector.flipping < whole
+        assert whole.bit_count() == 2070 > decoders_module._SEARCH_DEFECTS
+        with pytest.raises(DecoderError, match="2070-defect"):
+            decoder.decode_batch(packed(code, [sector.sector_mask]))
+        with pytest.raises(DecoderError, match="2070-defect"):
+            decoder.decode_value(sector.sector_mask)
 
 
 def lightest_errors(code, sector):
