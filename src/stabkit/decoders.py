@@ -1,5 +1,6 @@
-"""Syndrome decoding: exhaustive minimum-weight lookup tables and exact
-minimum-weight perfect matching on the check graphs of CSS codes.
+"""Syndrome decoding: an exhaustive minimum-weight lookup table
+(`LookupDecoder`, which builds and holds it) and exact minimum-weight
+perfect matching on the check graphs of CSS codes (`MwpmDecoder`).
 
 Tie-breaking is the same everywhere: minimum weight first, then the
 enumeration order of `pauli.enumerate_paulis` (ascending support, letters
@@ -14,11 +15,13 @@ cost counts the qubits on a shortest path between two checks, a boundary
 cost those on a shortest path that ends in a boundary edge.  Every defect
 may take its boundary independently (unused virtual boundary nodes pair
 at zero cost), and the matching is exact.  Edges that cannot beat two
-boundary matches are pruned, once per sector.  Cost and flip parity add
-over the components of the pruned graph, and the picks in one do not
-depend on the rest, so every entry point splits the defects with
-`_components` and solves each alone, at any size: a one-sided component by
-parity (`_Sector.flip`), a mixed one by `_search`, an exact
+boundary matches are pruned, once per sector: a `_Sector` holds one
+instance's costs and its pruning graph (`minimum_weight_matching` builds
+one too).  Cost and flip parity add over the components of the pruned
+graph, and the picks in one do not depend on the rest, so every entry
+point splits the defects with `_components` and solves each alone, at any
+size: a one-sided component by parity (`_Sector.flip`), a mixed one by
+`_Sector.solve`, which bounds and runs `_search`, an exact
 iterative-deepening search whose ties go, at each step, to the first
 option (boundary, then partners ascending) that reaches the optimum.
 Only a component of more than `_SEARCH_DEFECTS` raises (DecoderError):
@@ -56,7 +59,7 @@ import numpy as np
 
 from .pauli import PauliOperator, enumerate_paulis, format_sparse, identity
 from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
-from .stabilizer_code import _pack_bits, and_popcount
+from .stabilizer_code import _pack_bits, _pack_ints, and_popcount
 
 # `_search` recurses once per pick, so at most once per defect: past this
 # many, with the caller's frames, it could pass Python's default limit of
@@ -71,13 +74,27 @@ class DecoderError(Exception):
 # --- lookup decoding ---------------------------------------------------------
 
 
-@dataclass
-class LookupTable:
-    """Syndrome -> minimum-weight recovery, built by exhaustive enumeration."""
+class LookupDecoder:
+    """Syndrome -> minimum-weight recovery, built by exhaustive enumeration:
+    errors by ascending weight, the first seen per syndrome stored.  With
+    max_weight None, enumeration continues until every possible syndrome
+    has an entry (or weight n is exhausted)."""
 
-    code: StabilizerCode
-    max_weight: int
-    table: dict[int, PauliOperator]
+    name = "lookup"
+
+    def __init__(self, code: StabilizerCode, max_weight: int | None = None):
+        if code.m > LOOKUP_SYNDROME_GUARD:
+            raise DecoderError(
+                f"{code.m}-bit syndromes need a 2^{code.m} table; guard is 2^{LOOKUP_SYNDROME_GUARD}"
+            )
+        fill_all = max_weight is None
+        self.code, self.max_weight = code, code.n if fill_all else max_weight
+        self.table: dict[int, PauliOperator] = {0: identity(code.n)}
+        for w in range(1, self.max_weight + 1):
+            for p in enumerate_paulis(code.n, w):
+                self.table.setdefault(code.syndrome_value(p), p)
+            if fill_all and len(self.table) == 1 << code.m:
+                break
 
     def to_json(self) -> str:
         rows = {
@@ -89,47 +106,18 @@ class LookupTable:
             indent=2,
         )
 
-
-def build_lookup(code: StabilizerCode, max_weight: int | None = None) -> LookupTable:
-    """Enumerate errors by ascending weight; the first error seen per
-    syndrome is stored.  With max_weight None, enumeration continues until
-    every possible syndrome has an entry (or weight n is exhausted).
-    """
-    if code.m > LOOKUP_SYNDROME_GUARD:
-        raise DecoderError(
-            f"{code.m}-bit syndromes need a 2^{code.m} table; guard is 2^{LOOKUP_SYNDROME_GUARD}"
-        )
-    fill_all = max_weight is None
-    limit = code.n if fill_all else max_weight
-    table: dict[int, PauliOperator] = {0: identity(code.n)}
-    total = 1 << code.m
-    for w in range(1, limit + 1):
-        for p in enumerate_paulis(code.n, w):
-            table.setdefault(code.syndrome_value(p), p)
-        if fill_all and len(table) == total:
-            break
-    return LookupTable(code=code, max_weight=limit, table=table)
-
-
-class LookupDecoder:
-    name = "lookup"
-
-    def __init__(self, code: StabilizerCode, max_weight: int | None = None):
-        self.table = build_lookup(code, max_weight)
-        self.code = code
-
     def decode_value(self, value: int) -> PauliOperator:
         """Stored recovery for a syndrome value; a miss is the identity."""
-        return self.table.table.get(value, identity(self.code.n))
+        return self.table.get(value, identity(self.code.n))
 
     @cached_property
     def _class_table(self) -> np.ndarray:
         """Per syndrome value: the `logical_batch` row of `decode_value`,
         then a miss column (set where the table has no entry)."""
-        hits = np.fromiter(self.table.table, dtype=np.intp)
+        hits = np.fromiter(self.table, dtype=np.intp)
         table = np.zeros((1 << self.code.m, 2 * self.code.k + 1), dtype=bool)
         table[:, -1] = True
-        table[hits, :-1] = self.code.logical_batch(self.code.pack(self.table.table.values()))
+        table[hits, :-1] = self.code.logical_batch(self.code.pack(self.table.values()))
         table[hits, -1] = False
         return table
 
@@ -153,11 +141,10 @@ def minimum_weight_matching(
     marking a boundary match.  Solves one component at a time.
     """
     k = len(boundary)
-    neighbours, rings = _neighbours(dist, boundary)
-    flips, cost, pairs = [False] * k, 0, []
-    for mask in _components((1 << k) - 1, neighbours):
-        half, bound = _half_costs(mask, rings)
-        c, _, picks = _search(mask, (neighbours, boundary, dist, flips, half), bound)
+    sector = _Sector(None, range(k), dist, boundary, [False] * k)
+    cost, pairs = 0, []
+    for mask in _components((1 << k) - 1, sector.neighbours):
+        c, _, picks = sector.solve(mask)
         cost += c
         for partner in picks:
             low = mask & -mask
@@ -166,49 +153,16 @@ def minimum_weight_matching(
     return cost, pairs
 
 
-def _neighbours(dist, boundary) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """Per defect i, a bitmask of the pair edges that beat two boundary
-    matches (dropping the rest, ties too, keeps the optimal cost and splits
-    the defect graph into small components), and those edges as rings for
-    `_half_costs`: (w, mask of the edges of cost w) for each w below
-    2 boundary[i], ascending, then (2 boundary[i], -1 = every defect)."""
-    masks, rings = [], []
-    for i, b in enumerate(boundary):
-        kept, ring = 0, {2 * b: -1}
-        for j, w in enumerate(dist[i]):
-            if j != i and w < b + boundary[j]:
-                kept |= 1 << j
-                if w < 2 * b:
-                    ring[w] = ring.get(w, 0) | 1 << j
-        masks.append(kept)
-        rings.append(sorted(ring.items()))
-    return masks, rings
-
-
-def _half_costs(mask: int, rings) -> tuple[dict[int, int], int]:
-    """`_search`'s h_i for each defect i of `mask` (the first ring of i
-    that meets `mask`), and their sum."""
-    half, todo = {}, mask
-    while todo:
-        i = (todo & -todo).bit_length() - 1
-        todo &= todo - 1
-        for w, ring in rings[i]:
-            if ring & mask:
-                break
-        half[i] = w
-    return half, sum(half.values())
-
-
-def _search(mask: int, graph, bound: int) -> tuple[int, bool, list[int]]:
+def _search(mask: int, sector: _Sector, half: dict, bound: int) -> tuple[int, bool, list[int]]:
     """(cost, flip parity of the boundary matches, picks) of the exact
-    optimum on the non-empty defect set `mask`: walking the picks, the
-    lowest unmatched defect goes to its boundary (-1) or to the pick.
+    optimum on the non-empty defect set `mask` of `sector`: walking the
+    picks, the lowest unmatched defect goes to its boundary (-1) or to the
+    pick.
 
-    `graph` is (neighbours, boundary, dist, flips, half), with half[i] =
-    h_i = min(2 boundary[i], dist[i][j] over kept edges i-j in a superset
-    of `mask`); `bound` is the sum of h over `mask`.  With dist symmetric a
-    defect pays its boundary or half an edge, so the sum of h over any
-    S within `mask` is at most 2 opt(S) (admissible).
+    half[i] = h_i = min(2 boundary[i], dist[i][j] over kept edges i-j in a
+    superset of `mask`), and `bound` is the sum of h over `mask`.  With
+    dist symmetric a defect pays its boundary or half an edge, so the sum
+    of h over any S within `mask` is at most 2 opt(S) (admissible).
 
     Iterative deepening (IDA*, Korf 1985) in doubled cost: each pass is a
     depth-first search under a limit that starts at `bound` rounded up to
@@ -226,7 +180,8 @@ def _search(mask: int, graph, bound: int) -> tuple[int, bool, list[int]]:
             f"a {mask.bit_count()}-defect matching component is over the"
             f" search's {_SEARCH_DEFECTS}"
         )
-    neighbours, boundary, dist, flips, half = graph
+    neighbours, boundary = sector.neighbours, sector.boundary_cost
+    dist, flips = sector.pair_cost, sector.boundary_flips
     learned, picks = {}, []
     known = learned.get
 
@@ -300,14 +255,39 @@ class _Sector:
         self.boundary_flips = boundary_flips
         self.sector_mask = sum(1 << gi for gi in checks)
         self.flipping = sum(1 << i for i, f in enumerate(boundary_flips) if f)
-        # The pruning graph: int bitmasks and cost rings for the search, words for numpy.
-        self.neighbours, self.rings = _neighbours(pair_cost, boundary_cost)
+        # The pruning graph: per defect i, a bitmask of the pair edges that
+        # beat two boundary matches (dropping the rest, ties too, keeps the
+        # optimal cost and splits the defect graph into small components),
+        # and those edges as rings for `solve`: (w, mask of the edges of cost
+        # w) for each w below 2 boundary[i], ascending, then (2 boundary[i],
+        # -1 = every defect).  The masks are packed into words for numpy too.
+        self.neighbours, self.rings = [], []
+        for i, b in enumerate(boundary_cost):
+            kept, ring = 0, {2 * b: -1}
+            for j, w in enumerate(pair_cost[i]):
+                if j != i and w < b + boundary_cost[j]:
+                    kept |= 1 << j
+                    if w < 2 * b:
+                        ring[w] = ring.get(w, 0) | 1 << j
+            self.neighbours.append(kept)
+            self.rings.append(sorted(ring.items()))
         self.generators = np.array(checks, dtype=np.intp)
-        k, self.words = len(checks), -(-len(checks) // 64)
-        size = 8 * self.words
-        data = b"".join(m.to_bytes(size, "little") for m in self.neighbours + [self.flipping])
-        words = np.frombuffer(data, dtype="<u8").reshape(k + 1, self.words)
-        self.neighbour_words, self.flip_words = words[:k], words[k:]
+        self.words = -(-len(checks) // 64)
+        words = _pack_ints(self.neighbours + [self.flipping], self.words)
+        self.neighbour_words, self.flip_words = words[:-1], words[-1:]
+
+    def solve(self, mask: int) -> tuple[int, bool, list[int]]:
+        """`_search` on the non-empty defect set `mask`, where h_i is the
+        cost of the first ring of defect i that meets `mask`."""
+        half, todo = {}, mask
+        while todo:
+            i = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            for w, ring in self.rings[i]:
+                if ring & mask:
+                    break
+            half[i] = w
+        return _search(mask, self, half, sum(half.values()))
 
     def defects_of(self, syndrome_value: int) -> list[int]:
         """Flagged checks of this sector, in ascending generator order (the
@@ -349,9 +329,7 @@ class _Sector:
             if side in (0, mask):
                 flip ^= side.bit_count() & 1
                 continue
-            half, bound = _half_costs(mask, self.rings)
-            graph = (self.neighbours, self.boundary_cost, self.pair_cost, self.boundary_flips, half)
-            flip ^= _search(mask, graph, bound)[1]
+            flip ^= self.solve(mask)[1]
         return flip
 
     def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,27 +357,26 @@ class _Sector:
         return (and_popcount(settled, self.flip_words)[:, 0] & 1).astype(bool), packed
 
 
-def _check_graph(code: StabilizerCode, sector: str, conjugate: int) -> tuple:
-    """`_Sector` arguments for a CSS code's `sector` ("X" or "Z") errors, by
-    a BFS from each check and from each side's exits; `conjugate` is the
-    support of the logical they can anti-commute with.  Checks no path joins
-    get pair cost 2k, at least two boundary costs (each at most k): pruned."""
-    part = "z_bits" if sector == "X" else "x_bits"
-    checks = [gi for gi, g in enumerate(code.generators) if getattr(g, part)]
-    supports = [getattr(code.generators[gi], part) for gi in checks]
+def _check_graph(supports: list[int], conjugate: int) -> tuple:
+    """(pair_cost, boundary_cost, boundary_flips) of one sector's checks, by
+    a BFS from each check and from each side's exits: `supports` are the
+    checks' qubit sets (X-errors: the Z-checks' z bits), `conjugate` is the
+    support of the logical the errors can anti-commute with.  Checks no path
+    joins get pair cost 2k, at least two boundary costs (each at most k):
+    pruned."""
     once = twice = 0
     for support in supports:
         if support & twice:
-            raise DecoderError(f"{code.name!r}: a qubit is in over two checks of one type")
+            raise DecoderError("a qubit is in over two checks of one type")
         twice |= once & support
         once |= support
     if twice & conjugate:
-        raise DecoderError(f"{code.name!r}: a qubit of two checks is on the conjugate logical")
+        raise DecoderError("a qubit of two checks is on the conjugate logical")
     links = [sum(1 << j for j, t in enumerate(supports) if s & t) for s in supports]  # itself too
     ends = once & ~twice  # qubits in one check: the boundary edges
     sides = (ends & ~conjugate, ends & conjugate)  # those that do not flip, and those that do
     exits = [sum(1 << i for i, s in enumerate(supports) if s & side) for side in sides]
-    k, rows = len(checks), []
+    k, rows = len(supports), []
     for seeds in [1 << i for i in range(k)] + exits:
         row = [2 * k] * k
         seen = frontier = seeds
@@ -418,7 +395,7 @@ def _check_graph(code: StabilizerCode, sector: str, conjugate: int) -> tuple:
         rows.append(row)
     *pair_cost, far, near = rows
     boundary_cost = [1 + min(a, b) for a, b in zip(near, far)]
-    return sector, checks, pair_cost, boundary_cost, [a < b for a, b in zip(near, far)]
+    return pair_cost, boundary_cost, [a < b for a, b in zip(near, far)]
 
 
 class MwpmDecoder:
@@ -437,13 +414,23 @@ class MwpmDecoder:
             raise DecoderError(f"{code.name!r}: MWPM needs k = 1, an X-type and a Z-type logical")
         pair, c = code.logicals[0], kinds.index("Z")
         self.code = code
-        self._z_checks = _Sector(*_check_graph(code, "X", pair[c].z_bits))  # X-error sector
-        self._x_checks = _Sector(*_check_graph(code, "Z", pair[1 - c].x_bits))  # Z-error sector
+        sectors = []  # the X-error sector (on Z-checks), then the Z-error sector
+        for sector, rows, conjugate in (
+            ("X", [g.z_bits for g in code.generators], pair[c].z_bits),
+            ("Z", [g.x_bits for g in code.generators], pair[1 - c].x_bits),
+        ):
+            checks = [gi for gi, row in enumerate(rows) if row]
+            graph = _check_graph([rows[gi] for gi in checks], conjugate)
+            sectors.append(_Sector(sector, checks, *graph))
+        self._z_checks, self._x_checks = sectors
         self._columns = (c, 1 - c)  # the class column each sector's flip sets
-        # Symplectic vectors, built here so that a pickled decoder carries
-        # them to every worker.
-        self._pure = [code._symplectic(p) for p in code.pure_errors]
         self._logicals = [code._symplectic(p) for p in pair]
+
+    @cached_property
+    def _pure(self) -> list[int]:
+        """Symplectic vectors of the code's pure errors, built on the first
+        `decode_value` call: `decode_batch` needs only the classes."""
+        return [self.code._symplectic(p) for p in self.code.pure_errors]
 
     def matching_problems(self, s: Syndrome) -> dict[str, MatchingProblem]:
         sectors = (self._z_checks, self._x_checks)

@@ -193,11 +193,6 @@ class StabilizerCode:
         """uint64 words per packed operator (2n bits)."""
         return (2 * self.n + 63) // 64
 
-    def _pack_ints(self, values: Iterable[int]) -> np.ndarray:
-        size = 8 * self.words
-        data = b"".join(v.to_bytes(size, "little") for v in values)
-        return np.frombuffer(data, dtype="<u8").reshape(-1, self.words)
-
     @cached_property
     def _check_rows(self) -> list[int]:
         """Generators, then X̄_1, Z̄_1, X̄_2, ..., each with its x and z
@@ -208,7 +203,7 @@ class StabilizerCode:
 
     @cached_property
     def _check_words(self) -> np.ndarray:
-        return self._pack_ints(self._check_rows)
+        return _pack_ints(self._check_rows, self.words)
 
     @cached_property
     def pure_errors(self) -> tuple[PauliOperator, ...]:
@@ -223,7 +218,7 @@ class StabilizerCode:
     # -- operations ------------------------------------------------------
 
     def syndrome_value(self, error: PauliOperator) -> int:
-        """Packed syndrome (bit i = generator i); the Monte Carlo hot path."""
+        """Packed syndrome of one operator (bit i = generator i)."""
         if error.n != self.n:
             raise ValueError(f"error acts on {error.n} qubits, code has {self.n}")
         ex, ez = error.x_bits, error.z_bits
@@ -238,7 +233,7 @@ class StabilizerCode:
 
     def pack(self, ops: Iterable[PauliOperator]) -> np.ndarray:
         """Packed rows of the given operators (phases dropped)."""
-        return self._pack_ints(self._symplectic(p) for p in ops)
+        return _pack_ints([self._symplectic(p) for p in ops], self.words)
 
     def pack_batch(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Packed rows of a batch given as (trials, n) boolean X and Z arrays."""
@@ -374,6 +369,13 @@ def and_popcount(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for w in range(a.shape[1]):
         acc += np.bitwise_count(a[:, w, None] & rows[None, :, w])
     return acc
+
+
+def _pack_ints(values: Sequence[int], words: int) -> np.ndarray:
+    """Non-negative ints -> (len(values), words) uint64 words, little-endian
+    (`words` may be 0)."""
+    data = b"".join(v.to_bytes(8 * words, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
 
 
 def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:

@@ -1,20 +1,24 @@
 import functools
 import itertools
 import json
+import os
+import pickle
 import random
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stabkit
 from stabkit import code_library as library
 from stabkit import decoders as decoders_module
 from stabkit.decoders import (
     DecoderError,
     LookupDecoder,
     MwpmDecoder,
-    build_lookup,
     minimum_weight_matching,
 )
 from stabkit.noise import derive_seed, iid_xz, sample, sample_batch
@@ -65,15 +69,14 @@ def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
     return hit
 
 
-def search_and_dp(mask, neighbours, boundary, dist, flips):
-    """`_search`'s (cost, flip, picks) on one defect set, the same triple
-    from a fresh unbounded memo (its top entry, and the partners on the
-    walk from `mask` down), and the number of memo states."""
-    rings = decoders_module._neighbours(dist, boundary)[1]
-    half, bound = decoders_module._half_costs(mask, rings)
-    found = decoders_module._search(mask, (neighbours, boundary, dist, flips, half), bound)
+def search_and_dp(mask, sector):
+    """`sector.solve`'s (cost, flip, picks) on one defect set, the same
+    triple from a fresh unbounded memo (its top entry, and the partners on
+    the walk from `mask` down), and the number of memo states."""
+    found = sector.solve(mask)
+    graph = (sector.neighbours, sector.boundary_cost, sector.pair_cost, sector.boundary_flips)
     memo = {0: (0, False, -1)}
-    cost, flip, _ = unbounded_optimum(mask, memo, neighbours, boundary, dist, flips)
+    cost, flip, _ = unbounded_optimum(mask, memo, *graph)
     picks, rest = [], mask
     while rest:
         partner = memo[rest][2]
@@ -168,7 +171,7 @@ def sector_components(sector, value):
 
 def toy_sector(dist, boundary, flips):
     """A `_Sector` on a given matching instance instead of a code's checks,
-    for calling `flip` on it."""
+    for calling `flip` or `solve` on it."""
     return decoders_module._Sector("X", list(range(len(boundary))), dist, boundary, flips)
 
 
@@ -184,15 +187,15 @@ def matched_flip(sector, value):
 
 class TestLookup:
     def test_three_qubit_goldens(self):
-        table = build_lookup(library.three_qubit_bitflip())
-        assert format_sparse(table.table[Syndrome.from_string("10").value]) == "X1"
-        assert format_sparse(table.table[Syndrome.from_string("01").value]) == "X3"
+        decoder = LookupDecoder(library.three_qubit_bitflip())
+        assert format_sparse(decoder.table[Syndrome.from_string("10").value]) == "X1"
+        assert format_sparse(decoder.table[Syndrome.from_string("01").value]) == "X3"
 
     def test_zero_syndrome_identity(self):
         for code in (library.three_qubit_bitflip(), library.shor_nine()):
-            table = build_lookup(code)
-            assert table.table[0] == identity(code.n)
-            assert LookupDecoder(code).decode_value(0) == identity(code.n)
+            decoder = LookupDecoder(code)
+            assert decoder.table[0] == identity(code.n)
+            assert decoder.decode_value(0) == identity(code.n)
 
     def test_shor_degenerate_tie_break(self):
         decoder = LookupDecoder(library.shor_nine())
@@ -208,36 +211,36 @@ class TestLookup:
         # Weight-1 X errors never flag both Shor X-type checks together.
         decoder = LookupDecoder(library.shor_nine(), max_weight=1)
         value = Syndrome.from_string("10100000").value
-        assert value not in decoder.table.table
+        assert value not in decoder.table
         assert decoder.decode_value(value) == identity(9)
 
     def test_guard_on_large_codes(self):
         with pytest.raises(DecoderError):
-            build_lookup(library.surface_code(4))  # m = 24 > 20
+            LookupDecoder(library.surface_code(4))  # m = 24 > 20
 
     def test_stored_recoveries_reproduce_keys(self):
         for code in (library.four_two_two(), library.shor_nine()):
-            table = build_lookup(code)
-            for value, recovery in table.table.items():
+            decoder = LookupDecoder(code)
+            for value, recovery in decoder.table.items():
                 assert code.syndrome_value(recovery) == value
 
     def test_lookup_optimality_to_weight_three(self):
         for code in (library.three_qubit_bitflip(), library.four_two_two(), library.shor_nine()):
-            table = build_lookup(code)
+            decoder = LookupDecoder(code)
             for w in range(4):
                 for error in enumerate_paulis(code.n, w):
-                    stored = table.table[code.syndrome_value(error)]
+                    stored = decoder.table[code.syndrome_value(error)]
                     assert weight(stored) <= weight(error)
 
     def test_json_export(self):
-        table = build_lookup(library.three_qubit_bitflip())
-        data = json.loads(table.to_json())
+        decoder = LookupDecoder(library.three_qubit_bitflip())
+        data = json.loads(decoder.to_json())
         assert data["code"] == "three_qubit_bitflip"
+        assert data["max_weight"] == 3
         assert data["recoveries"]["10"] == "X1"
 
     def test_complete_fill_stops_early(self):
-        table = build_lookup(library.shor_nine())
-        assert len(table.table) == 256
+        assert len(LookupDecoder(library.shor_nine()).table) == 256
 
 
 class TestMatchingSolver:
@@ -302,8 +305,8 @@ class TestSearch:
     """`_search` must find the unbounded DP's optimum: the same cost, flip
     and partner on every step of the walk from the top entry down."""
 
-    def assert_same_picks(self, mask, neighbours, boundary, dist, flips):
-        found, walked, _ = search_and_dp(mask, neighbours, boundary, dist, flips)
+    def assert_same_picks(self, mask, sector):
+        found, walked, _ = search_and_dp(mask, sector)
         assert found == walked
         return found
 
@@ -312,10 +315,7 @@ class TestSearch:
         checked = 0
         for lam, trials in ((5, 30), (7, 20)):
             for sector, mask in sampled_components(lam, rates, 40, trials):
-                self.assert_same_picks(
-                    mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
-                    sector.boundary_flips,
-                )
+                self.assert_same_picks(mask, sector)
                 checked += mask.bit_count() >= 10
         assert checked > 20
 
@@ -332,11 +332,11 @@ class TestSearch:
                     dist[i][j] = dist[j][i] = rng.randint(1, 3)
             boundary = [rng.randint(1, 3) for _ in range(k)]
             flips = [rng.random() < 0.5 for _ in range(k)]
-            neighbours = decoders_module._neighbours(dist, boundary)[0]
+            sector = toy_sector(dist, boundary, flips)
             whole = (1 << k) - 1
-            cost = self.assert_same_picks(whole, neighbours, boundary, dist, flips)[0]
-            for mask in decoders_module._components(whole, neighbours):
-                self.assert_same_picks(mask, neighbours, boundary, dist, flips)
+            cost = self.assert_same_picks(whole, sector)[0]
+            for mask in decoders_module._components(whole, sector.neighbours):
+                self.assert_same_picks(mask, sector)
             assert cost == minimum_weight_matching(dist, boundary)[0]
             assert cost == brute_force_matching_cost(dist, boundary)
 
@@ -346,10 +346,8 @@ class TestSearch:
         # iterative deepening do their work (a count, no timing needed).
         calls = states = 0
         for sector, mask in sampled_components(7, (0.1,), 17, 200):
-            graph = (sector.neighbours, sector.boundary_cost, sector.pair_cost, sector.boundary_flips)
-            states += search_and_dp(mask, *graph)[2]
-            half, bound = decoders_module._half_costs(mask, sector.rings)
-            calls += search_calls(lambda: decoders_module._search(mask, (*graph, half), bound))
+            states += search_and_dp(mask, sector)[2]
+            calls += search_calls(lambda: sector.solve(mask))
         assert states > 5000
         assert calls <= 0.25 * states
 
@@ -362,8 +360,8 @@ class TestSearch:
         # calls, and its pairs are the unbounded DP's walk.
         dist = [[0 if i == j else 1 if 0 in (i, j) else 2 for j in range(k)] for i in range(k)]
         boundary = [3] * k
-        neighbours = decoders_module._neighbours(dist, boundary)[0]
-        _, (cost, _, picks), _ = search_and_dp((1 << k) - 1, neighbours, boundary, dist, [False] * k)
+        sector = toy_sector(dist, boundary, [False] * k)
+        _, (cost, _, picks), _ = search_and_dp((1 << k) - 1, sector)
         pairs, rest = [], (1 << k) - 1
         for partner in picks:
             low = rest & -rest
@@ -398,7 +396,7 @@ class TestOneSidedComponents:
             sector = toy_sector(dist, boundary, flips)
             cost = 0
             for mask in decoders_module._components((1 << k) - 1, sector.neighbours):
-                found, (c, f, picks), _ = search_and_dp(mask, sector.neighbours, boundary, dist, flips)
+                found, (c, f, picks), _ = search_and_dp(mask, sector)
                 assert found == (c, f, picks)
                 assert sector.flip([mask]) == f
                 cost += c
@@ -667,14 +665,45 @@ class TestMwpmDecoder:
                     mask = sum(1 << i for i in sector.defects_of(value))
                     if not 0 < mask.bit_count() <= 16:
                         continue
-                    whole, walked, _ = search_and_dp(
-                        mask, sector.neighbours, sector.boundary_cost, sector.pair_cost,
-                        sector.boundary_flips,
-                    )
+                    whole, walked, _ = search_and_dp(mask, sector)
                     assert whole == walked
                     assert sector.logical_flip(value) == whole[1]
                     split += len(decoders_module._components(mask, sector.neighbours)) > 1
         assert split > 50
+
+    def test_pure_errors_are_built_lazily_and_survive_a_pickle(self):
+        # A fresh decoder pickles without its pure errors, which only
+        # `decode_value` reads; an unpickled copy builds its own and decodes
+        # as the original does.
+        code = library.surface_code(5)
+        decoder = MwpmDecoder(code)
+        clone = pickle.loads(pickle.dumps(decoder))
+        assert "_pure" not in decoder.__dict__ and "_pure" not in clone.__dict__
+        values = [v for s, p in enumerate((0.03, 0.1), 51) for v in sampled_syndromes(code, p, s, 50)]
+        assert [clone.decode_value(v) for v in values] == [decoder.decode_value(v) for v in values]
+        assert "_pure" in clone.__dict__
+        batch, failed = decoder.decode_batch(packed(code, values))
+        clone_batch, clone_failed = clone.decode_batch(packed(code, values))
+        assert np.array_equal(batch, clone_batch) and np.array_equal(failed, clone_failed)
+
+    def test_building_loads_no_scipy_or_networkx(self):
+        # Either import costs a fresh interpreter several times numpy's time
+        # and memory, which every Monte Carlo run and pool worker would pay:
+        # no stabkit module, nor a d7 decoder build, may load them.
+        script = (
+            "import importlib, pkgutil, sys, stabkit\n"
+            "for module in pkgutil.iter_modules(stabkit.__path__):\n"
+            "    importlib.import_module('stabkit.' + module.name)\n"
+            "from stabkit.decoders import MwpmDecoder\n"
+            "MwpmDecoder(stabkit.surface_code(7))\n"
+            "print(sorted({name.split('.')[0] for name in sys.modules} & {'scipy', 'networkx'}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stabkit.__file__).resolve().parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["[]"]
 
     def test_uniform_decode_dispatch(self):
         # Both decoders implement the one protocol: name, decode_value and
@@ -707,7 +736,7 @@ class TestDecodeBatch:
             decoder = LookupDecoder(code, max_weight=max_weight)
             errors = [sample(iid_xz(0.3, 0.3), code.n, rng) for _ in range(200)]
             values = [code.syndrome_value(e) for e in errors]
-            missed = [v not in decoder.table.table for v in values]
+            missed = [v not in decoder.table for v in values]
             misses += sum(missed)
             classes, failed = decoder.decode_batch(packed(code, values))
             assert list(failed) == missed

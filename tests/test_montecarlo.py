@@ -282,7 +282,7 @@ class TestSweep:
         for index, pt in enumerate(report.points):
             draws = sample_batch(CHANNELS[noise](pt.p), code.n, derive_seed(2024, index), 0, 2000)
             syndromes = code.syndrome_batch(code.pack_batch(*draws))[:, 0]
-            assert pt.decoder_failures == sum(int(v) not in decoder.table.table for v in syndromes)
+            assert pt.decoder_failures == sum(int(v) not in decoder.table for v in syndromes)
 
     def test_post_selected_golden_counts(self):
         # Fixed-seed (failures, kept, discarded) of a detection code.
