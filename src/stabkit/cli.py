@@ -105,20 +105,8 @@ def _p_grid(args) -> list[float]:
 def cmd_simulate(args) -> int:
     code = get_code(args.code)
     grid = _p_grid(args)
-    post_select = args.post_select
-    if args.decoder == "none" and not post_select:
-        raise ValueError("--decoder none is only meaningful with --post-select")
     decoder = None if args.decoder == "none" else _build_decoder(args, code)
-    report = sweep(
-        code,
-        decoder,
-        args.noise,
-        grid,
-        args.trials,
-        args.seed,
-        post_select=post_select,
-        workers=args.threads,
-    )
+    report = sweep(code, decoder, args.noise, grid, args.trials, args.seed, workers=args.threads)
     _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
     return 0
 
@@ -184,10 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="Monte Carlo logical-error-rate sweep")
     sub.add_argument("--code", required=True)
-    sub.add_argument("--decoder", choices=("lookup", "mwpm", "none"), default="lookup")
+    sub.add_argument(
+        "--decoder",
+        choices=("lookup", "mwpm", "none"),
+        default="lookup",
+        help="none: post-select (detection codes)",
+    )
     sub.add_argument("--noise", choices=tuple(CHANNELS), default="iid_x")
     sub.add_argument("--p", "--px", type=float, default=None, help="physical rate of one point")
-    sub.add_argument("--post-select", action="store_true")
     sub.add_argument("--max-weight", type=int, default=None, help="lookup-table build depth")
     _add_grid_flags(sub)
     sub.set_defaults(func=cmd_simulate)

@@ -76,9 +76,9 @@ class DecoderError(Exception):
 
 class LookupDecoder:
     """Syndrome -> minimum-weight recovery, built by exhaustive enumeration:
-    errors by ascending weight, the first seen per syndrome stored.  With
-    max_weight None, enumeration continues until every possible syndrome
-    has an entry (or weight n is exhausted)."""
+    errors by ascending weight up to max_weight (None: n), the first seen
+    per syndrome stored.  Enumeration stops once every possible syndrome
+    has an entry."""
 
     name = "lookup"
 
@@ -87,13 +87,12 @@ class LookupDecoder:
             raise DecoderError(
                 f"{code.m}-bit syndromes need a 2^{code.m} table; guard is 2^{LOOKUP_SYNDROME_GUARD}"
             )
-        fill_all = max_weight is None
-        self.code, self.max_weight = code, code.n if fill_all else max_weight
+        self.code, self.max_weight = code, code.n if max_weight is None else max_weight
         self.table: dict[int, PauliOperator] = {0: identity(code.n)}
         for w in range(1, self.max_weight + 1):
             for p in enumerate_paulis(code.n, w):
                 self.table.setdefault(code.syndrome_value(p), p)
-            if fill_all and len(self.table) == 1 << code.m:
+            if len(self.table) == 1 << code.m:
                 break
 
     def to_json(self) -> str:

@@ -100,11 +100,11 @@ class SimulationReport:
         )
 
 
-def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval; well behaved at the low counts of sub-threshold runs."""
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; well behaved at sub-threshold counts."""
     if trials == 0:
         return 0.0, 1.0
-    phat = failures / trials
+    phat, z = failures / trials, _Z95
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4 * trials**2)) / denom
@@ -115,12 +115,13 @@ def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float,
 
 def _run_trials(args) -> np.ndarray:
     """(failures, kept, discarded, decoder failures) of each part of a task
-    (code, decoder, post_select, parts), as a (parts, 4) int64 array.
+    (code, decoder, parts), as a (parts, 4) int64 array; a None decoder
+    post-selects.
 
     A part (noise, point_seed, start, stop) is trials start..stop-1 of one
     point.  The parts' trials, one after another, run in batches of
     _SLICE_TRIALS rows; each part's piece of a batch is drawn on its own."""
-    code, decoder, post_select, parts = args
+    code, decoder, parts = args
     batches, row = {}, 0
     for part, (noise, point_seed, start, stop) in enumerate(parts):
         while start < stop:
@@ -133,7 +134,7 @@ def _run_trials(args) -> np.ndarray:
         x, z = zip(*(sample_batch(noise, code.n, seed, a, b) for _, noise, seed, a, b in pieces))
         errors = code.pack_batch(np.concatenate(x), np.concatenate(z))
         syndromes = code.syndrome_batch(errors)
-        if post_select:
+        if decoder is None:
             # Repeat-until-success: nonzero syndromes are discarded, and the
             # zero-syndrome recovery is the identity, of class zero.
             kept = ~syndromes.any(axis=1)
@@ -157,29 +158,26 @@ def estimate_logical_rate(
     noise: NoiseModel,
     trials: int,
     master_seed: int,
-    post_select: bool = False,
     workers: int = 1,
 ) -> RatePoint:
     """failures/kept with a 95% Wilson interval.
 
-    Post-selected mode (detection codes) discards nonzero-syndrome trials
-    and reports them in `discarded`; `trials` in the returned point is then
-    the kept count.  A decoder failure counts as a logical failure and is
-    also tallied in `decoder_failures`: a syndrome missing from a truncated
-    lookup table.  MWPM solves every matching component exactly, so it
-    never gives up.
+    A None decoder post-selects (detection codes): it discards
+    nonzero-syndrome trials and reports them in `discarded`; `trials` in
+    the returned point is then the kept count.  A decoder failure counts
+    as a logical failure and is also tallied in `decoder_failures`: a
+    syndrome missing from a truncated lookup table.  MWPM solves every
+    matching component exactly, so it never gives up.
     """
-    return _estimate_points([(code, decoder, noise, master_seed)], trials, post_select, workers)[0]
+    return _estimate_points([(code, decoder, noise, master_seed)], trials, workers)[0]
 
 
-def _estimate_points(jobs, trials: int, post_select: bool, workers: int) -> list[RatePoint]:
+def _estimate_points(jobs, trials: int, workers: int) -> list[RatePoint]:
     """`estimate_logical_rate` of each (code, decoder, noise, point_seed) job."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if not post_select and any(job[1] is None for job in jobs):
-        raise ValueError("a decoder is required unless running post-selected")
     one_batch = len(jobs) * trials <= _SLICE_TRIALS
     if one_batch and trials * sum(job[0].n for job in jobs) <= _IN_PROCESS_QUBIT_TRIALS:
         workers = 1  # a small call: starting a pool costs more than it saves
@@ -193,7 +191,7 @@ def _estimate_points(jobs, trials: int, post_select: bool, workers: int) -> list
         order = sorted(
             range(len(chunks)), key=lambda t: (-chunks[t][0].n, -chunks[t][2].headline_rate)
         )
-        tasks = [(*chunks[t][:2], post_select, [chunks[t][2:]]) for t in order]
+        tasks = [(*chunks[t][:2], [chunks[t][2:]]) for t in order]
         counts = np.zeros((len(chunks), 4), dtype=np.int64)
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             counts[order] = np.concatenate(list(pool.map(_run_trials, tasks)))
@@ -201,7 +199,7 @@ def _estimate_points(jobs, trials: int, post_select: bool, workers: int) -> list
         # In-process, the chunks of consecutive jobs on one code and decoder
         # are one task, so their trials share batches.
         runs = [list(run) for _, run in groupby(chunks, lambda c: (id(c[0]), id(c[1])))]
-        tasks = [(*run[0][:2], post_select, [chunk[2:] for chunk in run]) for run in runs]
+        tasks = [(*run[0][:2], [chunk[2:] for chunk in run]) for run in runs]
         counts = np.concatenate([_run_trials(task) for task in tasks])
     totals = counts.reshape(len(jobs), -1, 4).sum(axis=1).tolist()
     points = []
@@ -244,14 +242,14 @@ def sweep(
     p_values: list[float],
     trials: int,
     master_seed: int,
-    post_select: bool = False,
     workers: int = 1,
 ) -> SimulationReport:
     """One RatePoint per p under the channel `noise.CHANNELS[noise_kind]`;
-    the grid must be strictly increasing."""
+    the grid must be strictly increasing.  A None decoder post-selects, as
+    in `estimate_logical_rate`."""
     jobs = _sweep_jobs(code, decoder, noise_kind, p_values, master_seed)
     start = time.perf_counter()
-    points = _estimate_points(jobs, trials, post_select, workers)
+    points = _estimate_points(jobs, trials, workers)
     return SimulationReport(
         code=code.name,
         decoder=decoder.name if decoder else "none",
@@ -334,7 +332,7 @@ def threshold_scan(
         code, seed = surface_code(lam), derive_seed(master_seed, lam)
         jobs += _sweep_jobs(code, MwpmDecoder(code), "iid_xz", p_values, seed)
         reports[lam] = SimulationReport(code.name, MwpmDecoder.name, "iid_xz", seed, [])
-    points = iter(_estimate_points(jobs, trials, False, workers))
+    points = iter(_estimate_points(jobs, trials, workers))
     wall_time_s = time.perf_counter() - start
     for report in reports.values():
         report.points = [next(points) for _ in p_values]

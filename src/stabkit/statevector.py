@@ -284,38 +284,30 @@ def encode_by_projection(code: StabilizerCode, rng=None) -> StateVector:
     return state
 
 
-def coherent_error_collapse(
-    code: StabilizerCode, p_x: float, alpha: complex = 1.0, beta: complex = 0.0
-):
-    """Collapse of the product coherent error (√(1-p_x)·I + √p_x·X)^⊗n on an
-    encoded α|0>_L + β|1>_L, post-selected on the all-zero syndrome.
+def coherent_error_collapse(code: StabilizerCode, p_x: float):
+    """Collapse of the product coherent error (cos θ·I − i sin θ·X)^⊗n,
+    sin²θ = p_x, on the encoded |0>_L, post-selected on the all-zero
+    syndrome.
 
     Returns (keep probability, discard probability, logical error rate).
+    The rate is the weight of the kept state outside |0>_L, the chance of
+    any logical error: for k = 1 its fidelity with X̄|0>_L, for k = 0 zero.
     On the two-qubit code this evaluates the closed form
     p_L = p_x² / ((1-p_x)² + p_x²).
     """
     if not 0.0 <= p_x <= 1.0:
         raise ValueError(f"p_x must be in [0, 1], got {p_x}")
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    alpha, beta = alpha / norm, beta / norm
-    zero_l = encode_by_projection(code)
-    xbar = code.logicals[0][0]
-    one_l = apply_pauli(zero_l, xbar)
-    logical = StateVector(code.n, alpha * zero_l.amplitudes + beta * one_l.amplitudes)
-
-    coherent = np.array(
-        [[math.sqrt(1.0 - p_x), math.sqrt(p_x)], [math.sqrt(p_x), math.sqrt(1.0 - p_x)]],
-        dtype=complex,
-    )
-    corrupted = logical
+    zero_l = encode_by_projection(code).amplitudes
+    cos, sin = math.sqrt(1.0 - p_x), math.sqrt(p_x)
+    rotation = np.array([[cos, -1j * sin], [-1j * sin, cos]], dtype=complex)
+    state = StateVector(code.n, zero_l)
     for q in range(1, code.n + 1):
-        corrupted = apply_matrix(corrupted, coherent, q)
+        state = apply_matrix(state, rotation, q)
 
     keep_prob = 1.0
-    state = corrupted
     for g in code.generators:
-        outcome, state, prob = _extract_one(state, g, forced=0)
+        _, state, prob = _extract_one(state, g, forced=0)
         keep_prob *= prob
-    flipped = StateVector(code.n, alpha * one_l.amplitudes + beta * zero_l.amplitudes)
-    p_logical = fidelity(flipped, state)
-    return keep_prob, 1.0 - keep_prob, p_logical
+    # The norm of the part orthogonal to |0>_L, not 1 - fidelity: no cancellation.
+    outside = state.amplitudes - np.vdot(zero_l, state.amplitudes) * zero_l
+    return keep_prob, 1.0 - keep_prob, float(np.vdot(outside, outside).real)

@@ -139,13 +139,26 @@ class TestSimulate:
     def test_post_selected_two_qubit(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "simulate", "--code", "two_qubit", "--decoder", "none", "--post-select",
+            "simulate", "--code", "two_qubit", "--decoder", "none",
             "--noise", "iid_x", "--px", "0.1", "--trials", "50000", "--seed", "2",
             "--threads", "1",
         )
         assert code == 0
         p_l = float(out.strip().splitlines()[1].split(",")[3])
         assert abs(p_l - 0.0122) < 0.004
+
+    def test_no_decoder_is_the_only_post_selection(self, capsys):
+        # The report names no decoder for a run that decoded nothing.
+        argv = ["simulate", "--code", "four_two_two", "--decoder", "none", "--px", "0.2",
+                "--trials", "500", "--threads", "1", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["decoder"] == "none"
+        assert payload["points"][0]["discarded"] > 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--post-select"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --post-select" in capsys.readouterr().err
 
     def test_json_format_and_outfile(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

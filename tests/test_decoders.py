@@ -239,8 +239,19 @@ class TestLookup:
         assert data["max_weight"] == 3
         assert data["recoveries"]["10"] == "X1"
 
-    def test_complete_fill_stops_early(self):
-        assert len(LookupDecoder(library.shor_nine()).table) == 256
+    @pytest.mark.parametrize("max_weight", [None, 9])
+    def test_complete_fill_stops_early(self, monkeypatch, max_weight):
+        code, weights = library.shor_nine(), []
+
+        def recording(n, w, *args):
+            weights.append(w)
+            return enumerate_paulis(n, w, *args)
+
+        monkeypatch.setattr(decoders_module, "enumerate_paulis", recording)
+        decoder = LookupDecoder(code, max_weight)
+        assert len(decoder.table) == 256 and max(weights) < code.n
+        full = LookupDecoder(code)
+        assert decoder.table == full.table and decoder.to_json() == full.to_json()
 
 
 class TestMatchingSolver:
@@ -820,19 +831,21 @@ class TestDecodeBatch:
         assert np.array_equal(classes, expected)
 
     def test_a_component_past_the_search_limit_raises(self):
-        # d46 Z-checks all flagged: one mixed component of 2,070 defects,
-        # whose search would recurse past Python's default limit of 1,000
-        # frames.  Both entry points raise DecoderError instead.
-        code = library.surface_code(46)
+        # A d46 sector all flagged (one mixed component of 2,070 defects) is
+        # why the guard exists: its search would recurse past Python's
+        # default limit of 1,000 frames.  d24 Z-checks all flagged are one
+        # mixed component of 552, also past the guard, and build in a
+        # fraction of the time: both entry points raise DecoderError.
+        code = library.surface_code(24)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
         whole = (1 << len(sector.boundary_cost)) - 1
         assert decoders_module._components(whole, sector.neighbours) == [whole]
         assert 0 < whole & sector.flipping < whole
-        assert whole.bit_count() == 2070 > decoders_module._SEARCH_DEFECTS
-        with pytest.raises(DecoderError, match="2070-defect"):
+        assert whole.bit_count() == 552 > decoders_module._SEARCH_DEFECTS
+        with pytest.raises(DecoderError, match="552-defect"):
             decoder.decode_batch(packed(code, [sector.sector_mask]))
-        with pytest.raises(DecoderError, match="2070-defect"):
+        with pytest.raises(DecoderError, match="552-defect"):
             decoder.decode_value(sector.sector_mask)
 
 

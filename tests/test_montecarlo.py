@@ -63,7 +63,7 @@ class TestWilson:
 class TestCycle:
     def test_noiseless_always_succeeds(self):
         code = library.three_qubit_bitflip()
-        args = (code, LookupDecoder(code), False, [(iid_x(0.0), 0, 0, 100)])
+        args = (code, LookupDecoder(code), [(iid_x(0.0), 0, 0, 100)])
         # (failures, kept, discarded, decoder failures) of the one part
         assert _run_trials(args).tolist() == [[0, 100, 0, 0]]
 
@@ -80,7 +80,7 @@ class TestCycle:
             (iid_xz(0.10, 0.10), 14, 300, 305),
             (iid_xz(0.15, 0.15), 15, 1000, 4000),
         ]
-        counts = _run_trials((code, decoder, False, parts)).tolist()
+        counts = _run_trials((code, decoder, parts)).tolist()
         for (noise, seed, start, stop), row in zip(parts, counts):
             errors = code.pack_batch(*sample_batch(noise, code.n, seed, start, stop))
             classes, failed = decoder.decode_batch(code.syndrome_batch(errors))
@@ -128,19 +128,24 @@ class TestEstimate:
 
     def test_post_selected_two_qubit(self):
         code = library.two_qubit()
-        point = estimate_logical_rate(
-            code, None, iid_x(0.1), 100_000, 13, post_select=True
-        )
+        point = estimate_logical_rate(code, None, iid_x(0.1), 100_000, 13)
         expected = 0.01 / 0.82
         assert point.discarded > 0
         assert point.trials + point.discarded == 100_000
         sigma = math.sqrt(expected * (1 - expected) / point.trials)
         assert abs(point.p_l - expected) < 4 * sigma
 
-    def test_post_select_required_without_decoder(self):
-        code = library.two_qubit()
-        with pytest.raises(ValueError):
-            estimate_logical_rate(code, None, iid_x(0.1), 100, 0)
+    def test_no_decoder_post_selects(self):
+        # A None decoder discards exactly the nonzero-syndrome draws, and a
+        # kept draw fails where its error is a logical operator.
+        code = library.four_two_two()
+        point = estimate_logical_rate(code, None, iid_x(0.2), 500, 17)
+        errors = code.pack_batch(*sample_batch(iid_x(0.2), code.n, 17, 0, 500))
+        kept = ~code.syndrome_batch(errors).any(axis=1)
+        logical = code.logical_batch(errors).any(axis=1)
+        assert (point.trials, point.discarded) == (kept.sum(), (~kept).sum())
+        assert point.failures == (logical & kept).sum() > 0
+        assert point.decoder_failures == 0
 
     def test_deterministic_and_worker_independent(self, opened_pools):
         # More trials than one batch, so workers 2 and 3 split the point over a pool.
@@ -154,7 +159,7 @@ class TestEstimate:
                 code, decoder, iid_xz(0.08, 0.08), trials, 5, workers=workers
             )
             post_selected = estimate_logical_rate(
-                detection, None, iid_x(0.2), trials, 5, post_select=True, workers=workers
+                detection, None, iid_x(0.2), trials, 5, workers=workers
             )
             if workers == 1:
                 first = (decoded, post_selected)
@@ -164,35 +169,31 @@ class TestEstimate:
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            estimate_logical_rate(
-                library.two_qubit(), None, iid_x(0.1), 0, 0, post_select=True
-            )
+            estimate_logical_rate(library.two_qubit(), None, iid_x(0.1), 0, 0)
 
 
 class TestSweep:
     @pytest.mark.parametrize(
-        "name, decoder, noise, p_values, post_select, tally",
+        "name, decoder, noise, p_values, tally",
         [
-            ("surface_d7", MwpmDecoder, "iid_xz", [0.08, 0.10, 0.12], False, "failures"),
+            ("surface_d7", MwpmDecoder, "iid_xz", [0.08, 0.10, 0.12], "failures"),
             ("shor_nine", lambda code: LookupDecoder(code, 1), "depolarizing",
-             [0.05, 0.10, 0.20], False, "decoder_failures"),
-            ("four_two_two", lambda code: None, "iid_x", [0.05, 0.20, 0.30], True, "discarded"),
+             [0.05, 0.10, 0.20], "decoder_failures"),
+            ("four_two_two", lambda code: None, "iid_x", [0.05, 0.20, 0.30], "discarded"),
         ],
         ids=["mwpm", "truncated-lookup", "post-selected"],
     )
     def test_points_sharing_batches_match_points_run_alone(
-        self, name, decoder, noise, p_values, post_select, tally
+        self, name, decoder, noise, p_values, tally
     ):
         # 3 x 700 trials run in-process as one task of two batches: the
         # first holds all three points, and the last point spans both.
         assert 2 * 700 < montecarlo._SLICE_TRIALS < 3 * 700
         code = library.get_code(name)
         decoder = decoder(code)
-        report = sweep(code, decoder, noise, p_values, 700, 41, post_select=post_select)
+        report = sweep(code, decoder, noise, p_values, 700, 41)
         alone = [
-            estimate_logical_rate(
-                code, decoder, CHANNELS[noise](p), 700, derive_seed(41, index), post_select
-            )
+            estimate_logical_rate(code, decoder, CHANNELS[noise](p), 700, derive_seed(41, index))
             for index, p in enumerate(p_values)
         ]
         assert report.points == alone
@@ -287,7 +288,7 @@ class TestSweep:
     def test_post_selected_golden_counts(self):
         # Fixed-seed (failures, kept, discarded) of a detection code.
         code = library.four_two_two()
-        report = sweep(code, None, "iid_x", [0.05, 0.20], 2000, 2024, post_select=True)
+        report = sweep(code, None, "iid_x", [0.05, 0.20], 2000, 2024)
         counts = [(pt.failures, pt.trials, pt.discarded) for pt in report.points]
         assert counts == [(22, 1658, 342), (298, 1100, 900)]
 
@@ -372,6 +373,15 @@ class TestThresholdScan:
         # A real reversal across a skipped floored tie is still found.
         cross = _pair_crossing(report([1, 0, 9]), report([3, 0, 4]), 3, 5)
         assert cross is not None and 0.01 < cross.p_cross < 0.03
+
+    def test_benchmark_scan_golden(self):
+        # The mwpm_threshold benchmark workload's scan at seed 123: a fixed
+        # estimate and CSV, equal at one and two workers.
+        grid = [0.07, 0.08, 0.09, 0.10, 0.11, 0.12]
+        scans = [threshold_scan([3, 5, 7], grid, 600, 123, workers=w) for w in (1, 2)]
+        for scan in scans:
+            assert (scan.p_threshold, scan.sigma) == (0.09881742632234007, 0.0022504096601146783)
+        assert scans[0].to_csv() == scans[1].to_csv()
 
     def test_needs_two_distances(self):
         with pytest.raises(ValueError):

@@ -242,6 +242,27 @@ class TestCoherentCollapse:
         with pytest.raises(ValueError):
             coherent_error_collapse(library.two_qubit(), 1.5)
 
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("code", SMALL_CODES, ids=lambda code: code.name)
+    def test_every_code_stays_normalised(self, code, p):
+        # The error is a rotation, so the state stays on the unit sphere even
+        # where |0>_L has X-type stabilizers (four_two_two, shor_nine, surface_d2).
+        keep, discard, p_l = coherent_error_collapse(code, p)
+        assert 0.0 < keep <= 1.0 and keep + discard == pytest.approx(1.0)
+        assert 0.0 <= p_l <= 1.0
+
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.3])
+    def test_four_two_two_closed_form(self, p):
+        # |0>_L = (|0000> + |1111>)/√2, and a weight-w X term carries
+        # (-i)^w sin^w θ cos^(4-w) θ.  Weight 4 is the stabilizer XXXX, so it
+        # adds to weight 0: amplitude (1-p)² + p².  The six weight-2 terms
+        # pair into three logical classes of amplitude -2p(1-p) each; odd
+        # weights flip ZZZZ and are discarded.
+        good, bad = ((1 - p) ** 2 + p**2) ** 2, 3 * (2 * p * (1 - p)) ** 2
+        keep, _, p_l = coherent_error_collapse(library.four_two_two(), p)
+        assert keep == pytest.approx(good + bad, abs=1e-12)
+        assert p_l == pytest.approx(bad / (good + bad), abs=1e-12)
+
 
 class TestFidelityAndDump:
     def test_trivials(self):
