@@ -6,9 +6,9 @@ A distance-λ planar patch lives on a (2λ-1) x (2λ-1) grid of sites (r, c).
 Data qubits sit on sites with r+c even and are numbered row-major, so the
 rows alternate between λ data qubits and λ-1 data qubits.  Checks sit on
 sites with r+c odd: X-checks in even rows, Z-checks in odd rows, each
-acting on its (2 to 4) orthogonal data-qubit neighbours.  Check ancillas
-are also numbered row-major (A1, A2, ...), which fixes the syndrome bit
-order.  The top and bottom rows are the X-type boundaries, the left and
+acting on its (2 to 4) orthogonal data-qubit neighbours.  The checks are
+listed row-major: that order is the generator order, and so the syndrome
+bit order.  The top and bottom rows are the X-type boundaries, the left and
 right columns the Z-type boundaries; the logical X̄ is the X-chain down
 the left column, the logical Z̄ the Z-chain across the top row.
 """
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import re
 
-from .pauli import PauliOperator, from_support, multiply
-from .stabilizer_code import AncillaRecord, Coord, StabilizerCode, SurfaceLayout
+from .pauli import PauliOperator, from_support
+from .stabilizer_code import StabilizerCode
 
 
 def _chain(n: int, letter: str, qubits: list[int]) -> PauliOperator:
@@ -91,52 +91,27 @@ def four_two_two() -> StabilizerCode:
     )
 
 
-def concatenate_rep(outer: StabilizerCode, inner: StabilizerCode) -> StabilizerCode:
-    """Concatenate the three-qubit phase-flip code (outer) with the
-    three-qubit bit-flip code (inner) into the nine-qubit code.
+def shor_nine() -> StabilizerCode:
+    """Nine-qubit code: the three-qubit phase-flip code (outer) concatenated
+    with the three-qubit bit-flip code (inner).
 
-    Each outer qubit becomes an inner block; an X on outer qubit b maps to
-    the inner logical X̄ on block b (X over the whole block) and an outer Z
-    to the inner Z̄ (a single Z).  Only the fixed pair from the paper-scale
-    construction is supported.
+    Each outer qubit becomes an inner block of three; an outer X maps to
+    the inner X̄ (X over the whole block) and an outer Z to the inner Z̄ (a
+    single Z).  The generators are the inner Z-pair checks block by block,
+    then the lifted outer checks X1..X6 and X4..X9; X̄ = Z1 Z4 Z7 and
+    Z̄ = X1 X2 X3.
     """
-    if outer.name != "three_qubit_phaseflip" or inner.name != "three_qubit_bitflip":
-        raise ValueError(
-            "only concatenation of three_qubit_phaseflip over three_qubit_bitflip is supported"
-        )
-    n = outer.n * inner.n
-
-    def lift(op: PauliOperator) -> PauliOperator:
-        out = PauliOperator(n, 0, 0)
-        inner_x, inner_z = inner.logicals[0]
-        for block in range(outer.n):
-            bit = 1 << block
-            shift = block * inner.n
-            if op.x_bits & bit:
-                out = multiply(out, PauliOperator(n, inner_x.x_bits << shift, inner_x.z_bits << shift))
-            if op.z_bits & bit:
-                out = multiply(out, PauliOperator(n, inner_z.x_bits << shift, inner_z.z_bits << shift))
-        return out
-
-    generators = []
-    for block in range(outer.n):
-        shift = block * inner.n
-        for g in inner.generators:
-            generators.append(PauliOperator(n, g.x_bits << shift, g.z_bits << shift))
-    generators.extend(lift(g) for g in outer.generators)
-    outer_xbar, outer_zbar = outer.logicals[0]
+    n = 9
+    generators = [_chain(n, "Z", [q, q + 1]) for b in (0, 3, 6) for q in (b + 1, b + 2)]
+    generators += [_chain(n, "X", [1, 2, 3, 4, 5, 6]), _chain(n, "X", [4, 5, 6, 7, 8, 9])]
     return StabilizerCode(
         name="shor_nine",
         n=n,
         k=1,
         generators=tuple(generators),
-        logicals=((lift(outer_xbar), lift(outer_zbar)),),
+        logicals=((_chain(n, "Z", [1, 4, 7]), _chain(n, "X", [1, 2, 3])),),
         declared_distance=3,
     )
-
-
-def shor_nine() -> StabilizerCode:
-    return concatenate_rep(three_qubit_phaseflip(), three_qubit_bitflip())
 
 
 def four_cycle() -> StabilizerCode:
@@ -157,7 +132,7 @@ def surface_code(lam: int) -> StabilizerCode:
     if lam < 2:
         raise ValueError(f"surface code needs lambda >= 2, got {lam}")
     side = 2 * lam - 1
-    data_index: dict[Coord, int] = {}
+    data_index: dict[tuple[int, int], int] = {}
     for r in range(side):
         for c in range(side):
             if (r + c) % 2 == 0:
@@ -165,7 +140,6 @@ def surface_code(lam: int) -> StabilizerCode:
     n = len(data_index)
 
     generators = []
-    records = []
     for r in range(side):
         for c in range(side):
             if (r + c) % 2 == 1:
@@ -175,19 +149,10 @@ def surface_code(lam: int) -> StabilizerCode:
                     for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
                     if (rr, cc) in data_index
                 ]
-                neighbours.sort()
-                generators.append(from_support(n, [(q, kind) for q in neighbours]))
-                records.append(
-                    AncillaRecord(f"A{len(records) + 1}", kind, (r, c), tuple(neighbours))
-                )
+                generators.append(from_support(n, [(q, kind) for q in sorted(neighbours)]))
 
     xbar = _chain(n, "X", [data_index[(r, 0)] for r in range(0, side, 2)])
     zbar = _chain(n, "Z", [data_index[(0, c)] for c in range(0, side, 2)])
-    layout = SurfaceLayout(
-        lam=lam,
-        data_coords={i: coord for coord, i in data_index.items()},
-        ancilla_records=tuple(records),
-    )
     return StabilizerCode(
         name=f"surface_d{lam}",
         n=n,
@@ -195,7 +160,6 @@ def surface_code(lam: int) -> StabilizerCode:
         generators=tuple(generators),
         logicals=((xbar, zbar),),
         declared_distance=lam,
-        layout=layout,
     )
 
 

@@ -50,14 +50,13 @@ logical, so a trial succeeds iff its error has that class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliOperator, enumerate_paulis, format_sparse, identity
+from .pauli import PauliOperator, enumerate_paulis, identity
 from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
 from .stabilizer_code import _pack_bits, _pack_ints, and_popcount
 
@@ -87,23 +86,14 @@ class LookupDecoder:
             raise DecoderError(
                 f"{code.m}-bit syndromes need a 2^{code.m} table; guard is 2^{LOOKUP_SYNDROME_GUARD}"
             )
-        self.code, self.max_weight = code, code.n if max_weight is None else max_weight
+        self.code = code
+        max_weight = code.n if max_weight is None else max_weight
         self.table: dict[int, PauliOperator] = {0: identity(code.n)}
-        for w in range(1, self.max_weight + 1):
+        for w in range(1, max_weight + 1):
             for p in enumerate_paulis(code.n, w):
                 self.table.setdefault(code.syndrome_value(p), p)
             if len(self.table) == 1 << code.m:
                 break
-
-    def to_json(self) -> str:
-        rows = {
-            str(Syndrome.from_int(value, self.code.m)): format_sparse(op)
-            for value, op in sorted(self.table.items())
-        }
-        return json.dumps(
-            {"code": self.code.name, "max_weight": self.max_weight, "recoveries": rows},
-            indent=2,
-        )
 
     def decode_value(self, value: int) -> PauliOperator:
         """Stored recovery for a syndrome value; a miss is the identity."""

@@ -67,9 +67,6 @@ class PauliOperator:
         z = (self.z_bits >> (q - 1)) & 1
         return LETTERS[x + 2 * z]
 
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return multiply(self, other)
-
     def __str__(self) -> str:
         return format_dense(self)
 

@@ -27,7 +27,6 @@ it differs from that product by a stabilizer times a logical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,13 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._gf2 import RowBasis, right_inverse
-from .pauli import (
-    PauliOperator,
-    commutes,
-    enumerate_paulis,
-    format_sparse,
-    parse,
-)
+from .pauli import PauliOperator, commutes, enumerate_paulis
 
 _RESIDUAL_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
@@ -50,58 +43,6 @@ _RESIDUAL_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 # 2^LOOKUP_SYNDROME_GUARD rows, `distance` tries at most DISTANCE_SEARCH_GUARD Paulis.
 LOOKUP_SYNDROME_GUARD = 20
 DISTANCE_SEARCH_GUARD = 2_000_000
-
-Coord = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class AncillaRecord:
-    ancilla_id: str
-    kind: str  # "X" or "Z"
-    coord: Coord
-    data_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SurfaceLayout:
-    """Lattice geometry of a surface code: JSON material and a test oracle."""
-
-    lam: int
-    data_coords: dict[int, Coord]
-    ancilla_records: tuple[AncillaRecord, ...]
-    x_boundaries: tuple[str, str] = ("top", "bottom")
-    z_boundaries: tuple[str, str] = ("left", "right")
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "data_coords": {str(i): list(c) for i, c in self.data_coords.items()},
-            "ancilla_records": [
-                {
-                    "id": a.ancilla_id,
-                    "kind": a.kind,
-                    "coord": list(a.coord),
-                    "data_indices": list(a.data_indices),
-                }
-                for a in self.ancilla_records
-            ],
-            "x_boundaries": list(self.x_boundaries),
-            "z_boundaries": list(self.z_boundaries),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurfaceLayout":
-        return cls(
-            lam=data["lambda"],
-            data_coords={int(i): tuple(c) for i, c in data["data_coords"].items()},
-            ancilla_records=tuple(
-                AncillaRecord(a["id"], a["kind"], tuple(a["coord"]), tuple(a["data_indices"]))
-                for a in data["ancilla_records"]
-            ),
-            x_boundaries=tuple(data["x_boundaries"]),
-            z_boundaries=tuple(data["z_boundaries"]),
-        )
-
 
 
 @dataclass(frozen=True)
@@ -133,9 +74,6 @@ class Syndrome:
     @property
     def is_zero(self) -> bool:
         return not any(self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -169,7 +107,6 @@ class StabilizerCode:
     generators: tuple[PauliOperator, ...]
     logicals: tuple[tuple[PauliOperator, PauliOperator], ...]
     declared_distance: int | None = None
-    layout: SurfaceLayout | None = None
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -319,44 +256,6 @@ class StabilizerCode:
                     f"declared distance {self.declared_distance} but search found {found}"
                 )
         return ValidationReport(not problems, tuple(problems))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "n": self.n,
-            "k": self.k,
-            "generators": [format_sparse(g) for g in self.generators],
-            "logicals": [[format_sparse(x), format_sparse(z)] for x, z in self.logicals],
-            "declared_distance": self.declared_distance,
-        }
-        if self.layout is not None:
-            out["layout"] = self.layout.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StabilizerCode":
-        n = data["n"]
-        layout = data.get("layout")
-        return cls(
-            name=data["name"],
-            n=n,
-            k=data["k"],
-            generators=tuple(parse(s, n=n) for s in data["generators"]),
-            logicals=tuple(
-                (parse(x, n=n), parse(z, n=n)) for x, z in data["logicals"]
-            ),
-            declared_distance=data.get("declared_distance"),
-            layout=SurfaceLayout.from_dict(layout) if layout else None,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StabilizerCode":
-        return cls.from_dict(json.loads(text))
 
 
 def and_popcount(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from .pauli import PauliOperator
 from .stabilizer_code import StabilizerCode, Syndrome
 
 MAX_QUBITS = 16
-_ATOL = 1e-10
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _PHASES = (1, 1j, -1, -1j)
 
@@ -37,9 +36,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amplitudes.copy())
 
 
 @dataclass(frozen=True)
@@ -290,10 +286,13 @@ def coherent_error_collapse(code: StabilizerCode, p_x: float):
     syndrome.
 
     Returns (keep probability, discard probability, logical error rate).
-    The rate is the weight of the kept state outside |0>_L, the chance of
-    any logical error: for k = 1 its fidelity with X̄|0>_L, for k = 0 zero.
-    On the two-qubit code this evaluates the closed form
-    p_L = p_x² / ((1-p_x)² + p_x²).
+    The 0 branch of each generator's extraction is its projection
+    (ψ + gψ)/2, so the kept state is their product on ψ and the keep
+    probability its squared norm; below 1e-12 nothing is kept and the
+    result is (0, 1, 0).  The rate is the weight of the kept state outside
+    |0>_L, the chance of any logical error: for k = 1 its fidelity with
+    X̄|0>_L, for k = 0 zero.  On the two-qubit code this evaluates the
+    closed form p_L = p_x² / ((1-p_x)² + p_x²).
     """
     if not 0.0 <= p_x <= 1.0:
         raise ValueError(f"p_x must be in [0, 1], got {p_x}")
@@ -304,10 +303,12 @@ def coherent_error_collapse(code: StabilizerCode, p_x: float):
     for q in range(1, code.n + 1):
         state = apply_matrix(state, rotation, q)
 
-    keep_prob = 1.0
     for g in code.generators:
-        _, state, prob = _extract_one(state, g, forced=0)
-        keep_prob *= prob
+        state = StateVector(code.n, (state.amplitudes + apply_pauli(state, g).amplitudes) / 2)
+    keep_prob = state.norm() ** 2
+    if keep_prob < 1e-12:
+        return 0.0, 1.0, 0.0
+    kept = state.amplitudes / math.sqrt(keep_prob)
     # The norm of the part orthogonal to |0>_L, not 1 - fidelity: no cancellation.
-    outside = state.amplitudes - np.vdot(zero_l, state.amplitudes) * zero_l
+    outside = kept - np.vdot(zero_l, kept) * zero_l
     return keep_prob, 1.0 - keep_prob, float(np.vdot(outside, outside).real)

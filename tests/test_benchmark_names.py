@@ -1,0 +1,84 @@
+"""The benchmark's view of stabkit, checked without running it.
+
+`perfbench/` is never imported by this suite, so a deleted or renamed name
+would break the benchmark while every test here stays green.  This parses
+`perfbench/*.py` with `ast`: every name imported from a stabkit module must
+exist (a submodule counts), and so must every attribute read off such a name
+(`decoders.MwpmDecoder`, `montecarlo.SimulationReport.to_csv`).  Methods
+reached through instances, such as `decoder.matching_problems`, are not
+covered: `perfbench/selftest.py` is still the full check.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def stabkit_names(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Local name -> (stabkit module, imported name) for each `from stabkit…
+    import N` in the file."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "stabkit":
+            for alias in node.names:
+                names[alias.asname or alias.name] = (node.module, alias.name)
+    return names
+
+
+def imported(module: str, name: str):
+    """The object `from module import name` binds, or AttributeError."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name)
+
+
+def reads(tree: ast.Module, bound: dict[str, object]):
+    """(dotted text, owner, attribute) of each attribute read off a bound
+    name, chains included, outermost last."""
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            owner = resolve(node.value)
+            return getattr(owner, node.attr, None) if owner is not None else None
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = resolve(node.value)
+            if owner is not None:
+                yield ast.unparse(node), owner, node.attr
+
+
+FILES = sorted(PERFBENCH.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_every_stabkit_name_the_benchmark_uses_exists(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, missing = {}, []
+    for local, (module, name) in stabkit_names(tree).items():
+        try:
+            bound[local] = imported(module, name)
+        except AttributeError:
+            missing.append(f"{module}.{name}")
+    missing += [text for text, owner, attr in reads(tree, bound) if not hasattr(owner, attr)]
+    assert not missing, f"{path.name} uses names stabkit lacks: {missing}"
+
+
+def test_the_benchmark_imports_stabkit():
+    # Guards the guard: a parse that found nothing would pass vacuously.
+    checked = set()
+    for path in FILES:
+        tree = ast.parse(path.read_text())
+        bound = {local: imported(*src) for local, src in stabkit_names(tree).items()}
+        checked |= {f"{m}.{n}" for m, n in stabkit_names(tree).values()}
+        checked |= {text for text, _, _ in reads(tree, bound)}
+    assert len(checked) > 20

@@ -19,6 +19,11 @@ BUILTINS = [
 ]
 
 
+def checks(lam):
+    """(kind, support bit mask) of each surface-code generator, in order."""
+    return [("Z" if g.z_bits else "X", g.x_bits | g.z_bits) for g in surface_code(lam).generators]
+
+
 class TestConstructors:
     def test_every_builtin_validates(self):
         for code in BUILTINS:
@@ -77,10 +82,6 @@ class TestShorConcatenation:
         assert str(code.syndrome(parse("Z7", n=9))) == "00000001"
         assert str(code.syndrome(parse("Z8", n=9))) == "00000001"
 
-    def test_concatenate_rejects_other_pairs(self):
-        with pytest.raises(ValueError):
-            library.concatenate_rep(library.two_qubit(), library.three_qubit_bitflip())
-
     def test_logical_weights(self):
         xbar, zbar = library.shor_nine().logicals[0]
         assert {format_sparse(xbar), format_sparse(zbar)} == {"Z1 Z4 Z7", "X1 X2 X3"}
@@ -119,47 +120,37 @@ class TestSurfaceCode:
 
     def test_check_weights(self):
         for lam in (2, 3, 4):
-            layout = surface_code(lam).layout
-            weights = {len(rec.data_indices) for rec in layout.ancilla_records}
+            weights = {support.bit_count() for _, support in checks(lam)}
             if lam == 2:
                 assert weights <= {2, 3}
             assert weights <= {2, 3, 4}
 
     def test_check_overlaps_even(self):
         for lam in (2, 3):
-            layout = surface_code(lam).layout
-            for a, b in itertools.combinations(layout.ancilla_records, 2):
-                if a.kind != b.kind:
-                    assert len(set(a.data_indices) & set(b.data_indices)) % 2 == 0
+            for (ka, a), (kb, b) in itertools.combinations(checks(lam), 2):
+                if ka != kb:
+                    assert (a & b).bit_count() % 2 == 0
 
     def test_adjacent_check_overlap_zero_or_two(self):
         for lam in (2, 3):
-            layout = surface_code(lam).layout
-            for a, b in itertools.combinations(layout.ancilla_records, 2):
-                shared = len(set(a.data_indices) & set(b.data_indices))
+            for (ka, a), (kb, b) in itertools.combinations(checks(lam), 2):
+                shared = (a & b).bit_count()
                 assert shared in (0, 1, 2)
-                if a.kind != b.kind:
+                if ka != kb:
                     assert shared in (0, 2)
 
     def test_data_numbering_row_major(self):
-        layout = surface_code(3).layout
-        assert layout.data_coords[1] == (0, 0)
-        assert layout.data_coords[4] == (1, 1)
-        assert layout.data_coords[6] == (2, 0)
-        assert layout.data_coords[13] == (4, 4)
+        # Data qubits and checks both run row-major over the 5 x 5 grid.
+        gens = [format_sparse(g) for g in surface_code(3).generators]
+        assert gens == [
+            "X1 X2 X4", "X2 X3 X5", "Z1 Z4 Z6", "Z2 Z4 Z5 Z7", "Z3 Z5 Z8",
+            "X4 X6 X7 X9", "X5 X7 X8 X10", "Z6 Z9 Z11", "Z7 Z9 Z10 Z12", "Z8 Z10 Z13",
+            "X9 X11 X12", "X10 X12 X13",
+        ]
 
     def test_distance_by_search(self):
         assert distance(surface_code(2), 2) == 2
         assert distance(surface_code(3), 3) == 3
-
-    def test_boundary_labels(self):
-        layout = surface_code(2).layout
-        assert layout.x_boundaries == ("top", "bottom")
-        assert layout.z_boundaries == ("left", "right")
-
-    def test_layout_round_trip(self):
-        layout = surface_code(3).layout
-        assert library.SurfaceLayout.from_dict(layout.to_dict()) == layout
 
 
 class TestRegistry:

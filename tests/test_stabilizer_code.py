@@ -292,14 +292,3 @@ class TestCorrectableWeight:
     def test_invalid(self):
         with pytest.raises(ValueError):
             correctable_weight(0)
-
-
-class TestSerialization:
-    def test_round_trip_all_codes(self):
-        for code in ALL_CODES:
-            assert StabilizerCode.from_json(code.to_json()) == code
-
-    def test_dict_uses_sparse_text(self):
-        data = library.three_qubit_bitflip().to_dict()
-        assert data["generators"] == ["Z1 Z2", "Z2 Z3"]
-        assert data["logicals"] == [["X1 X2 X3", "Z1"]]

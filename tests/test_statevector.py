@@ -251,6 +251,13 @@ class TestCoherentCollapse:
         assert 0.0 < keep <= 1.0 and keep + discard == pytest.approx(1.0)
         assert 0.0 <= p_l <= 1.0
 
+    def test_an_impossible_zero_syndrome_keeps_nothing(self):
+        # At p_x = 1 every qubit of surface_d2 is flipped, and its weight-3
+        # Z-checks read 1.  At p_x = .5 the four-cycle's state |Φ+> becomes
+        # (I - iX1 - iX2 - X1 X2)|Φ+>/2 = -iX1|Φ+>, on which Z1 Z2 reads 1.
+        assert coherent_error_collapse(library.surface_code(2), 1.0) == (0.0, 1.0, 0.0)
+        assert coherent_error_collapse(library.four_cycle(), 0.5) == (0.0, 1.0, 0.0)
+
     @pytest.mark.parametrize("p", [0.01, 0.1, 0.3])
     def test_four_two_two_closed_form(self, p):
         # |0>_L = (|0000> + |1111>)/√2, and a weight-w X term carries
