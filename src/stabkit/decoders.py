@@ -19,17 +19,17 @@ boundary matches are pruned, once per sector: a `_Sector` holds one
 instance's costs and its pruning graph (`minimum_weight_matching` builds
 one too).  Cost and flip parity add over the components of the pruned
 graph, and the picks in one do not depend on the rest, so every entry
-point splits the defects with `_components` and solves each alone, at any
-size: a one-sided component by parity (`_Sector.flip`), a mixed one by
-`_Sector.solve`, which bounds and runs `_search`, an exact
+point splits the defects with `_Sector.walk`, one BFS that also bounds
+each component, and solves each alone, at any size: a one-sided
+component by parity (`_Sector.flip`), a mixed one by `_search`, an exact
 iterative-deepening search whose ties go, at each step, to the first
 option (boundary, then partners ascending) that reaches the optimum.
 Only a component of more than `_SEARCH_DEFECTS` raises (DecoderError):
 its search could pass Python's recursion limit.  `decode_batch` first
-settles isolated defects, isolated pairs and one-sided leftovers with
-packed AND+popcount arithmetic (`_Sector.shortcut`).  It uses no float
-matmul: BLAS threads oversubscribe the CPUs that `montecarlo`'s worker
-pool fills.
+settles isolated defects, isolated pairs, one-sided leftovers and rows
+whose leftovers are pairs of adjacent checks with packed AND+popcount
+arithmetic (`_Sector.shortcut`).  It uses no float matmul: BLAS threads
+oversubscribe the CPUs that `montecarlo`'s worker pool fills.
 
 Recovery: the matching only picks each sector's logical class.  An edge
 flips if its qubit is on the logical that the sector's errors can
@@ -132,8 +132,8 @@ def minimum_weight_matching(
     k = len(boundary)
     sector = _Sector(None, range(k), dist, boundary, [False] * k)
     cost, pairs = 0, []
-    for mask in _components((1 << k) - 1, sector.neighbours):
-        c, _, picks = sector.solve(mask)
+    for mask, half, bound in sector.walk((1 << k) - 1):
+        c, _, picks = _search(mask, sector, half, bound)
         cost += c
         for partner in picks:
             low = mask & -mask
@@ -206,21 +206,6 @@ def _search(mask: int, sector: _Sector, half: dict, bound: int) -> tuple[int, bo
     return limit // 2, flip, picks[::-1]
 
 
-def _components(mask: int, neighbours: list[int]) -> list[int]:
-    """Connected components of the defects in `mask`, as bitmasks."""
-    components = []
-    while mask:
-        component = frontier = mask & -mask
-        while frontier:
-            low = frontier & -frontier
-            grown = neighbours[low.bit_length() - 1] & mask & ~component
-            component |= grown
-            frontier = (frontier ^ low) | grown
-        components.append(component)
-        mask ^= component
-    return components
-
-
 # --- MWPM on a CSS code's check graph ----------------------------------------
 
 
@@ -247,9 +232,11 @@ class _Sector:
         # The pruning graph: per defect i, a bitmask of the pair edges that
         # beat two boundary matches (dropping the rest, ties too, keeps the
         # optimal cost and splits the defect graph into small components),
-        # and those edges as rings for `solve`: (w, mask of the edges of cost
+        # and those edges as rings for `walk`: (w, mask of the edges of cost
         # w) for each w below 2 boundary[i], ascending, then (2 boundary[i],
-        # -1 = every defect).  The masks are packed into words for numpy too.
+        # -1 = every defect).  Cost-1 edges (checks that share a qubit) are
+        # all kept: a first ring of cost 1 is the adjacency mask `shortcut`
+        # counts in uint8 (under 256 bits).  Masks are packed for numpy.
         self.neighbours, self.rings = [], []
         for i, b in enumerate(boundary_cost):
             kept, ring = 0, {2 * b: -1}
@@ -260,22 +247,41 @@ class _Sector:
                         ring[w] = ring.get(w, 0) | 1 << j
             self.neighbours.append(kept)
             self.rings.append(sorted(ring.items()))
+        adjacent = [m if w == 1 and m.bit_count() < 256 else 0 for (w, m), *_ in self.rings]
         self.generators = np.array(checks, dtype=np.intp)
-        self.words = -(-len(checks) // 64)
-        words = _pack_ints(self.neighbours + [self.flipping], self.words)
-        self.neighbour_words, self.flip_words = words[:-1], words[-1:]
+        self.words, k = -(-len(checks) // 64), len(checks)
+        words = _pack_ints(self.neighbours + adjacent + [self.flipping], self.words)
+        self.neighbour_words, self.adjacent_words, self.flip_words = np.split(words, (k, -1))
+
+    def walk(self, mask: int):
+        """Components of the pruning graph on the defect set `mask`, found
+        by one BFS: yields (component, half, bound), where half[i] = h_i is
+        the cost of the first ring of defect i that meets `mask` and bound
+        is their sum over the component.  Kept edges never leave a
+        component, so these are `_search`'s h on the component alone."""
+        rings, neighbours = self.rings, self.neighbours
+        while mask:
+            component = frontier = mask & -mask
+            half = {}
+            while frontier:
+                low = frontier & -frontier
+                i = low.bit_length() - 1
+                grown = neighbours[i] & mask & ~component
+                component |= grown
+                frontier = (frontier ^ low) | grown
+                for w, ring in rings[i]:
+                    if ring & mask:
+                        break
+                half[i] = w
+            yield component, half, sum(half.values())
+            mask ^= component
 
     def solve(self, mask: int) -> tuple[int, bool, list[int]]:
-        """`_search` on the non-empty defect set `mask`, where h_i is the
-        cost of the first ring of defect i that meets `mask`."""
-        half, todo = {}, mask
-        while todo:
-            i = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            for w, ring in self.rings[i]:
-                if ring & mask:
-                    break
-            half[i] = w
+        """`_search` on the whole non-empty defect set `mask`, unsplit, with
+        the h of its `walk` components merged."""
+        half = {}
+        for _, part, _ in self.walk(mask):
+            half.update(part)
         return _search(mask, self, half, sum(half.values()))
 
     def defects_of(self, syndrome_value: int) -> list[int]:
@@ -300,36 +306,43 @@ class _Sector:
         )
 
     def logical_flip(self, syndrome_value: int) -> bool:
-        """Parity of the defects the matching sends to a flipping boundary,
-        solved one component at a time: the reference for `shortcut`."""
-        mask = sum(1 << i for i in self.defects_of(syndrome_value))
-        return self.flip(_components(mask, self.neighbours))
+        """Parity of the defects the matching sends to a flipping boundary:
+        `flip` on all of the value's defects in this sector, with no numpy
+        pass.  The reference for `shortcut`."""
+        return self.flip(sum(1 << i for i in self.defects_of(syndrome_value)))
 
-    def flip(self, components: list[int]) -> bool:
-        """Flip parity of the optimum on disjoint `components`.  A
-        one-sided component, whose defects all flip or all do not, is
-        settled by the parity of its flipping defects: a pair path never
-        flips and pairs cover an even number of defects, so every matching
-        of k defects that all flip f makes k mod 2 boundary matches and
-        flips f (k mod 2).  Only mixed components reach the search."""
+    def flip(self, mask: int) -> bool:
+        """Flip parity of the optimum on the defect set `mask`, one `walk`
+        component at a time.  A one-sided component, whose defects all flip
+        or all do not, is settled by the parity of its flipping defects: a
+        pair path never flips and pairs cover an even number of defects, so
+        every matching of k defects that all flip f makes k mod 2 boundary
+        matches and flips f (k mod 2).  Only mixed components reach the
+        search."""
         flip = False
-        for mask in components:
-            side = mask & self.flipping
-            if side in (0, mask):
+        for component, half, bound in self.walk(mask):
+            side = component & self.flipping
+            if side in (0, component):
                 flip ^= side.bit_count() & 1
-                continue
-            flip ^= self.solve(mask)[1]
+            else:
+                flip ^= _search(component, self, half, bound)[1]
         return flip
 
     def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Numpy pass over the rows of `present` (flagged checks in sector
         order).  It settles isolated defects (the boundary is the only
-        option) and isolated pairs (they never flip), and then a row's
-        other defects too if they are one-sided (by parity, as in `flip`).
-        Returns the flip parity of the settled defects and the packed
-        rest, which `flip` must solve by component.  Degrees count in
-        uint8, so a row with more than 255 defects skips the isolated pass;
-        it is still settled whole if one-sided."""
+        option) and isolated pairs (they never flip), then a row's other
+        defects if they are one-sided (by parity, as in `flip`) or if each
+        has exactly one adjacent leftover (pair cost 1).  Those pairs are
+        the unique optimum: every pair cost and doubled boundary cost is at
+        least 1, so each defect has h_i = 1, and the sum of h (see
+        `_search`), the number of defects, is twice the pairing's cost; an
+        optimum pays exactly h_i at every defect, which only the one
+        adjacent leftover does, and pair edges never flip.  Degrees count
+        in uint8, so a row with more than 255 defects skips the isolated
+        pass; it is still settled whole if one-sided.  Returns the flip
+        parity of the settled defects and the packed rest, which `flip`
+        must solve."""
         words, small = self.words, present
         if present.shape[1] > 255:  # else no row can have 256 defects
             small = present & (present.sum(axis=1, keepdims=True) <= 255)
@@ -343,6 +356,9 @@ class _Sector:
         one_sided = ~flipping.any(axis=1) | (flipping == packed).all(axis=1)
         settled = _pack_bits(isolated | rest & one_sided[:, None], words)
         packed[one_sided] = 0
+        left = np.flatnonzero(packed.any(axis=1))
+        adjacent = and_popcount(packed[left], self.adjacent_words)
+        packed[left[((adjacent == 1) | ~rest[left]).all(axis=1)]] = 0
         return (and_popcount(settled, self.flip_words)[:, 0] & 1).astype(bool), packed
 
 
@@ -444,15 +460,15 @@ class MwpmDecoder:
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class of `decode_value` of each row, none failed.
         `_Sector.shortcut` resolves isolated defects and pairs and settles
-        one-sided leftovers; `_Sector.flip` solves a row's other defects by
-        component."""
+        one-sided leftovers and rows of adjacent pairs; `_Sector.flip`
+        solves a row's other defects by component."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))
         for sector, flip, rest in zip(sectors, flips, rests):
             left = np.flatnonzero(rest.any(axis=1))
             for row, mask in zip(left.tolist(), _row_ints(rest[left])):
-                flip[row] ^= sector.flip(_components(mask, sector.neighbours))
+                flip[row] ^= sector.flip(mask)
         # `_columns` is (0, 1) or (1, 0), its own inverse.
         return np.stack(flips, axis=1)[:, self._columns], np.zeros(len(syndromes), dtype=bool)
 

@@ -263,7 +263,9 @@ def and_popcount(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     of `a`, one word at a time so temporaries stay (len(a), len(rows)).
     A sum past 255 wraps, which keeps its parity (the only use of the
     count in syndromes and logical classes); the MWPM decoder reads defect
-    degrees only on rows with at most 255 defects in a sector."""
+    degrees only on rows with at most 255 defects in a sector.  Its
+    adjacency counts are bounded by a check's weight, so uint8 never wraps
+    for them (a check with over 255 adjacent checks gets no mask)."""
     acc = np.zeros((len(a), len(rows)), dtype=np.uint8)
     for w in range(a.shape[1]):
         acc += np.bitwise_count(a[:, w, None] & rows[None, :, w])

@@ -113,7 +113,7 @@ def sampled_components(lam, rates, seed, trials):
         for value in sampled_syndromes(code, p, s, trials):
             for sector in (decoder._z_checks, decoder._x_checks):
                 mask = sum(1 << i for i in sector.defects_of(value))
-                components = decoders_module._components(mask, sector.neighbours)
+                components = [c for c, *_ in sector.walk(mask)]
                 found += [(sector, c) for c in components if c.bit_count() >= 3]
     return found
 
@@ -338,7 +338,7 @@ class TestSearch:
             sector = toy_sector(dist, boundary, flips)
             whole = (1 << k) - 1
             cost = self.assert_same_picks(whole, sector)[0]
-            for mask in decoders_module._components(whole, sector.neighbours):
+            for mask in [c for c, *_ in sector.walk(whole)]:
                 self.assert_same_picks(mask, sector)
             assert cost == minimum_weight_matching(dist, boundary)[0]
             assert cost == brute_force_matching_cost(dist, boundary)
@@ -398,10 +398,10 @@ class TestOneSidedComponents:
             flips = [side if rng.random() < 0.7 else rng.random() < 0.5 for _ in range(k)]
             sector = toy_sector(dist, boundary, flips)
             cost = 0
-            for mask in decoders_module._components((1 << k) - 1, sector.neighbours):
+            for mask in [c for c, *_ in sector.walk((1 << k) - 1)]:
                 found, (c, f, picks), _ = search_and_dp(mask, sector)
                 assert found == (c, f, picks)
-                assert sector.flip([mask]) == f
+                assert sector.flip(mask) == f
                 cost += c
                 sides = {flips[i] for i in range(k) if mask >> i & 1}
                 if mask.bit_count() > 1 and len(sides) == 1:
@@ -412,10 +412,13 @@ class TestOneSidedComponents:
 
     def test_batch_settles_one_sided_leftovers(self):
         # Sampled d5/d7/d9 rows: `decode_batch` equals `decode_value` and
-        # the parity of `minimum_weight_matching`'s boundary matches, and a
-        # sector whose leftover (its components of three or more defects)
-        # is one-sided is settled in the numpy pass: nothing is left of it.
-        settled = 0
+        # the parity of `minimum_weight_matching`'s boundary matches.  A
+        # sector's leftover is its components of three or more defects.  If
+        # it is one-sided, or each of its defects has exactly one adjacent
+        # leftover (pair cost 1), the numpy pass settles it: nothing is left
+        # of it.  Mixed rows of adjacent pairs come up at every size, d9's
+        # two-word sectors (72 checks) among them.
+        settled, paired_off = 0, {5: 0, 7: 0, 9: 0}
         for lam, rates in ((5, (0.03, 0.08)), (7, (0.01, 0.03, 0.08)), (9, (0.02, 0.06))):
             code = library.surface_code(lam)
             decoder = MwpmDecoder(code)
@@ -430,11 +433,53 @@ class TestOneSidedComponents:
                 assert np.array_equal(row, expected)
                 assert list(row) == [matched_flip(sectors[1], value), matched_flip(sectors[0], value)]
                 for sector, rest in zip(sectors, rests):
-                    leftover = {f for c in sector_components(sector, value) if len(c) >= 3 for f in c}
-                    if len(leftover) == 1:
+                    defects = sector.defects_of(value)
+                    problem = sector.problem(defects)
+                    left = [i for c in components_of(problem) if len(c) >= 3 for i in c]
+                    sides = {sector.boundary_flips[defects[i]] for i in left}
+                    adjacent = [sum(problem.pair_costs[i][j] == 1 for j in left) for i in left]
+                    if len(sides) == 1:
                         assert not rest[index].any()
                         settled += 1
+                    elif left and set(adjacent) == {1}:
+                        assert not rest[index].any()
+                        paired_off[lam] += 1
         assert settled > 20
+        assert sum(paired_off.values()) > 20 and paired_off[9] > 0
+
+    def test_rows_that_are_not_adjacent_pairs_are_kept(self):
+        # surface_d7 X-error sector: Z-checks in 6 rows of 7, a check
+        # adjacent (pair cost 1) to the ones beside, above and below it.
+        # Rows 0-2 flip and rows 3-5 do not, so each group below straddles
+        # the middle and is one mixed component.  Two adjacent pairs are
+        # settled by the numpy pass; three in a line, a pair with a lone
+        # defect whose kept edges reach it, and a 2x2 block are left to
+        # `flip`, and every row decodes as `decode_value` does.
+        code = library.surface_code(7)
+        decoder = MwpmDecoder(code)
+        sector = decoder._z_checks
+        assert len(sector.boundary_flips) == 42
+        assert [sector.boundary_flips[7 * r] for r in range(6)] == [True] * 3 + [False] * 3
+        assert sector.pair_cost[7 * 2 + 3][7 * 3 + 3] == sector.pair_cost[7 * 3 + 3][7 * 3 + 4] == 1
+        groups = [
+            [(2, 1), (3, 1), (2, 3), (3, 3)],  # two adjacent pairs
+            [(2, 3), (3, 3), (4, 3)],  # three in a line
+            [(2, 1), (3, 1), (3, 4)],  # a pair and a lone defect
+            [(2, 2), (2, 3), (3, 2), (3, 3)],  # a 2x2 block
+        ]
+        present = np.zeros((len(groups), 42), dtype=bool)
+        for g, group in enumerate(groups):
+            present[g, [7 * r + c for r, c in group]] = True
+        values = [sum(1 << int(gi) for gi in sector.generators[row]) for row in present]
+        for value in values:
+            assert [len(set(c)) for c in sector_components(sector, value)] == [2]
+        flips, rest = sector.shortcut(present)
+        assert not flips.any()
+        assert rest.any(axis=1).tolist() == [False, True, True, True]
+        classes, failed = decoder.decode_batch(packed(code, values))
+        assert not failed.any()
+        expected = code.logical_batch(code.pack([decoder.decode_value(v) for v in values]))
+        assert np.array_equal(classes, expected)
 
     def test_components_over_16_decode(self):
         # d9 X-error sector: the two flipping rows nearest the top (18
@@ -671,7 +716,7 @@ class TestMwpmDecoder:
                     whole, walked, _ = search_and_dp(mask, sector)
                     assert whole == walked
                     assert sector.logical_flip(value) == whole[1]
-                    split += len(decoders_module._components(mask, sector.neighbours)) > 1
+                    split += len([c for c, *_ in sector.walk(mask)]) > 1
         assert split > 50
 
     def test_pure_errors_are_built_lazily_and_survive_a_pickle(self):
@@ -832,7 +877,7 @@ class TestDecodeBatch:
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
         whole = (1 << len(sector.boundary_cost)) - 1
-        assert decoders_module._components(whole, sector.neighbours) == [whole]
+        assert [c for c, *_ in sector.walk(whole)] == [whole]
         assert 0 < whole & sector.flipping < whole
         assert whole.bit_count() == 552 > decoders_module._SEARCH_DEFECTS
         with pytest.raises(DecoderError, match="552-defect"):
