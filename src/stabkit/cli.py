@@ -53,12 +53,16 @@ def cmd_validate(args) -> int:
     raise ValueError(f"code {code.name} failed validation")
 
 
+def _letters(args) -> tuple[str, ...]:
+    """--letters with repeats dropped, in order; all three by default."""
+    return tuple(dict.fromkeys(args.letters or ("X", "Y", "Z")))
+
+
 def cmd_syndrome_table(args) -> int:
     code = get_code(args.code)
-    letters = tuple(args.letters) if args.letters else ("X", "Y", "Z")
     lines = ["error\tsyndrome"]
     for w in range(0, args.max_weight + 1):
-        for p in enumerate_paulis(code.n, w, letters):
+        for p in enumerate_paulis(code.n, w, _letters(args)):
             lines.append(f"{format_sparse(p)}\t{code.syndrome(p)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -66,9 +70,8 @@ def cmd_syndrome_table(args) -> int:
 
 def cmd_distance(args) -> int:
     code = get_code(args.code)
-    max_weight = args.max_weight or code.n
-    letters = tuple(args.letters) if args.letters else ("X", "Y", "Z")
-    found = code_distance(code, max_weight, letters)
+    max_weight = code.n if args.max_weight is None else args.max_weight
+    found = code_distance(code, max_weight, _letters(args))
     if found is None:
         print(f"distance > {max_weight}")
     else:

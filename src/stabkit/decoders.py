@@ -88,6 +88,8 @@ class LookupDecoder:
             )
         self.code = code
         max_weight = code.n if max_weight is None else max_weight
+        if max_weight < 0:
+            raise ValueError("max_weight must be >= 0")
         self.table: dict[int, PauliOperator] = {0: identity(code.n)}
         for w in range(1, max_weight + 1):
             for p in enumerate_paulis(code.n, w):

@@ -8,16 +8,17 @@ bit-identical for a fixed master seed no matter how trials are split into
 tasks, ordered over workers or sliced into batches.  Failure counts are
 plain sums, so aggregation order cannot matter either.
 
-Each public call opens at most one process pool (none for a small call,
-see _IN_PROCESS_QUBIT_TRIALS) and submits every task of every point to it
-at once, largest code and then highest p first; a point is split into as
-few tasks as keep every worker busy.  In-process, consecutive points of
-one code and decoder are one task.  A task runs its trials, point after
-point, as batches of _SLICE_TRIALS rows: sample, pack, syndrome, decode
-and classify each run once per batch on bit-packed arrays
+A call is planned once, as batches of at most `rows` trials: consecutive
+points on one code and decoder share them, each point's trials in order.
+In-process `rows` is _SLICE_TRIALS; in a pool it shrinks so that every
+worker gets at least two batches.  The same batches run in a loop or as
+the tasks of the call's one process pool (none for a small call, see
+_IN_PROCESS_QUBIT_TRIALS), largest code and then highest p first.  A batch
+draws each point's piece on its own, then packs, syndromes, decodes and
+classifies all its rows at once on bit-packed arrays
 (`StabilizerCode.syndrome_batch`, `decode_batch`,
-`StabilizerCode.logical_batch`), and counts are tallied per point; this
-is the only cycle implementation.
+`StabilizerCode.logical_batch`), and tallies each piece; this is the only
+cycle implementation.
 It builds no recovery: a trial fails where the decoder gives up (only a
 truncated lookup table does, on a syndrome it misses) or picks another
 logical class than the error's.
@@ -31,7 +32,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby
 
 import numpy as np
 
@@ -114,42 +114,27 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 
 
 def _run_trials(args) -> np.ndarray:
-    """(failures, kept, discarded, decoder failures) of each part of a task
-    (code, decoder, parts), as a (parts, 4) int64 array; a None decoder
-    post-selects.
-
-    A part (noise, point_seed, start, stop) is trials start..stop-1 of one
-    point.  The parts' trials, one after another, run in batches of
-    _SLICE_TRIALS rows; each part's piece of a batch is drawn on its own."""
-    code, decoder, parts = args
-    batches, row = {}, 0
-    for part, (noise, point_seed, start, stop) in enumerate(parts):
-        while start < stop:
-            take = min(stop - start, _SLICE_TRIALS - row % _SLICE_TRIALS)
-            piece = (part, noise, point_seed, start, start + take)
-            batches.setdefault(row // _SLICE_TRIALS, []).append(piece)
-            start, row = start + take, row + take
-    counts = np.zeros((len(parts), 4), dtype=np.int64)
-    for pieces in batches.values():
-        x, z = zip(*(sample_batch(noise, code.n, seed, a, b) for _, noise, seed, a, b in pieces))
-        errors = code.pack_batch(np.concatenate(x), np.concatenate(z))
-        syndromes = code.syndrome_batch(errors)
-        if decoder is None:
-            # Repeat-until-success: nonzero syndromes are discarded, and the
-            # zero-syndrome recovery is the identity, of class zero.
-            kept = ~syndromes.any(axis=1)
-            classes, failed = False, np.zeros(len(errors), dtype=bool)
-        else:
-            kept = np.ones(len(errors), dtype=bool)
-            classes, failed = decoder.decode_batch(syndromes)
-        # Column by column: `.any(axis=1)` is several times slower on 2k columns.
-        wrong = reduce(np.logical_or, (code.logical_batch(errors) != classes).T, failed)
-        tally = np.stack((wrong & kept, kept, ~kept, failed))
-        # A batch holds at most one piece of each part, so the owners are unique.
-        offsets = np.cumsum([0] + [b - a for *_, a, b in pieces[:-1]])
-        owners = [piece[0] for piece in pieces]
-        counts[owners] += np.add.reduceat(tally, offsets, axis=1, dtype=np.int64).T
-    return counts
+    """(failures, kept, discarded, decoder failures) of each piece of one
+    batch (code, decoder, pieces), as a (pieces, 4) int64 array; a None
+    decoder post-selects.  A piece (noise, point_seed, start, stop) is
+    trials start..stop-1 of one point, start < stop, drawn on its own."""
+    code, decoder, pieces = args
+    x, z = zip(*(sample_batch(noise, code.n, seed, a, b) for noise, seed, a, b in pieces))
+    errors = code.pack_batch(np.concatenate(x), np.concatenate(z))
+    syndromes = code.syndrome_batch(errors)
+    if decoder is None:
+        # Repeat-until-success: nonzero syndromes are discarded, and the
+        # zero-syndrome recovery is the identity, of class zero.
+        kept = ~syndromes.any(axis=1)
+        classes, failed = False, np.zeros(len(errors), dtype=bool)
+    else:
+        kept = np.ones(len(errors), dtype=bool)
+        classes, failed = decoder.decode_batch(syndromes)
+    # Column by column: `.any(axis=1)` is several times slower on 2k columns.
+    wrong = reduce(np.logical_or, (code.logical_batch(errors) != classes).T, failed)
+    tally = np.stack((wrong & kept, kept, ~kept, failed))
+    offsets = np.cumsum([0] + [b - a for *_, a, b in pieces[:-1]])
+    return np.add.reduceat(tally, offsets, axis=1, dtype=np.int64).T
 
 
 def estimate_logical_rate(
@@ -173,35 +158,40 @@ def estimate_logical_rate(
 
 
 def _estimate_points(jobs, trials: int, workers: int) -> list[RatePoint]:
-    """`estimate_logical_rate` of each (code, decoder, noise, point_seed) job."""
+    """`estimate_logical_rate` of each (code, decoder, noise, point_seed) job.
+    The only place a call is split: into the batches of the module docstring,
+    each one `_run_trials` task, whose pieces' counts add up per job."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    one_batch = len(jobs) * trials <= _SLICE_TRIALS
-    if one_batch and trials * sum(job[0].n for job in jobs) <= _IN_PROCESS_QUBIT_TRIALS:
+    total, qubit_trials = len(jobs) * trials, trials * sum(job[0].n for job in jobs)
+    if total <= _SLICE_TRIALS and qubit_trials <= _IN_PROCESS_QUBIT_TRIALS:
         workers = 1  # a small call: starting a pool costs more than it saves
-    # As few chunks per point as keep every worker busy (one per point from
-    # 2 x workers points on); a chunk is (code, decoder, noise, seed, start, stop).
-    pieces = math.ceil(2 * workers / len(jobs)) if workers > 1 else 1
-    size = math.ceil(trials / pieces)
-    chunks = [job + (a, min(a + size, trials)) for job in jobs for a in range(0, trials, size)]
-    if workers > 1 and len(chunks) > 1:
-        # One task per chunk, submitted largest code and then highest p first.
-        order = sorted(
-            range(len(chunks)), key=lambda t: (-chunks[t][0].n, -chunks[t][2].headline_rate)
-        )
-        tasks = [(*chunks[t][:2], [chunks[t][2:]]) for t in order]
-        counts = np.zeros((len(chunks), 4), dtype=np.int64)
+    rows = min(_SLICE_TRIALS, math.ceil(total / (2 * workers))) if workers > 1 else _SLICE_TRIALS
+    plan, free = [], 0  # batches (code, decoder, pieces, job indices); room left in the last
+    for index, (code, decoder, noise, seed) in enumerate(jobs):
+        start = 0
+        while start < trials:
+            if not free or plan[-1][0] is not code or plan[-1][1] is not decoder:
+                plan.append((code, decoder, [], []))
+                free = rows
+            stop = min(trials, start + free)
+            plan[-1][2].append((noise, seed, start, stop))
+            plan[-1][3].append(index)
+            free, start = free - (stop - start), stop
+    # Largest code and then highest p (of the last piece) first.
+    plan.sort(key=lambda batch: (-batch[0].n, -batch[2][-1][0].headline_rate))
+    tasks = [batch[:3] for batch in plan]
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            counts[order] = np.concatenate(list(pool.map(_run_trials, tasks)))
+            counts = list(pool.map(_run_trials, tasks))
     else:
-        # In-process, the chunks of consecutive jobs on one code and decoder
-        # are one task, so their trials share batches.
-        runs = [list(run) for _, run in groupby(chunks, lambda c: (id(c[0]), id(c[1])))]
-        tasks = [(*run[0][:2], [chunk[2:] for chunk in run]) for run in runs]
-        counts = np.concatenate([_run_trials(task) for task in tasks])
-    totals = counts.reshape(len(jobs), -1, 4).sum(axis=1).tolist()
+        counts = map(_run_trials, tasks)
+    totals = [[0] * 4 for _ in jobs]
+    for batch, tally in zip(plan, counts):
+        for owner, row in zip(batch[3], tally.tolist()):
+            totals[owner] = [a + b for a, b in zip(totals[owner], row)]
     points = []
     for job, (failures, kept, discarded, decoder_failures) in zip(jobs, totals):
         low, high = wilson_interval(failures, kept)

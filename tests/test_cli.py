@@ -57,6 +57,12 @@ class TestSyndromeTable:
         assert rows["X1 X2"] == "01"
         assert rows["X1 X2 X3"] == "00"
 
+    def test_repeated_letters_print_each_row_once(self, capsys):
+        argv = ("syndrome-table", "three_qubit_bitflip", "2", "--letters")
+        once = run_cli(capsys, *argv, "X")
+        assert run_cli(capsys, *argv, "X", "X") == once
+        assert once[1].count("X1 X2\t") == 1
+
     def test_four_two_two_single_qubit(self, capsys):
         code, out, _ = run_cli(capsys, "syndrome-table", "four_two_two", "1")
         rows = dict(line.split("\t") for line in out.strip().splitlines()[1:])
@@ -72,6 +78,11 @@ class TestDistance:
     def test_detection_distance(self, capsys):
         code, out, _ = run_cli(capsys, "distance", "two_qubit", "--letters", "X")
         assert code == 0 and out.strip() == "distance 2"
+
+    def test_max_weight_zero_is_config_error(self, capsys):
+        # 0 is a search depth that `distance` rejects, not "up to n".
+        code, out, err = run_cli(capsys, "distance", "shor_nine", "--max-weight", "0")
+        assert code == 2 and out == "" and err.startswith("ERR_CONFIG:")
 
     def test_search_past_guard_is_config_error(self, capsys):
         # surface_d7 passes the guard at weight 3, after about 3e4 candidates.
@@ -249,8 +260,11 @@ class TestThreshold:
         ["simulate", "--code", "three_qubit_bitflip", "--p", "0.1", "--trials", "0"],
         ["threshold", "--distances", "3,3", "--p-start", "0.05", "--p-end", "0.15",
          "--steps", "2"],
+        ["simulate", "--code", "shor_nine", "--p", "0.1", "--trials", "200",
+         "--max-weight", "-1"],
     ],
-    ids=["decreasing-grid", "rate-above-one", "zero-trials", "repeated-distance"],
+    ids=["decreasing-grid", "rate-above-one", "zero-trials", "repeated-distance",
+         "negative-lookup-depth"],
 )
 def test_library_input_errors_are_config_errors(capsys, argv):
     # The library, not the CLI, rejects these inputs with ValueError.

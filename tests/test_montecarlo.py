@@ -34,13 +34,24 @@ def three_qubit_closed_form(p):
 
 @pytest.fixture
 def opened_pools(monkeypatch):
-    """The `max_workers` of each process pool that `montecarlo` opens."""
-    opened = []
+    """The `max_workers` of each process pool that `montecarlo` opens; its
+    `tasks` attribute lists how many tasks each pool's `map` received."""
+
+    class Opened(list):
+        tasks: list[int]
+
+    opened = Opened()
+    opened.tasks = []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            tasks = list(iterables[0])
+            opened.tasks.append(len(tasks))
+            return super().map(fn, tasks, *iterables[1:], **kwargs)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
     return opened
@@ -68,15 +79,14 @@ class TestCycle:
         assert _run_trials(args).tolist() == [[0, 100, 0, 0]]
 
     def test_uneven_parts_tally_per_part(self):
-        # Parts of 1 to 3,000 trials, some sharing a batch and one spanning
-        # two, with their own rates, seeds and start offsets: each part's
-        # counts must be those of its own trials, replayed stage by stage.
+        # One batch of parts of 1 to 3,000 trials, with their own rates,
+        # seeds and start offsets: each part's counts must be those of its
+        # own trials, replayed stage by stage.
         code = library.shor_nine()
         decoder = LookupDecoder(code, max_weight=1)
         parts = [
             (iid_xz(0.05, 0.05), 11, 17, 18),
             (iid_xz(0.20, 0.20), 12, 0, 2047),
-            (iid_x(0.30), 13, 5, 5),
             (iid_xz(0.10, 0.10), 14, 300, 305),
             (iid_xz(0.15, 0.15), 15, 1000, 4000),
         ]
@@ -186,8 +196,8 @@ class TestSweep:
     def test_points_sharing_batches_match_points_run_alone(
         self, name, decoder, noise, p_values, tally
     ):
-        # 3 x 700 trials run in-process as one task of two batches: the
-        # first holds all three points, and the last point spans both.
+        # 3 x 700 trials run in-process as two batches: the first holds
+        # all three points, and the last point spans both.
         assert 2 * 700 < montecarlo._SLICE_TRIALS < 3 * 700
         code = library.get_code(name)
         decoder = decoder(code)
@@ -435,6 +445,22 @@ class TestPooledCalls:
         assert opened_pools == [2, 2]
         assert small[0].to_csv() == small[1].to_csv()
         assert small[0].points == small[1].points
+
+    def test_a_pool_shares_batches_between_points(self, opened_pools):
+        # 6 x 700 trials on 2 workers are 4 batches of at most 1,050 rows,
+        # not one task per point, and each point's counts are its own.
+        code = library.surface_code(3)
+        decoder = MwpmDecoder(code)
+        p_values = [0.02, 0.04, 0.06, 0.08, 0.10, 0.12]
+        pooled = sweep(code, decoder, "iid_xz", p_values, 700, 41, workers=2)
+        assert (opened_pools, opened_pools.tasks) == ([2], [4])
+        assert pooled.points == sweep(code, decoder, "iid_xz", p_values, 700, 41).points
+        alone = [
+            estimate_logical_rate(code, decoder, iid_xz(p, p), 700, derive_seed(41, index))
+            for index, p in enumerate(p_values)
+        ]
+        assert pooled.points == alone
+        assert opened_pools == [2]
 
     def test_one_batch_of_a_large_code_opens_a_pool(self, opened_pools):
         code = library.surface_code(13)
