@@ -82,7 +82,9 @@ def cmd_distance(args) -> int:
 def _build_decoder(args, code):
     if args.decoder == "lookup":
         return LookupDecoder(code, max_weight=args.max_weight)
-    return MwpmDecoder(code)
+    if args.max_weight is not None:
+        raise ValueError(f"--max-weight is a lookup depth; --decoder {args.decoder} has no table")
+    return None if args.decoder == "none" else MwpmDecoder(code)
 
 
 def _p_grid(args) -> list[float]:
@@ -108,7 +110,7 @@ def _p_grid(args) -> list[float]:
 def cmd_simulate(args) -> int:
     code = get_code(args.code)
     grid = _p_grid(args)
-    decoder = None if args.decoder == "none" else _build_decoder(args, code)
+    decoder = _build_decoder(args, code)
     report = sweep(code, decoder, args.noise, grid, args.trials, args.seed, workers=args.threads)
     _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
     return 0

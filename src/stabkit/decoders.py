@@ -348,15 +348,15 @@ class _Sector:
         words, small = self.words, present
         if present.shape[1] > 255:  # else no row can have 256 defects
             small = present & (present.sum(axis=1, keepdims=True) <= 255)
-        degree = and_popcount(_pack_bits(present, words), self.neighbour_words)
+        degree = and_popcount(_pack_bits(words, present), self.neighbour_words)
         isolated = small & (degree == 0)
         single = small & (degree == 1)
-        paired = single & (and_popcount(_pack_bits(single, words), self.neighbour_words) == 1)
+        paired = single & (and_popcount(_pack_bits(words, single), self.neighbour_words) == 1)
         rest = present & ~isolated & ~paired
-        packed = _pack_bits(rest, words)
+        packed = _pack_bits(words, rest)
         flipping = packed & self.flip_words
         one_sided = ~flipping.any(axis=1) | (flipping == packed).all(axis=1)
-        settled = _pack_bits(isolated | rest & one_sided[:, None], words)
+        settled = _pack_bits(words, isolated | rest & one_sided[:, None])
         packed[one_sided] = 0
         left = np.flatnonzero(packed.any(axis=1))
         adjacent = and_popcount(packed[left], self.adjacent_words)

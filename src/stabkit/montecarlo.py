@@ -43,8 +43,8 @@ from .stabilizer_code import StabilizerCode
 
 _Z95 = 1.959963984540054
 # Rows per batch: a sweep's points share batches, so 2048 lets a 4 x 500
-# Shor sweep run as one batch; the largest array, the 2048 x n float64
-# draws, is still only 6.9 MB at d15 (n = 421).
+# Shor sweep run as one batch; the largest array, the 2048 x n uint64 draw
+# words, is still only 6.9 MB at d15 (n = 421).
 _SLICE_TRIALS = 2048
 # One batch of at most this many trials x qubits runs in-process: on 2 vCPUs
 # that took 0.8-1.15x the time of 2 workers up to d15 (2,048 x 421), 1.33x at d20.
@@ -119,8 +119,7 @@ def _run_trials(args) -> np.ndarray:
     decoder post-selects.  A piece (noise, point_seed, start, stop) is
     trials start..stop-1 of one point, start < stop, drawn on its own."""
     code, decoder, pieces = args
-    x, z = zip(*(sample_batch(noise, code.n, seed, a, b) for noise, seed, a, b in pieces))
-    errors = code.pack_batch(np.concatenate(x), np.concatenate(z))
+    errors = code.pack_batch(*sample_batch(code.n, pieces))
     syndromes = code.syndrome_batch(errors)
     if decoder is None:
         # Repeat-until-success: nonzero syndromes are discarded, and the

@@ -15,13 +15,15 @@ arithmetic (`derive_seeds`), and `sample_batch` turns them into errors.
 Each qubit, in qubit order, takes one uniform u under every channel: an X
 component iff u < p_x + p_y, a Z component iff p_x <= u < p_x + p_y + p_z
 (`_bounds`, shared by the scalar `sample` and `sample_batch`, so the two
-cannot disagree).  Fixed-seed iid_x and depolarizing streams match earlier
-releases; iid_xz ones do not, as iid_xz used to draw a second uniform for
-its Z flip.
+cannot disagree; `sample_batch` tests u < t on u's word w as the equal
+w < ceil(t 2^53) 2^11, see there).  Fixed-seed iid_x and depolarizing
+streams match earlier releases; iid_xz ones do not, as iid_xz used to draw
+a second uniform for its Z flip.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -50,20 +52,26 @@ def derive_seeds(master_seed, index) -> np.ndarray:
     master = np.asarray(master_seed, dtype=np.uint64)
     index = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):  # numpy warns on wrapping scalars only
-        z = master + np.uint64(_GAMMA) * (index + np.uint64(1))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+        z = np.asarray(master + np.uint64(_GAMMA) * (index + np.uint64(1)))
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):  # in place: only the shifts allocate
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mix)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _words(pieces, count: int) -> np.ndarray:
+    """(trials, count) uint64: draws 0..count-1 of each piece's trials."""
+    lengths = [b - a for *_, a, b in pieces]
+    seeds = np.repeat(np.array([s & _MASK64 for *_, s, _, _ in pieces], dtype=np.uint64), lengths)
+    trials = np.concatenate([np.arange(a, b, dtype=np.uint64) for *_, a, b in pieces])
+    return derive_seeds(derive_seeds(seeds, trials)[:, None], np.arange(count, dtype=np.uint64))
 
 
 def uniforms(point_seed: int, start: int, stop: int, count: int) -> np.ndarray:
     """Draws 0..count-1 of trials start..stop-1, as a (stop - start, count)
     float64 array in [0, 1); see the draw contract above."""
-    trial_seeds = derive_seeds(
-        point_seed & _MASK64, np.arange(start, stop, dtype=np.uint64)
-    )
-    z = derive_seeds(trial_seeds[:, None], np.arange(count, dtype=np.uint64))
-    return (z >> np.uint64(11)) * 2.0**-53
+    return (_words([(point_seed, start, stop)], count) >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -129,11 +137,16 @@ def sample(model: NoiseModel, n: int, rng: random.Random) -> PauliOperator:
     return PauliOperator(n, x, z, 0)
 
 
-def sample_batch(
-    model: NoiseModel, n: int, point_seed: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Errors of trials start..stop-1 as (trials, n) boolean X and Z arrays
-    (column q-1 is qubit q), from the counter-based draws of `uniforms`."""
-    x_hi, z_lo, z_hi = _bounds(model)
-    u = uniforms(point_seed, start, stop, n)
-    return u < x_hi, (z_lo <= u) & (u < z_hi)
+def sample_batch(n: int, pieces) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, n) boolean X and Z arrays (column q-1 is qubit q) of the
+    pieces (model, point_seed, start, stop), trials start..stop-1 of a
+    point each.  A bound t tests u's word w: with k = w >> 11, u < t iff
+    k < t 2^53 (exact) iff w < ceil(t 2^53) 2^11; at t = 1.0 that is the
+    Python int 2^64, which numpy compares with uint64 words exactly."""
+    words, x, z, row = _words(pieces, n), [], [], 0
+    for model, _, a, b in pieces:
+        w, row = words[row : row + b - a], row + b - a
+        x_hi, z_lo, z_hi = (math.ceil(t * 2.0**53) << 11 for t in _bounds(model))
+        x.append(w < x_hi)
+        z.append((z_lo <= w) & (w < z_hi))
+    return np.concatenate(x), np.concatenate(z)

@@ -174,13 +174,13 @@ class StabilizerCode:
 
     def pack_batch(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Packed rows of a batch given as (trials, n) boolean X and Z arrays."""
-        return _pack_bits(np.concatenate((x, z), axis=1), self.words)
+        return _pack_bits(self.words, x, z)
 
     def syndrome_batch(self, ops: np.ndarray) -> np.ndarray:
         """Packed syndromes of packed operators: one row of ceil(m/64) words
         each, bit i (of the little-endian word sequence) for generator i."""
         parities = and_popcount(ops, self._check_words[: self.m]) & 1
-        return _pack_bits(parities.astype(bool), -(-self.m // 64))
+        return _pack_bits(-(-self.m // 64), parities.astype(bool))
 
     def logical_batch(self, ops: np.ndarray) -> np.ndarray:
         """(rows, 2k) bools of packed operators: column 2i (2i+1) says the
@@ -279,12 +279,13 @@ def _pack_ints(values: Sequence[int], words: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
 
 
-def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:
-    """(rows, columns) booleans -> (rows, words) uint64 words, column j at
-    bit j % 64 of word j // 64; columns past the end are zero."""
-    padded = np.zeros((len(bits), 64 * words), dtype=bool)
-    padded[:, : bits.shape[1]] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+def _pack_bits(words: int, *blocks: np.ndarray) -> np.ndarray:
+    """(rows, columns) boolean blocks, side by side -> (rows, words) uint64
+    words: column j at bit j % 64 of word j // 64, then zeros.  Padded rows
+    are 64 * words bits, so one flat packbits gives the row-by-row bytes."""
+    padded = np.zeros((len(blocks[0]), 64 * words), dtype=bool)
+    np.concatenate(blocks, axis=1, out=padded[:, : sum(b.shape[1] for b in blocks)])
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(len(padded), words)
 
 
 def distance(

@@ -134,6 +134,26 @@ class TestSimulate:
         )
         assert code == 2 and err.startswith("ERR_CONFIG:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("decoder", ["mwpm", "none"])
+    @pytest.mark.parametrize("max_weight", ["0", "1", "-1"])
+    def test_max_weight_without_a_lookup_is_config_error(self, capsys, decoder, max_weight):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--code", "shor_nine", "--decoder", decoder, "--max-weight", max_weight,
+            "--p", "0.05", "--trials", "100", "--threads", "1",
+        )
+        assert code == 2 and not out and err.startswith("ERR_CONFIG:") and "--max-weight" in err
+
+    def test_max_weight_zero_is_a_valid_lookup_depth(self, capsys):
+        # Depth 0 tables only the trivial syndrome: every detected error is
+        # a decoder failure, and the run still succeeds.
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--code", "shor_nine", "--decoder", "lookup", "--max-weight", "0",
+            "--p", "0.05", "--trials", "100", "--threads", "1",
+        )
+        assert code == 0 and out.startswith("p,trials,failures")
+
     @pytest.mark.parametrize("noise", ["iid_x", "iid_xz", "depolarizing"])
     def test_p_and_px_are_one_rate_for_every_channel(self, capsys, noise):
         common = ["simulate", "--code", "shor_nine", "--noise", noise, "--trials", "500",

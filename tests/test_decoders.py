@@ -127,7 +127,7 @@ def packed(code, values):
 
 def sampled_syndromes(code, p, seed, trials):
     """Syndrome values of `trials` sampled iid_xz(p, p) errors."""
-    errors = code.pack_batch(*sample_batch(iid_xz(p, p), code.n, seed, 0, trials))
+    errors = code.pack_batch(*sample_batch(code.n, [(iid_xz(p, p), seed, 0, trials)]))
     return [int.from_bytes(row.tobytes(), "little") for row in code.syndrome_batch(errors)]
 
 

@@ -92,7 +92,7 @@ class TestCycle:
         ]
         counts = _run_trials((code, decoder, parts)).tolist()
         for (noise, seed, start, stop), row in zip(parts, counts):
-            errors = code.pack_batch(*sample_batch(noise, code.n, seed, start, stop))
+            errors = code.pack_batch(*sample_batch(code.n, [(noise, seed, start, stop)]))
             classes, failed = decoder.decode_batch(code.syndrome_batch(errors))
             wrong = (code.logical_batch(errors) != classes).any(axis=1) | failed
             assert row == [int(wrong.sum()), stop - start, 0, int(failed.sum())]
@@ -150,7 +150,7 @@ class TestEstimate:
         # kept draw fails where its error is a logical operator.
         code = library.four_two_two()
         point = estimate_logical_rate(code, None, iid_x(0.2), 500, 17)
-        errors = code.pack_batch(*sample_batch(iid_x(0.2), code.n, 17, 0, 500))
+        errors = code.pack_batch(*sample_batch(code.n, [(iid_x(0.2), 17, 0, 500)]))
         kept = ~code.syndrome_batch(errors).any(axis=1)
         logical = code.logical_batch(errors).any(axis=1)
         assert (point.trials, point.discarded) == (kept.sum(), (~kept).sum())
@@ -291,7 +291,7 @@ class TestSweep:
         report = sweep(code, decoder, noise, [0.05, 0.10], 2000, master_seed=2024)
         assert [(pt.failures, pt.decoder_failures) for pt in report.points] == counts
         for index, pt in enumerate(report.points):
-            draws = sample_batch(CHANNELS[noise](pt.p), code.n, derive_seed(2024, index), 0, 2000)
+            draws = sample_batch(code.n, [(CHANNELS[noise](pt.p), derive_seed(2024, index), 0, 2000)])
             syndromes = code.syndrome_batch(code.pack_batch(*draws))[:, 0]
             assert pt.decoder_failures == sum(int(v) not in decoder.table for v in syndromes)
 
@@ -335,7 +335,7 @@ class TestCrossOracle:
             amps = sum(c * b.amplitudes for c, b in zip(coeffs, basis))
             amps /= np.linalg.norm(amps)
             logical = sv.StateVector(code.n, amps)
-            errors = code.pack_batch(*sample_batch(iid_xz(0.15, 0.15), code.n, seed, 0, trials))
+            errors = code.pack_batch(*sample_batch(code.n, [(iid_xz(0.15, 0.15), seed, 0, trials)]))
             syndromes = code.syndrome_batch(errors)
             classes, failed = decoder.decode_batch(syndromes)
             success = (code.logical_batch(errors) == classes).all(axis=1) & ~failed

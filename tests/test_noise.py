@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from stabkit import noise
 from stabkit.noise import (
     CHANNELS,
     NoiseModel,
@@ -154,19 +155,40 @@ class TestDraws:
         for a, b in ((0, 300), (1, 2), (17, 255), (299, 300)):
             assert np.array_equal(uniforms(99, a, b, 18), full[a:b])
 
+    # Edge models: no window, windows of [0, 1) (x_hi = 1.0 compares with
+    # the Python int 2^64), limits at exact multiples of 2^-53, and a Z
+    # window closing at exactly 1.0.
+    EDGE_MODELS = (iid_x(0.0), iid_x(1.0), iid_xz(0.5, 0.5), depolarizing(1.0))
+
     def test_batch_equals_scalar_sample_on_the_same_draws(self):
         n = 7
-        for model in (iid_x(0.3), iid_xz(0.2, 0.4), depolarizing(0.6)):
-            x, z = sample_batch(model, n, 4, 10, 60)
+        for model in (iid_x(0.3), iid_xz(0.2, 0.4), depolarizing(0.6)) + self.EDGE_MODELS:
+            x, z = sample_batch(n, [(model, 4, 10, 60)])
             u = uniforms(4, 10, 60, n)
             for row in range(50):
                 op = sample(model, n, _Replay(u[row]))
                 assert op.x_bits == sum(int(b) << q for q, b in enumerate(x[row]))
                 assert op.z_bits == sum(int(b) << q for q, b in enumerate(z[row]))
 
+    @pytest.mark.parametrize("model", EDGE_MODELS + (depolarizing(0.6), iid_xz(0.1, 0.3)))
+    def test_batch_limits_match_the_float_test_at_their_words(self, model, monkeypatch):
+        # The words next to each integer limit ceil(t 2^53) 2^11, fed to
+        # sample_batch in place of the hash, are classed as the float draws
+        # ((w >> 11) 2^-53) < t of the scalar sample.
+        words = {0, 2**64 - 1}
+        for t in noise._bounds(model):
+            limit = math.ceil(t * 2.0**53) << 11
+            words |= {w for w in (limit - 1, limit, limit + 1) if 0 <= w < 2**64}
+        words = np.array(sorted(words), dtype=np.uint64)[:, None]
+        monkeypatch.setattr(noise, "_words", lambda pieces, count: words)
+        x, z = sample_batch(1, [(model, 0, 0, len(words))])
+        for w, x_bit, z_bit in zip(words[:, 0], x[:, 0], z[:, 0]):
+            op = sample(model, 1, _Replay([(int(w) >> 11) * 2.0**-53]))
+            assert (op.x_bits, op.z_bits) == (int(x_bit), int(z_bit))
+
     def test_batch_depolarizing_letter_balance(self):
         p = 0.3
-        x, z = sample_batch(depolarizing(p), 4, 11, 0, 50_000)
+        x, z = sample_batch(4, [(depolarizing(p), 11, 0, 50_000)])
         draws = x.size
         sigma = math.sqrt((p / 3) * (1 - p / 3) / draws)
         for count in ((x & ~z).sum(), (x & z).sum(), (~x & z).sum()):
@@ -176,7 +198,7 @@ class TestDraws:
 
     def test_batch_iid_xz_letter_frequencies(self):
         px, pz = 0.2, 0.3
-        x, z = sample_batch(iid_xz(px, pz), 4, 13, 0, 50_000)
+        x, z = sample_batch(4, [(iid_xz(px, pz), 13, 0, 50_000)])
         draws = x.size
         observed = ((x & ~z).sum(), (x & z).sum(), (~x & z).sum())
         for count, expect in zip(observed, (px * (1 - pz), px * pz, pz * (1 - px))):

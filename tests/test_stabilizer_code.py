@@ -203,6 +203,22 @@ class TestBatch:
         assert list(success) == [code.in_stabilizer_group(op) for op in ops]
         assert success.any() and not success.all()
 
+    @pytest.mark.parametrize("columns", [0, 1, 7, 63, 64, 65, 130])
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_pack_bits_matches_a_per_row_reference(self, columns, rows):
+        bits = np.random.default_rng(columns * 10 + rows).random((rows, columns)) < 0.5
+        bits[:, -1:] = True  # the last column lands on its word's top or first bit
+        need = -(-columns // 64)
+        for words in (need, need + 1):
+            packed = stabilizer_code._pack_bits(words, bits)
+            assert packed.shape == (rows, words) and packed.dtype == np.dtype("<u8")
+            for row, out in zip(bits, packed):
+                expect = sum(int(b) << j for j, b in enumerate(row))
+                assert sum(int(w) << 64 * i for i, w in enumerate(out)) == expect
+            # Blocks side by side pack as their concatenation.
+            halves = bits[:, : columns // 2], bits[:, columns // 2 :]
+            assert np.array_equal(stabilizer_code._pack_bits(words, *halves), packed)
+
 
 class TestPureErrors:
     @pytest.mark.parametrize(
