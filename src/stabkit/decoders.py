@@ -229,7 +229,6 @@ class _Sector:
         self.sector = sector  # error species decoded
         self.pair_cost, self.boundary_cost = pair_cost, boundary_cost
         self.boundary_flips = boundary_flips
-        self.sector_mask = sum(1 << gi for gi in checks)
         self.flipping = sum(1 << i for i, f in enumerate(boundary_flips) if f)
         # The pruning graph: per defect i, a bitmask of the pair edges that
         # beat two boundary matches (dropping the rest, ties too, keeps the
@@ -278,24 +277,10 @@ class _Sector:
             yield component, half, sum(half.values())
             mask ^= component
 
-    def solve(self, mask: int) -> tuple[int, bool, list[int]]:
-        """`_search` on the whole non-empty defect set `mask`, unsplit, with
-        the h of its `walk` components merged."""
-        half = {}
-        for _, part, _ in self.walk(mask):
-            half.update(part)
-        return _search(mask, self, half, sum(half.values()))
-
     def defects_of(self, syndrome_value: int) -> list[int]:
         """Flagged checks of this sector, in ascending generator order (the
         matching's tie-breaks depend on that order)."""
-        defects = []
-        v = syndrome_value & self.sector_mask
-        while v:
-            low = v & -v
-            defects.append((self.sector_mask & (low - 1)).bit_count())  # checks below
-            v ^= low
-        return defects
+        return [i for i, gi in enumerate(self.generators.tolist()) if syndrome_value >> gi & 1]
 
     def problem(self, defects: list[int]) -> MatchingProblem:
         return MatchingProblem(
@@ -306,12 +291,6 @@ class _Sector:
                 tuple(self.pair_cost[i][j] for j in defects) for i in defects
             ),
         )
-
-    def logical_flip(self, syndrome_value: int) -> bool:
-        """Parity of the defects the matching sends to a flipping boundary:
-        `flip` on all of the value's defects in this sector, with no numpy
-        pass.  The reference for `shortcut`."""
-        return self.flip(sum(1 << i for i in self.defects_of(syndrome_value)))
 
     def flip(self, mask: int) -> bool:
         """Flip parity of the optimum on the defect set `mask`, one `walk`
@@ -450,7 +429,7 @@ class MwpmDecoder:
         must equal."""
         v = 0
         for sector, column in zip((self._z_checks, self._x_checks), self._columns):
-            if sector.logical_flip(value):
+            if sector.flip(sum(1 << i for i in sector.defects_of(value))):
                 v ^= self._logicals[1 - column]
         while value:
             low = value & -value

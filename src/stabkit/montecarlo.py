@@ -210,18 +210,28 @@ def _estimate_points(jobs, trials: int, workers: int) -> list[RatePoint]:
     return points
 
 
-def _sweep_jobs(code, decoder, noise_kind: str, p_values: list[float], master_seed: int):
-    """One (code, decoder, noise, point_seed) job per p."""
+def _run_sweeps(runs, noise_kind: str, p_values: list[float], trials: int, workers: int):
+    """One `sweep` report per (code, decoder, master_seed) run, all run in
+    one `_estimate_points` call; each report carries the call's wall time."""
     if noise_kind not in CHANNELS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     if not p_values:
         raise ValueError("empty p grid")
     if any(b <= a for a, b in zip(p_values, p_values[1:])):
         raise ValueError("p grid must be strictly increasing")
-    return [
-        (code, decoder, CHANNELS[noise_kind](p), derive_seed(master_seed, index))
+    jobs = [
+        (code, decoder, CHANNELS[noise_kind](p), derive_seed(seed, index))
+        for code, decoder, seed in runs
         for index, p in enumerate(p_values)
     ]
+    start = time.perf_counter()
+    points = iter(_estimate_points(jobs, trials, workers))
+    wall_time_s = time.perf_counter() - start
+    reports = []
+    for code, decoder, seed in runs:
+        name, run_points = decoder.name if decoder else "none", [next(points) for _ in p_values]
+        reports.append(SimulationReport(code.name, name, noise_kind, seed, run_points, wall_time_s))
+    return reports
 
 
 def sweep(
@@ -236,17 +246,7 @@ def sweep(
     """One RatePoint per p under the channel `noise.CHANNELS[noise_kind]`;
     the grid must be strictly increasing.  A None decoder post-selects, as
     in `estimate_logical_rate`."""
-    jobs = _sweep_jobs(code, decoder, noise_kind, p_values, master_seed)
-    start = time.perf_counter()
-    points = _estimate_points(jobs, trials, workers)
-    return SimulationReport(
-        code=code.name,
-        decoder=decoder.name if decoder else "none",
-        noise=noise_kind,
-        master_seed=master_seed,
-        points=points,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return _run_sweeps([(code, decoder, master_seed)], noise_kind, p_values, trials, workers)[0]
 
 
 # --- threshold scan ----------------------------------------------------------
@@ -309,23 +309,15 @@ def threshold_scan(
 
     Every (distance, p) point runs in one call, so points of different
     distances interleave in one pool: each report carries the whole scan's
-    `wall_time_s`.
+    `wall_time_s`, which leaves out the codes' and decoders' builds.
     """
     if len(distances) < 2:
         raise ValueError("need at least two distances to locate a crossing")
     if len(set(distances)) != len(distances):
         raise ValueError("distances must be distinct")
-    start = time.perf_counter()
-    reports, jobs = {}, []
-    for lam in distances:
-        code, seed = surface_code(lam), derive_seed(master_seed, lam)
-        jobs += _sweep_jobs(code, MwpmDecoder(code), "iid_xz", p_values, seed)
-        reports[lam] = SimulationReport(code.name, MwpmDecoder.name, "iid_xz", seed, [])
-    points = iter(_estimate_points(jobs, trials, workers))
-    wall_time_s = time.perf_counter() - start
-    for report in reports.values():
-        report.points = [next(points) for _ in p_values]
-        report.wall_time_s = wall_time_s
+    codes = [surface_code(lam) for lam in distances]
+    runs = [(c, MwpmDecoder(c), derive_seed(master_seed, lam)) for c, lam in zip(codes, distances)]
+    reports = dict(zip(distances, _run_sweeps(runs, "iid_xz", p_values, trials, workers)))
     crossings = []
     for i, lam_a in enumerate(distances):
         for lam_b in distances[i + 1 :]:

@@ -8,9 +8,9 @@ Draw contract: trial t of a Monte Carlo point with seed s uses the
 SplitMix64 stream that starts at ``derive_seed(s, t)``.  Its draw j is
 ``derive_seed(derive_seed(s, t), j)``, read as a uniform in [0, 1) from its
 top 53 bits.  Draws are a function of (s, t, j) alone, so a run gives the
-same counts for any worker count, chunking or batch size.  `uniforms`
-computes them for a whole trial range at once in wrapping uint64 numpy
-arithmetic (`derive_seeds`), and `sample_batch` turns them into errors.
+same counts for any worker count, chunking or batch size.  `_words` hashes
+a whole batch's draw words at once in wrapping uint64 numpy arithmetic
+(`derive_seeds`), and `sample_batch` tests them without building floats.
 
 Each qubit, in qubit order, takes one uniform u under every channel: an X
 component iff u < p_x + p_y, a Z component iff p_x <= u < p_x + p_y + p_z
@@ -66,12 +66,6 @@ def _words(pieces, count: int) -> np.ndarray:
     seeds = np.repeat(np.array([s & _MASK64 for *_, s, _, _ in pieces], dtype=np.uint64), lengths)
     trials = np.concatenate([np.arange(a, b, dtype=np.uint64) for *_, a, b in pieces])
     return derive_seeds(derive_seeds(seeds, trials)[:, None], np.arange(count, dtype=np.uint64))
-
-
-def uniforms(point_seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """Draws 0..count-1 of trials start..stop-1, as a (stop - start, count)
-    float64 array in [0, 1); see the draw contract above."""
-    return (_words([(point_seed, start, stop)], count) >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)

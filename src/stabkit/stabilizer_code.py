@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -215,40 +216,31 @@ class StabilizerCode:
         problems: list[str] = []
         if self.m != self.n - self.k:
             problems.append(f"generator count {self.m} != n-k = {self.n - self.k}")
-        for i, g in enumerate(self.generators):
-            if g.n != self.n:
-                problems.append(f"generator {i + 1} acts on {g.n} qubits, code has {self.n}")
+        ops = list(self.generators) + [p for pair in self.logicals for p in pair]
+        names = [f"generator {i}" for i in range(1, self.m + 1)]
+        names += [f"logical {a}{i}" for i in range(1, len(self.logicals) + 1) for a in "XZ"]
+        for name, p in zip(names, ops):
+            if p.n != self.n:
+                problems.append(f"{name} acts on {p.n} qubits, code has {self.n}")
+        if any(p.n != self.n for p in ops):
+            return ValidationReport(False, tuple(problems))  # the rest needs n qubits
+        for i, g in enumerate(self.generators, 1):
             if g.phase_exp != 0:
-                problems.append(f"generator {i + 1} has nontrivial phase")
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                if not commutes(self.generators[i], self.generators[j]):
-                    problems.append(f"generators {i + 1} and {j + 1} anti-commute")
+                problems.append(f"generator {i} has nontrivial phase")
+        # Two operators must anti-commute exactly when they are X̄_i and Z̄_i.
+        for a, b in combinations(range(len(ops)), 2):
+            pair = a >= self.m and (a - self.m) % 2 == 0 and b == a + 1
+            if commutes(ops[a], ops[b]) == pair:
+                problems.append(f"{names[a]} and {names[b]} {'' if pair else 'anti-'}commute")
         basis = RowBasis()
         for i, g in enumerate(self.generators):
             if not basis.insert(self._symplectic(g)):
                 problems.append(f"generator {i + 1} is a product of earlier generators")
         if len(self.logicals) != self.k:
             problems.append(f"expected {self.k} logical pairs, got {len(self.logicals)}")
-        for i, (xbar, zbar) in enumerate(self.logicals, 1):
-            for j, g in enumerate(self.generators, 1):
-                if not commutes(xbar, g):
-                    problems.append(f"logical X{i} anti-commutes with generator {j}")
-                if not commutes(zbar, g):
-                    problems.append(f"logical Z{i} anti-commutes with generator {j}")
-            if commutes(xbar, zbar):
-                problems.append(f"logical pair {i}: X{i} and Z{i} commute")
-            for j, (xo, zo) in enumerate(self.logicals, 1):
-                if j == i:
-                    continue
-                if not commutes(xbar, xo) or not commutes(xbar, zo):
-                    problems.append(f"logical X{i} anti-commutes with pair {j}")
-                if not commutes(zbar, xo) or not commutes(zbar, zo):
-                    problems.append(f"logical Z{i} anti-commutes with pair {j}")
-            if self.in_stabilizer_group(xbar):
-                problems.append(f"logical X{i} lies in the stabilizer span")
-            if self.in_stabilizer_group(zbar):
-                problems.append(f"logical Z{i} lies in the stabilizer span")
+        for name, p in zip(names[self.m :], ops[self.m :]):
+            if self.in_stabilizer_group(p):
+                problems.append(f"{name} lies in the stabilizer span")
         if distance_max_weight is not None and self.declared_distance is not None:
             found = distance(self, distance_max_weight)
             if found != self.declared_distance:

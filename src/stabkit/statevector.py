@@ -25,6 +25,7 @@ from .stabilizer_code import StabilizerCode, Syndrome
 MAX_QUBITS = 16
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _PHASES = (1, 1j, -1, -1j)
+_X = PauliOperator(1, 1, 0)
 
 
 @dataclass
@@ -92,20 +93,6 @@ def bloch_rotation(delta_theta: float, delta_phi: float) -> np.ndarray:
     return rz @ ry
 
 
-def _index_masks(state_n: int, p: PauliOperator, targets: Sequence[int]) -> tuple[int, int]:
-    """Translate a Pauli's qubit masks onto index-bit positions of a register."""
-    if len(targets) != p.n:
-        raise ValueError("target list length must equal the operator's qubit count")
-    xm = zm = 0
-    for q0 in range(p.n):
-        pos = _pos(state_n, targets[q0])
-        if (p.x_bits >> q0) & 1:
-            xm |= 1 << pos
-        if (p.z_bits >> q0) & 1:
-            zm |= 1 << pos
-    return xm, zm
-
-
 def apply_matrix(state: StateVector, matrix: np.ndarray, q: int) -> StateVector:
     """Apply a single-qubit 2x2 matrix at qubit q."""
     pos = _pos(state.n, q)
@@ -122,6 +109,28 @@ def apply_hadamard(state: StateVector, q: int) -> StateVector:
     return apply_matrix(state, _H, q)
 
 
+def _apply_pauli(
+    state: StateVector, p: PauliOperator, targets: Sequence[int], control: int | None = None
+) -> StateVector:
+    """The one Pauli kernel: p on the 1-based register qubits `targets`,
+    only on the branch where qubit `control` is 1 if one is given."""
+    if len(targets) != p.n:
+        raise ValueError("target list length must equal the operator's qubit count")
+    xm = zm = 0
+    for q0, q in enumerate(targets):
+        bit = 1 << _pos(state.n, q)
+        xm |= bit * ((p.x_bits >> q0) & 1)
+        zm |= bit * ((p.z_bits >> q0) & 1)
+    src = np.arange(state.amplitudes.size, dtype=np.int64)
+    if control is not None:
+        src = src[(src >> _pos(state.n, control)) & 1 == 1]
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & zm) & 1)
+    phase = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
+    out = state.amplitudes.copy()
+    out[src ^ xm] = state.amplitudes[src] * signs * phase
+    return StateVector(state.n, out)
+
+
 def apply_pauli(
     state: StateVector, p: PauliOperator, targets: Sequence[int] | None = None
 ) -> StateVector:
@@ -131,23 +140,13 @@ def apply_pauli(
         if p.n != state.n:
             raise ValueError(f"operator acts on {p.n} qubits, state has {state.n}")
         targets = range(1, p.n + 1)
-    xm, zm = _index_masks(state.n, p, list(targets))
-    idx = np.arange(state.amplitudes.size, dtype=np.int64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1)
-    phase = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
-    out = np.empty_like(state.amplitudes)
-    out[idx ^ xm] = state.amplitudes * signs * phase
-    return StateVector(state.n, out)
+    return _apply_pauli(state, p, list(targets))
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     if control == target:
         raise ValueError("control and target must differ")
-    pc = _pos(state.n, control)
-    pt = _pos(state.n, target)
-    idx = np.arange(state.amplitudes.size, dtype=np.int64)
-    src = idx ^ (((idx >> pc) & 1) << pt)
-    return StateVector(state.n, state.amplitudes[src])
+    return _apply_pauli(state, _X, [target], control)
 
 
 def apply_controlled_pauli(
@@ -157,21 +156,10 @@ def apply_controlled_pauli(
     targets: Sequence[int] | None = None,
 ) -> StateVector:
     """Apply p to the target qubits on the control-1 branch."""
-    if targets is None:
-        targets = range(1, p.n + 1)
-    targets = list(targets)
+    targets = list(range(1, p.n + 1) if targets is None else targets)
     if control in targets:
         raise ValueError("control qubit cannot be a target")
-    xm, zm = _index_masks(state.n, p, targets)
-    pc = _pos(state.n, control)
-    idx = np.arange(state.amplitudes.size, dtype=np.int64)
-    sel = (idx >> pc) & 1 == 1
-    src = idx[sel]
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & zm) & 1)
-    phase = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
-    out = state.amplitudes.copy()
-    out[src ^ xm] = state.amplitudes[src] * signs * phase
-    return StateVector(state.n, out)
+    return _apply_pauli(state, p, targets, control)
 
 
 def measure_qubit(

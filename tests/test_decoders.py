@@ -68,11 +68,32 @@ def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
     return hit
 
 
+def solve(sector, mask):
+    """`_search` on the whole non-empty defect set `mask` of `sector`,
+    unsplit, with the h of its `walk` components merged."""
+    half = {}
+    for _, part, _ in sector.walk(mask):
+        half.update(part)
+    return decoders_module._search(mask, sector, half, sum(half.values()))
+
+
+def logical_flip(sector, value):
+    """Parity of the defects the matching sends to a flipping boundary:
+    `sector.flip` on all of the value's defects in the sector, with no
+    numpy pass.  The reference for `shortcut`."""
+    return sector.flip(sum(1 << i for i in sector.defects_of(value)))
+
+
+def sector_mask(sector):
+    """The syndrome value that flags every check of `sector`."""
+    return sum(1 << gi for gi in sector.generators.tolist())
+
+
 def search_and_dp(mask, sector):
-    """`sector.solve`'s (cost, flip, picks) on one defect set, the same
+    """`solve`'s (cost, flip, picks) on one defect set, the same
     triple from a fresh unbounded memo (its top entry, and the partners on
     the walk from `mask` down), and the number of memo states."""
-    found = sector.solve(mask)
+    found = solve(sector, mask)
     graph = (sector.neighbours, sector.boundary_cost, sector.pair_cost, sector.boundary_flips)
     memo = {0: (0, False, -1)}
     cost, flip, _ = unbounded_optimum(mask, memo, *graph)
@@ -350,7 +371,7 @@ class TestSearch:
         calls = states = 0
         for sector, mask in sampled_components(7, (0.1,), 17, 200):
             states += search_and_dp(mask, sector)[2]
-            calls += search_calls(lambda: sector.solve(mask))
+            calls += search_calls(lambda: solve(sector, mask))
         assert states > 5000
         assert calls <= 0.25 * states
 
@@ -513,7 +534,7 @@ class TestOneSidedComponents:
         assert classes.tolist() == [[False, f] for f in expected]
         for value, row in zip(values, classes):
             assert np.array_equal(row, code.logical_batch(code.pack([decoder.decode_value(value)]))[0])
-        mixed = sector.sector_mask
+        mixed = sector_mask(sector)
         assert [len(set(c)) for c in sector_components(sector, mixed)] == [2]
         classes, failed = decoder.decode_batch(packed(code, [mixed]))
         assert not failed.any()
@@ -715,7 +736,7 @@ class TestMwpmDecoder:
                         continue
                     whole, walked, _ = search_and_dp(mask, sector)
                     assert whole == walked
-                    assert sector.logical_flip(value) == whole[1]
+                    assert logical_flip(sector, value) == whole[1]
                     split += len([c for c, *_ in sector.walk(mask)]) > 1
         assert split > 50
 
@@ -737,13 +758,26 @@ class TestMwpmDecoder:
     def test_building_loads_no_scipy_or_networkx(self):
         # Either import costs a fresh interpreter several times numpy's time
         # and memory, which every Monte Carlo run and pool worker would pay:
-        # no stabkit module, nor a d7 decoder build, may load them.
+        # no stabkit module, nor a d7 decoder build, may load them, and
+        # neither may the paths only some inputs reach: lookup and
+        # post-selected sweeps, the pure errors of `decode_value`, a scan,
+        # the distance search, validation and the statevector oracles.
         script = (
             "import importlib, pkgutil, sys, stabkit\n"
             "for module in pkgutil.iter_modules(stabkit.__path__):\n"
             "    importlib.import_module('stabkit.' + module.name)\n"
-            "from stabkit.decoders import MwpmDecoder\n"
+            "from stabkit import montecarlo, statevector\n"
+            "from stabkit.decoders import LookupDecoder, MwpmDecoder\n"
             "MwpmDecoder(stabkit.surface_code(7))\n"
+            "shor, d3 = stabkit.get_code('shor_nine'), stabkit.surface_code(3)\n"
+            "montecarlo.sweep(shor, LookupDecoder(shor), 'depolarizing', [0.1], 50, 1)\n"
+            "montecarlo.sweep(stabkit.get_code('four_two_two'), None, 'iid_x', [0.1], 50, 1)\n"
+            "MwpmDecoder(d3).decode_value(0b101)\n"
+            "montecarlo.threshold_scan([3, 5], [0.08, 0.12], 50, 1)\n"
+            "stabkit.distance(shor, 3)\n"
+            "assert shor.validate().ok\n"
+            "statevector.encode_by_projection(shor)\n"
+            "statevector.coherent_error_collapse(stabkit.get_code('two_qubit'), 0.1)\n"
             "print(sorted({name.split('.')[0] for name in sys.modules} & {'scipy', 'networkx'}))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(stabkit.__file__).resolve().parents[1]))
@@ -881,9 +915,9 @@ class TestDecodeBatch:
         assert 0 < whole & sector.flipping < whole
         assert whole.bit_count() == 552 > decoders_module._SEARCH_DEFECTS
         with pytest.raises(DecoderError, match="552-defect"):
-            decoder.decode_batch(packed(code, [sector.sector_mask]))
+            decoder.decode_batch(packed(code, [sector_mask(sector)]))
         with pytest.raises(DecoderError, match="552-defect"):
-            decoder.decode_value(sector.sector_mask)
+            decoder.decode_value(sector_mask(sector))
 
 
 def lightest_errors(code, sector):
@@ -950,9 +984,9 @@ class TestCheckGraph:
             for value in range(1 << code.m):
                 problem = sector.problem(sector.defects_of(value))
                 cost, _ = minimum_weight_matching(problem.pair_costs, problem.boundary_costs)
-                weight, classes = best[value & sector.sector_mask]
+                weight, classes = best[value & sector_mask(sector)]
                 assert cost == weight, (sector.sector, value)
-                assert sector.logical_flip(value) in classes, (sector.sector, value)
+                assert logical_flip(sector, value) in classes, (sector.sector, value)
 
     @pytest.mark.parametrize("name", SMALL_CSS_CODES)
     def test_batch_equals_scalar_on_every_syndrome(self, name):

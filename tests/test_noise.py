@@ -15,7 +15,6 @@ from stabkit.noise import (
     iid_xz,
     sample,
     sample_batch,
-    uniforms,
 )
 from stabkit.pauli import identity, weight
 
@@ -116,6 +115,13 @@ class TestSample:
         expect = 0.2 * 0.3
         sigma = math.sqrt(expect * (1 - expect) / trials)
         assert abs(y_count / trials - expect) < 5 * sigma
+
+
+def uniforms(point_seed, start, stop, count):
+    """Draws 0..count-1 of trials start..stop-1, as a (stop - start, count)
+    float64 array in [0, 1): the batch's words read as the draw contract's
+    uniforms."""
+    return (noise._words([(point_seed, start, stop)], count) >> np.uint64(11)) * 2.0**-53
 
 
 class _Replay:

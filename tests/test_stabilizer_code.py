@@ -60,6 +60,35 @@ class TestValidate:
         report = bad.validate()
         assert any("stabilizer span" in p for p in report.problems)
 
+    @pytest.mark.parametrize(
+        "generators, logical, problem",
+        [
+            (("ZZI", "ZZZZ"), ("XXX", "ZII"), "generator 2 acts on 4 qubits, code has 3"),
+            (("ZZI", "IZZ"), ("XXXX", "ZII"), "logical X1 acts on 4 qubits, code has 3"),
+        ],
+        ids=["generator", "logical"],
+    )
+    def test_an_operator_of_the_wrong_size_is_a_problem(self, generators, logical, problem):
+        # Used to raise from `commutes` before the size problem was reported.
+        logicals = (tuple(map(parse, logical)),)
+        bad = StabilizerCode("bad", 3, 1, tuple(map(parse, generators)), logicals)
+        report = bad.validate()
+        assert not report.ok
+        assert problem in report.problems
+
+    def test_only_a_logical_pair_may_anti_commute(self):
+        # X̄_i and Z̄_i must anti-commute; any other pair of generators and
+        # logicals must commute.
+        good = (parse("XXX"), parse("ZII"))
+        cases = [
+            (((parse("XXX"), parse("ZIZ")),), "logical X1 and logical Z1 commute"),
+            (((parse("XII"), parse("ZII")),), "generator 1 and logical X1 anti-commute"),
+            ((good, (parse("XXX"), parse("IIZ"))), "logical X1 and logical Z2 anti-commute"),
+        ]
+        for logicals, problem in cases:
+            bad = StabilizerCode("bad", 3, len(logicals), (parse("ZZI"), parse("IZZ")), logicals)
+            assert problem in bad.validate().problems
+
     def test_declared_distance_cross_check(self):
         code = library.three_qubit_bitflip()
         assert code.validate(distance_max_weight=3).ok
