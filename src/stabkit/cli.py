@@ -88,23 +88,24 @@ def _build_decoder(args, code):
 
 
 def _p_grid(args) -> list[float]:
-    if args.steps is not None:
-        if args.steps < 1:
-            raise ValueError("--steps must be >= 1")
-        if args.p_start is None or args.p_end is None:
-            raise ValueError("--p-start and --p-end are required with --steps")
-        if args.steps == 1:
-            return [args.p_start]
-        if args.log_grid:
-            if args.p_start <= 0 or args.p_end <= 0:
-                raise ValueError("--log-grid needs --p-start and --p-end > 0")
-            a, b = math.log(args.p_start), math.log(args.p_end)
-            return [math.exp(a + (b - a) * i / (args.steps - 1)) for i in range(args.steps)]
-        h = (args.p_end - args.p_start) / (args.steps - 1)
-        return [args.p_start + h * i for i in range(args.steps)]
-    if args.p is None:
-        raise ValueError("give --p/--px for a single point or --p-start/--p-end/--steps")
-    return [args.p]
+    ranged = args.log_grid or any(v is not None for v in (args.p_start, args.p_end, args.steps))
+    if getattr(args, "p", None) is not None:
+        if ranged:
+            raise ValueError("give --p/--px or --p-start/--p-end/--steps, not both")
+        return [args.p]
+    if None in (args.p_start, args.p_end, args.steps):
+        raise ValueError("give --p-start, --p-end and --steps (or one simulate point: --p/--px)")
+    if args.steps < 1:
+        raise ValueError("--steps must be >= 1")
+    if args.steps == 1:
+        return [args.p_start]
+    if args.log_grid:
+        if args.p_start <= 0 or args.p_end <= 0:
+            raise ValueError("--log-grid needs --p-start and --p-end > 0")
+        a, b = math.log(args.p_start), math.log(args.p_end)
+        return [math.exp(a + (b - a) * i / (args.steps - 1)) for i in range(args.steps)]
+    h = (args.p_end - args.p_start) / (args.steps - 1)
+    return [args.p_start + h * i for i in range(args.steps)]
 
 
 def cmd_simulate(args) -> int:
@@ -118,8 +119,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_threshold(args) -> int:
     distances = [int(tok) for tok in args.distances.split(",")]
-    if args.steps is None or args.p_start is None or args.p_end is None:
-        raise ValueError("threshold scans require --p-start, --p-end and --steps")
     grid = _p_grid(args)
     scan = threshold_scan(distances, grid, args.trials, args.seed, workers=args.threads)
     _emit(scan.to_json() if args.format == "json" else scan.to_csv(), args.out)

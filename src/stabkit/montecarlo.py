@@ -212,7 +212,9 @@ def _estimate_points(jobs, trials: int, workers: int) -> list[RatePoint]:
 
 def _run_sweeps(runs, noise_kind: str, p_values: list[float], trials: int, workers: int):
     """One `sweep` report per (code, decoder, master_seed) run, all run in
-    one `_estimate_points` call; each report carries the call's wall time."""
+    one `_estimate_points` call; each report carries the call's wall time.
+    The grid is made floats first, so ints write the same CSV bytes."""
+    p_values = [float(p) for p in p_values]
     if noise_kind not in CHANNELS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     if not p_values:

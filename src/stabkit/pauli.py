@@ -30,8 +30,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._gf2 import parity
-
 LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
 
 _PHASE_TOKENS = {"": 0, "+": 0, "+i": 1, "-": 2, "-i": 3}
@@ -124,7 +122,7 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """Symplectic inner product test; global phases are irrelevant."""
     if a.n != b.n:
         raise ValueError(f"qubit count mismatch: {a.n} != {b.n}")
-    return parity(a.x_bits & b.z_bits) == parity(a.z_bits & b.x_bits)
+    return (a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count() & 1 == 0
 
 
 def weight(p: PauliOperator) -> int:

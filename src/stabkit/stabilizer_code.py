@@ -8,8 +8,8 @@ anti-commutes.  Generator order is part of the code definition — it fixes
 the syndrome bit order, and the built-in codes list generators exactly in
 the order their published syndrome tables assume.
 
-Stabilizer-group membership is symplectic-span membership: global phases
-are ignored throughout (stabilizers are treated projectively).
+Stabilizer-group membership is span membership in one symplectic generator
+basis, which `validate` also reads; phases are ignored (projective stabilizers).
 
 Batches of operators, as the Monte Carlo loop uses them, are bit-packed:
 one row of uint64 words per operator holding its symplectic vector (x bits
@@ -19,10 +19,11 @@ class (`logical_batch`) their parity against each X̄_i and Z̄_i.  For a
 valid code, a recovery with the error's syndrome succeeds (the product is a
 stabilizer) iff both have the same class: 2k parities, not a span reduction.
 
-Pure errors turn a syndrome into an operator: `pure_errors[i]` flips
-syndrome bit i alone and commutes with every logical, so their product over
-the set bits of a syndrome has that syndrome, and any other operator with
-it differs from that product by a stabilizer times a logical.
+Pure errors turn a syndrome into an operator: `pure_errors[i]`, entry i of
+the check rows' right inverse (`_gf2.right_inverse`), flips syndrome bit i
+alone and commutes with every logical.  Their product over the set bits of
+a syndrome has that syndrome; any other operator with it differs from that
+product by a stabilizer times a logical.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._gf2 import RowBasis, right_inverse
-from .pauli import PauliOperator, commutes, enumerate_paulis
-
-_RESIDUAL_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+from .pauli import LETTERS, PauliOperator, commutes, enumerate_paulis
 
 # Exponential searches fail fast: a lookup table holds at most
 # 2^LOOKUP_SYNDROME_GUARD rows, `distance` tries at most DISTANCE_SEARCH_GUARD Paulis.
@@ -202,13 +201,11 @@ class StabilizerCode:
         """
         if self.syndrome_value(residual) != 0:
             raise ValueError("residual has nonzero syndrome; not a codespace operator")
-        classes = []
-        for xbar, zbar in self.logicals:
-            x_comp = 0 if commutes(residual, zbar) else 1
-            z_comp = 0 if commutes(residual, xbar) else 1
-            classes.append(_RESIDUAL_LETTER[(x_comp, z_comp)])
-        success = self.in_stabilizer_group(residual)
-        return ResidualClass(success, tuple(classes))
+        classes = tuple(
+            LETTERS[(not commutes(residual, zbar)) + 2 * (not commutes(residual, xbar))]
+            for xbar, zbar in self.logicals
+        )
+        return ResidualClass(self.in_stabilizer_group(residual), classes)
 
     def validate(self, distance_max_weight: int | None = None) -> ValidationReport:
         """Check every structural invariant; optionally cross-check the
@@ -232,10 +229,8 @@ class StabilizerCode:
             pair = a >= self.m and (a - self.m) % 2 == 0 and b == a + 1
             if commutes(ops[a], ops[b]) == pair:
                 problems.append(f"{names[a]} and {names[b]} {'' if pair else 'anti-'}commute")
-        basis = RowBasis()
-        for i, g in enumerate(self.generators):
-            if not basis.insert(self._symplectic(g)):
-                problems.append(f"generator {i + 1} is a product of earlier generators")
+        for i in self._stab_basis.dependent:
+            problems.append(f"generator {i + 1} is a product of earlier generators")
         if len(self.logicals) != self.k:
             problems.append(f"expected {self.k} logical pairs, got {len(self.logicals)}")
         for name, p in zip(names[self.m :], ops[self.m :]):

@@ -236,6 +236,34 @@ class TestSimulate:
         assert code == 2
         assert err == "ERR_CONFIG: --log-grid needs --p-start and --p-end > 0\n"
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "--p 0.1 --log-grid",
+            "--p 0.1 --p-start 0.2 --p-end 0.3",
+            "--p 0.5 --p-start 0.01 --p-end 0.02 --steps 2",
+            "--px 0.1 --p-end 0.3",
+            "--px 0.1 --p-start 0.2 --p-end 0.3 --steps 1",
+        ],
+    )
+    def test_a_point_with_grid_flags_is_config_error(self, capsys, grid):
+        # A point and a grid are two runs; neither may be dropped silently.
+        code, out, err = run_cli(
+            capsys, "simulate", "--code", "three_qubit_bitflip", *grid.split(),
+            "--trials", "10", "--threads", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "ERR_CONFIG: give --p/--px or --p-start/--p-end/--steps, not both\n"
+
+    def test_one_step_runs_the_start_point(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--code", "three_qubit_bitflip", "--p-start", "0.05",
+            "--p-end", "0.2", "--steps", "1", "--trials", "100", "--threads", "1",
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.05"]
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_config_error(self, capsys, threads):
         code, out, err = run_cli(
@@ -290,3 +318,19 @@ def test_library_input_errors_are_config_errors(capsys, argv):
     # The library, not the CLI, rejects these inputs with ValueError.
     code, _, err = run_cli(capsys, *argv, "--threads", "1")
     assert code == 2 and err.startswith("ERR_CONFIG:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--code", "two_qubit"], ["threshold", "--distances", "2,3"]],
+    ids=["simulate", "threshold"],
+)
+@pytest.mark.parametrize(
+    "grid",
+    ["", "--p-start 0.1 --p-end 0.2", "--p-start 0.1 --log-grid", "--steps 2"],
+    ids=["none", "ends", "start-log-grid", "steps"],
+)
+def test_a_partial_grid_is_config_error(capsys, command, grid):
+    code, out, err = run_cli(capsys, *command, *grid.split(), "--threads", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("ERR_CONFIG: give --p-start, --p-end and --steps")

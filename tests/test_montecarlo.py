@@ -265,6 +265,12 @@ class TestSweep:
         b = sweep(code, decoder, "iid_xz", [0.05, 0.1], 2000, 31).to_csv()
         assert a == b
 
+    def test_an_int_grid_writes_the_csv_of_its_float_grid(self):
+        # `p` is written with repr: the grid point 0 must write "0.0" too.
+        ints = sweep(library.four_two_two(), None, "iid_x", [0, 0.1], 100, 1).to_csv()
+        floats = sweep(library.four_two_two(), None, "iid_x", [0.0, 0.1], 100, 1).to_csv()
+        assert ints == floats and ints.splitlines()[1].startswith("0.0,100,")
+
     @pytest.mark.parametrize(
         "lam, p_values, counts",
         [
@@ -340,25 +346,54 @@ class TestFixedSeedOutputs:
 
 
 class TestExactOracle:
-    def test_surface_d3_iid_x_sweep_matches_the_exact_curve(self):
-        # Every one of the 2^13 X errors of surface_d3 through MWPM: A_w
-        # errors of weight w fail, so under iid_x the exact rate is
-        # sum_w A_w p^w (1 - p)^(13 - w).  A sweep lies within 5 sigma.
-        code = library.surface_code(3)
-        decoder = MwpmDecoder(code)
+    # Every one of the 2^13 X (or Z) errors of surface_d3 through MWPM:
+    # A_w X errors and B_w Z errors of weight w fail.  Tie-breaks make the
+    # two sectors' counts differ.
+    A_W = [0, 0, 25, 154, 378, 657, 870, 832, 616, 358, 153, 46, 6, 1]
+    B_W = [0, 0, 25, 163, 379, 639, 860, 840, 632, 360, 147, 45, 5, 1]
+    P_GRID, TRIALS = [0.02, 0.05, 0.10, 0.15], 4000
+
+    @staticmethod
+    def failing_weights(code, decoder, sector):
         values = np.arange(1 << code.n)
-        x = (values[:, None] >> np.arange(code.n)) & 1 == 1
-        errors = code.pack_batch(x, np.zeros_like(x))
+        bits = (values[:, None] >> np.arange(code.n)) & 1 == 1
+        none = np.zeros_like(bits)
+        errors = code.pack_batch(*((bits, none) if sector == "X" else (none, bits)))
         classes, failed = decoder.decode_batch(code.syndrome_batch(errors))
         wrong = (classes != code.logical_batch(errors)).any(axis=1) | failed
-        counts = np.bincount(x.sum(axis=1)[wrong], minlength=code.n + 1).tolist()
-        assert counts == [0, 0, 25, 154, 378, 657, 870, 832, 616, 358, 153, 46, 6, 1]
-        trials = 4000
-        report = sweep(code, decoder, "iid_x", [0.02, 0.05, 0.10, 0.15], trials, 31)
+        return np.bincount(bits.sum(axis=1)[wrong], minlength=code.n + 1).tolist()
+
+    @staticmethod
+    def sector_rate(counts, p):
+        """The exact failure rate of one sector under iid noise at p."""
+        n = len(counts) - 1
+        return sum(c * p**w * (1 - p) ** (n - w) for w, c in enumerate(counts))
+
+    def assert_within_5_sigma(self, report, exact_rate):
         for pt in report.points:
-            exact = sum(a * pt.p**w * (1 - pt.p) ** (code.n - w) for w, a in enumerate(counts))
-            sigma = math.sqrt(exact * (1 - exact) / trials)
+            exact = exact_rate(pt.p)
+            sigma = math.sqrt(exact * (1 - exact) / self.TRIALS)
             assert abs(pt.p_l - exact) < 5 * sigma, (pt.p, pt.p_l, exact)
+
+    def test_surface_d3_iid_x_sweep_matches_the_exact_curve(self):
+        # Under iid_x the exact rate is sum_w A_w p^w (1 - p)^(13 - w).
+        code = library.surface_code(3)
+        decoder = MwpmDecoder(code)
+        assert self.failing_weights(code, decoder, "X") == self.A_W
+        report = sweep(code, decoder, "iid_x", self.P_GRID, self.TRIALS, 31)
+        self.assert_within_5_sigma(report, lambda p: self.sector_rate(self.A_W, p))
+
+    def test_surface_d3_iid_xz_sweep_matches_the_exact_curve(self):
+        # The sectors fail independently under iid_xz, so the exact rate is
+        # 1 - (1 - sum_w A_w p^w (1-p)^(13-w)) (1 - sum_w B_w p^w (1-p)^(13-w)).
+        code = library.surface_code(3)
+        decoder = MwpmDecoder(code)
+        assert self.failing_weights(code, decoder, "Z") == self.B_W
+        report = sweep(code, decoder, "iid_xz", self.P_GRID, self.TRIALS, 31)
+        self.assert_within_5_sigma(
+            report,
+            lambda p: 1 - (1 - self.sector_rate(self.A_W, p)) * (1 - self.sector_rate(self.B_W, p)),
+        )
 
 
 def _unpack(code, row) -> PauliOperator:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -261,6 +262,19 @@ class TestPureErrors:
         for i, error in enumerate(code.pure_errors):
             assert code.syndrome_value(error) == 1 << i
             assert all(commutes(error, logical) for logical in logicals)
+
+    def test_digest(self):
+        # The pure errors are the unique right inverse on the pivot columns,
+        # so any correct elimination gives exactly these operators.
+        names = library.registered_names() + ["surface_d4", "surface_d5", "surface_d7"]
+        text = "".join(
+            f"{name} {i} {p}\n"
+            for name in names
+            for i, p in enumerate(library.get_code(name).pure_errors)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "dfef75408c307acdba0f293c12d0216339db73dce618120436ef41a324348c24"
+        )
 
     def test_duplicated_generator_rejected(self):
         code = library.three_qubit_bitflip()
