@@ -97,11 +97,13 @@ def _p_grid(args) -> list[float]:
         raise ValueError("give --p-start, --p-end and --steps (or one simulate point: --p/--px)")
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
+    if args.log_grid and (args.p_start <= 0 or args.p_end <= 0):
+        raise ValueError("--log-grid needs --p-start and --p-end > 0")
+    if args.p_end < args.p_start:
+        raise ValueError("--p-end must not be below --p-start")
     if args.steps == 1:
         return [args.p_start]
     if args.log_grid:
-        if args.p_start <= 0 or args.p_end <= 0:
-            raise ValueError("--log-grid needs --p-start and --p-end > 0")
         a, b = math.log(args.p_start), math.log(args.p_end)
         return [math.exp(a + (b - a) * i / (args.steps - 1)) for i in range(args.steps)]
     h = (args.p_end - args.p_start) / (args.steps - 1)

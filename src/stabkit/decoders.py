@@ -51,7 +51,6 @@ logical, so a trial succeeds iff its error has that class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +76,9 @@ class LookupDecoder:
     """Syndrome -> minimum-weight recovery, built by exhaustive enumeration:
     errors by ascending weight up to max_weight (None: n), the first seen
     per syndrome stored.  Enumeration stops once every possible syndrome
-    has an entry."""
+    has an entry.  The constructor also builds `decode_batch`'s class
+    table: per syndrome value, the `logical_batch` row of `decode_value`,
+    then a miss column (set where the table has no entry)."""
 
     name = "lookup"
 
@@ -96,21 +97,15 @@ class LookupDecoder:
                 self.table.setdefault(code.syndrome_value(p), p)
             if len(self.table) == 1 << code.m:
                 break
+        hits = np.fromiter(self.table, dtype=np.intp)
+        self._class_table = np.zeros((1 << code.m, 2 * code.k + 1), dtype=bool)
+        self._class_table[:, -1] = True
+        self._class_table[hits, :-1] = code.logical_batch(code.pack(self.table.values()))
+        self._class_table[hits, -1] = False
 
     def decode_value(self, value: int) -> PauliOperator:
         """Stored recovery for a syndrome value; a miss is the identity."""
         return self.table.get(value, identity(self.code.n))
-
-    @cached_property
-    def _class_table(self) -> np.ndarray:
-        """Per syndrome value: the `logical_batch` row of `decode_value`,
-        then a miss column (set where the table has no entry)."""
-        hits = np.fromiter(self.table, dtype=np.intp)
-        table = np.zeros((1 << self.code.m, 2 * self.code.k + 1), dtype=bool)
-        table[:, -1] = True
-        table[hits, :-1] = self.code.logical_batch(self.code.pack(self.table.values()))
-        table[hits, -1] = False
-        return table
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Recovery classes of packed syndromes; a syndrome missing from a
@@ -237,7 +232,7 @@ class _Sector:
         # w) for each w below 2 boundary[i], ascending, then (2 boundary[i],
         # -1 = every defect).  Cost-1 edges (checks that share a qubit) are
         # all kept: a first ring of cost 1 is the adjacency mask `shortcut`
-        # counts in uint8 (under 256 bits).  Masks are packed for numpy.
+        # counts.  Masks are packed for numpy.
         self.neighbours, self.rings = [], []
         for i, b in enumerate(boundary_cost):
             kept, ring = 0, {2 * b: -1}
@@ -248,7 +243,7 @@ class _Sector:
                         ring[w] = ring.get(w, 0) | 1 << j
             self.neighbours.append(kept)
             self.rings.append(sorted(ring.items()))
-        adjacent = [m if w == 1 and m.bit_count() < 256 else 0 for (w, m), *_ in self.rings]
+        adjacent = [m if w == 1 else 0 for (w, m), *_ in self.rings]
         self.generators = np.array(checks, dtype=np.intp)
         self.words, k = -(-len(checks) // 64), len(checks)
         words = _pack_ints(self.neighbours + adjacent + [self.flipping], self.words)
@@ -319,17 +314,13 @@ class _Sector:
         least 1, so each defect has h_i = 1, and the sum of h (see
         `_search`), the number of defects, is twice the pairing's cost; an
         optimum pays exactly h_i at every defect, which only the one
-        adjacent leftover does, and pair edges never flip.  Degrees count
-        in uint8, so a row with more than 255 defects skips the isolated
-        pass; it is still settled whole if one-sided.  Returns the flip
-        parity of the settled defects and the packed rest, which `flip`
-        must solve."""
-        words, small = self.words, present
-        if present.shape[1] > 255:  # else no row can have 256 defects
-            small = present & (present.sum(axis=1, keepdims=True) <= 255)
+        adjacent leftover does, and pair edges never flip.  Returns the
+        flip parity of the settled defects and the packed rest, which
+        `flip` must solve."""
+        words = self.words
         degree = and_popcount(_pack_bits(words, present), self.neighbour_words)
-        isolated = small & (degree == 0)
-        single = small & (degree == 1)
+        isolated = present & (degree == 0)
+        single = present & (degree == 1)
         paired = single & (and_popcount(_pack_bits(words, single), self.neighbour_words) == 1)
         rest = present & ~isolated & ~paired
         packed = _pack_bits(words, rest)
@@ -410,13 +401,6 @@ class MwpmDecoder:
             sectors.append(_Sector(sector, checks, *graph))
         self._z_checks, self._x_checks = sectors
         self._columns = (c, 1 - c)  # the class column each sector's flip sets
-        self._logicals = [code._symplectic(p) for p in pair]
-
-    @cached_property
-    def _pure(self) -> list[int]:
-        """Symplectic vectors of the code's pure errors, built on the first
-        `decode_value` call: `decode_batch` needs only the classes."""
-        return [self.code._symplectic(p) for p in self.code.pure_errors]
 
     def matching_problems(self, s: Syndrome) -> dict[str, MatchingProblem]:
         sectors = (self._z_checks, self._x_checks)
@@ -427,16 +411,15 @@ class MwpmDecoder:
         module docstring says.  Each sector is split by component with no
         numpy pass, so this is the reference whose class `decode_batch`
         must equal."""
-        v = 0
+        code, v = self.code, 0
         for sector, column in zip((self._z_checks, self._x_checks), self._columns):
             if sector.flip(sum(1 << i for i in sector.defects_of(value))):
-                v ^= self._logicals[1 - column]
+                v ^= code._symplectic(code.logicals[0][1 - column])
         while value:
             low = value & -value
-            v ^= self._pure[low.bit_length() - 1]
+            v ^= code._symplectic(code.pure_errors[low.bit_length() - 1])
             value ^= low
-        n = self.code.n
-        return PauliOperator(n, v & ((1 << n) - 1), v >> n)
+        return PauliOperator(code.n, v & ((1 << code.n) - 1), v >> code.n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class of `decode_value` of each row, none failed.

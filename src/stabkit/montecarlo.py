@@ -30,7 +30,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -85,19 +85,7 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "code": self.code,
-                "decoder": self.decoder,
-                "noise": self.noise,
-                "master_seed": self.master_seed,
-                "version": self.version,
-                "wall_time_s": self.wall_time_s,
-                "points": [vars(pt) for pt in self.points],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
@@ -277,16 +265,10 @@ class ThresholdScan:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "reports": {str(l): json.loads(r.to_json()) for l, r in self.reports.items()},
-                "crossings": [vars(c) for c in self.crossings],
-                "p_threshold": self.p_threshold,
-                "sigma": self.sigma,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        fields = asdict(self)
+        # Distances become text keys, so "11" sorts before "3".
+        fields["reports"] = {str(lam): rep for lam, rep in fields["reports"].items()}
+        return json.dumps(fields, indent=2, sort_keys=True)
 
 
 def _log_rate(pt: RatePoint) -> tuple[float, float]:

@@ -246,14 +246,11 @@ class StabilizerCode:
 
 
 def and_popcount(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(len(a), len(rows)) uint8: popcount of a[i] & rows[j] over the words
+    """(len(a), len(rows)) exact popcounts of a[i] & rows[j] over the words
     of `a`, one word at a time so temporaries stay (len(a), len(rows)).
-    A sum past 255 wraps, which keeps its parity (the only use of the
-    count in syndromes and logical classes); the MWPM decoder reads defect
-    degrees only on rows with at most 255 defects in a sector.  Its
-    adjacency counts are bounded by a check's weight, so uint8 never wraps
-    for them (a check with over 255 adjacent checks gets no mask)."""
-    acc = np.zeros((len(a), len(rows)), dtype=np.uint8)
+    They are summed in the smallest unsigned type that holds 64 bits per
+    word: uint8 up to 3 words, uint16 up to 1,023."""
+    acc = np.zeros((len(a), len(rows)), dtype=np.min_scalar_type(64 * a.shape[1]))
     for w in range(a.shape[1]):
         acc += np.bitwise_count(a[:, w, None] & rows[None, :, w])
     return acc

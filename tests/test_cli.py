@@ -264,6 +264,32 @@ class TestSimulate:
         assert code == 0
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.05"]
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("--p-start 0.2 --p-end 0.1", "--p-end must not be below --p-start"),
+            ("--p-start 0 --p-end 0.1 --log-grid", "--log-grid needs --p-start and --p-end > 0"),
+        ],
+        ids=["end-below-start", "log-grid-at-zero"],
+    )
+    def test_one_step_grid_is_checked_like_any_grid(self, capsys, grid, message):
+        # These ends are ERR_CONFIG at --steps 2, so they are at --steps 1.
+        code, out, err = run_cli(
+            capsys, "simulate", "--code", "three_qubit_bitflip", *grid.split(),
+            "--steps", "1", "--trials", "10", "--threads", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == f"ERR_CONFIG: {message}\n"
+
+    def test_one_step_with_equal_ends_runs_that_point(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--code", "three_qubit_bitflip", "--p-start", "0.05",
+            "--p-end", "0.05", "--steps", "1", "--trials", "100", "--threads", "1",
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.05"]
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_config_error(self, capsys, threads):
         code, out, err = run_cli(

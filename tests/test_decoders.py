@@ -741,16 +741,16 @@ class TestMwpmDecoder:
         assert split > 50
 
     def test_pure_errors_are_built_lazily_and_survive_a_pickle(self):
-        # A fresh decoder pickles without its pure errors, which only
-        # `decode_value` reads; an unpickled copy builds its own and decodes
-        # as the original does.
+        # A fresh decoder pickles without its code's pure errors, which only
+        # `decode_value` reads; an unpickled copy's code builds its own and
+        # the copy decodes as the original does.
         code = library.surface_code(5)
         decoder = MwpmDecoder(code)
         clone = pickle.loads(pickle.dumps(decoder))
-        assert "_pure" not in decoder.__dict__ and "_pure" not in clone.__dict__
+        assert "pure_errors" not in vars(decoder.code) and "pure_errors" not in vars(clone.code)
         values = [v for s, p in enumerate((0.03, 0.1), 51) for v in sampled_syndromes(code, p, s, 50)]
         assert [clone.decode_value(v) for v in values] == [decoder.decode_value(v) for v in values]
-        assert "_pure" in clone.__dict__
+        assert "pure_errors" in vars(decoder.code) and "pure_errors" in vars(clone.code)
         batch, failed = decoder.decode_batch(packed(code, values))
         clone_batch, clone_failed = clone.decode_batch(packed(code, values))
         assert np.array_equal(batch, clone_batch) and np.array_equal(failed, clone_failed)
@@ -876,12 +876,13 @@ class TestDecodeBatch:
             "sector > 16, components within",
         }
 
-    def test_rows_past_uint8_degrees_go_whole_to_the_split(self):
+    def test_degrees_past_255_are_counted_exactly(self):
         # d20 Z-checks: with all 380 flagged, some defects have 256 or 257
         # flagged neighbours, and with one check plus 256 of its neighbours
-        # flagged, that check has 256.  A uint8 degree reads these as 0 or
-        # 1, so such rows skip the numpy pass: it resolves nothing, and the
-        # search solves both rows.
+        # flagged, that check has 256.  Counted exactly, no defect of either
+        # row is isolated or in an isolated pair, so the numpy pass resolves
+        # nothing and the search solves both rows.  Degrees that wrapped
+        # past 255 would read 0 or 1 and settle these defects wrongly.
         code = library.surface_code(20)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks

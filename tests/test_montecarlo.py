@@ -486,6 +486,24 @@ class TestThresholdScan:
             assert (scan.p_threshold, scan.sigma) == (0.09881742632234007, 0.0022504096601146783)
         assert scans[0].to_csv() == scans[1].to_csv()
 
+    def test_report_json_bytes(self):
+        # The JSON of a hand-built scan and of one report, byte for byte.  A
+        # scan keys its reports by distance as text, so "11" sorts first.
+        def report(lam):
+            points = [
+                RatePoint(p, 1000, f, f / 1000, *wilson_interval(f, 1000), lam + i, i, 2 * i)
+                for i, (p, f) in enumerate(((0.05, 40), (0.1 + 0.2, 130)))
+            ]
+            return SimulationReport(f"surface_d{lam}", "mwpm", "iid_xz", lam, points, 1.25, "stabkit-x")
+
+        reports = {lam: report(lam) for lam in (3, 5, 11)}
+        crossings = [CrossingEstimate(3, 5, 0.097, 0.004), CrossingEstimate(5, 11, 0.1, 1e-3 / 3)]
+        scan = montecarlo.ThresholdScan(reports, crossings, 0.0985, 0.003)
+        assert list(json.loads(scan.to_json())["reports"]) == ["11", "3", "5"]
+        text = scan.to_json() + reports[11].to_json()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "749c94a5f0c093de13e07ad3b29861e2885e6e11ce58b4186216b4c417e959d8"
+
     def test_needs_two_distances(self):
         with pytest.raises(ValueError):
             threshold_scan([3], [0.05, 0.1], 100, 0)

@@ -233,6 +233,18 @@ class TestBatch:
         assert list(success) == [code.in_stabilizer_group(op) for op in ops]
         assert success.any() and not success.all()
 
+    @pytest.mark.parametrize("words", range(1, 7))
+    def test_and_popcount_is_exact(self, words):
+        # All-ones rows make sums of 64 per word, up to 384: past 255 too.
+        rng = np.random.default_rng(words)
+        a = rng.integers(0, 2**64, (6, words), dtype=np.uint64)
+        rows = rng.integers(0, 2**64, (4, words), dtype=np.uint64)
+        a[0] = rows[0] = np.iinfo(np.uint64).max
+        ints = lambda packed: [int.from_bytes(row.tobytes(), "little") for row in packed]
+        expect = [[(x & y).bit_count() for y in ints(rows)] for x in ints(a)]
+        assert stabilizer_code.and_popcount(a, rows).tolist() == expect
+        assert expect[0][0] == 64 * words
+
     @pytest.mark.parametrize("columns", [0, 1, 7, 63, 64, 65, 130])
     @pytest.mark.parametrize("rows", [0, 1, 5])
     def test_pack_bits_matches_a_per_row_reference(self, columns, rows):
