@@ -21,7 +21,7 @@ from .decoders import DecoderError, LookupDecoder, MwpmDecoder
 from .montecarlo import sweep, threshold_scan
 from .noise import CHANNELS
 from .pauli import enumerate_paulis, format_sparse
-from .stabilizer_code import distance as code_distance
+from .stabilizer_code import DISTANCE_SEARCH_GUARD, distance as code_distance
 
 CONFIG_ERROR = 2
 RUNTIME_ERROR = 3
@@ -59,10 +59,15 @@ def _letters(args) -> tuple[str, ...]:
 
 
 def cmd_syndrome_table(args) -> int:
-    code = get_code(args.code)
+    code, letters = get_code(args.code), _letters(args)
+    weights = range(min(args.max_weight, code.n) + 1)
+    rows = sum(math.comb(code.n, w) * len(letters) ** w for w in weights)
+    if not 0 <= args.max_weight <= code.n or rows > DISTANCE_SEARCH_GUARD:
+        raise ValueError(f"max_weight must be in 0..{code.n} and list at most"
+                         f" {DISTANCE_SEARCH_GUARD:,} Paulis; {args.max_weight} lists {rows:,}")
     lines = ["error\tsyndrome"]
-    for w in range(0, args.max_weight + 1):
-        for p in enumerate_paulis(code.n, w, _letters(args)):
+    for w in weights:
+        for p in enumerate_paulis(code.n, w, letters):
             lines.append(f"{format_sparse(p)}\t{code.syndrome(p)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

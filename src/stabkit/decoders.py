@@ -41,9 +41,10 @@ matches: the matched chains up to a stabilizer, but not minimum weight.
 
 Decoder protocol: a `name`; `decode_value(int) -> PauliOperator` for one
 syndrome value (bit i = generator i), which may raise `DecoderError`; and
-`decode_batch(packed syndromes) -> (classes, failed)`: the
-`StabilizerCode.logical_batch` row of each `decode_value`, and the rows it
-gave up on (a truncated lookup table's misses; MWPM gives up on none).
+`decode_batch(packed syndromes) -> (classes, failed)`: the class of each
+`decode_value`, as `StabilizerCode.parity_batch` gives an error's (column
+2i (2i+1) set where it anti-commutes with X̄_i (Z̄_i)), and the rows it gave
+up on (a truncated lookup table's misses; MWPM gives up on none).
 Every recovery has its input syndrome, and pure errors commute with every
 logical, so a trial succeeds iff its error has that class.
 """
@@ -55,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliOperator, enumerate_paulis, identity
+from .pauli import PauliOperator, commutes, enumerate_paulis, identity
 from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
 from .stabilizer_code import _pack_bits, _pack_ints, and_popcount
 
@@ -77,8 +78,8 @@ class LookupDecoder:
     errors by ascending weight up to max_weight (None: n), the first seen
     per syndrome stored.  Enumeration stops once every possible syndrome
     has an entry.  The constructor also builds `decode_batch`'s class
-    table: per syndrome value, the `logical_batch` row of `decode_value`,
-    then a miss column (set where the table has no entry)."""
+    table: per syndrome value, the class of `decode_value` (see the
+    protocol), then a miss column (set where the table has no entry)."""
 
     name = "lookup"
 
@@ -97,11 +98,12 @@ class LookupDecoder:
                 self.table.setdefault(code.syndrome_value(p), p)
             if len(self.table) == 1 << code.m:
                 break
-        hits = np.fromiter(self.table, dtype=np.intp)
+        logicals = [p for pair in code.logicals for p in pair]
         self._class_table = np.zeros((1 << code.m, 2 * code.k + 1), dtype=bool)
         self._class_table[:, -1] = True
-        self._class_table[hits, :-1] = code.logical_batch(code.pack(self.table.values()))
-        self._class_table[hits, -1] = False
+        self._class_table[np.fromiter(self.table, dtype=np.intp)] = [
+            [not commutes(p, q) for q in logicals] + [False] for p in self.table.values()
+        ]
 
     def decode_value(self, value: int) -> PauliOperator:
         """Stored recovery for a syndrome value; a miss is the identity."""

@@ -14,11 +14,10 @@ In-process `rows` is _SLICE_TRIALS; in a pool it shrinks so that every
 worker gets at least two batches.  The same batches run in a loop or as
 the tasks of the call's one process pool (none for a small call, see
 _IN_PROCESS_QUBIT_TRIALS), largest code and then highest p first.  A batch
-draws each point's piece on its own, then packs, syndromes, decodes and
-classifies all its rows at once on bit-packed arrays
-(`StabilizerCode.syndrome_batch`, `decode_batch`,
-`StabilizerCode.logical_batch`), and tallies each piece; this is the only
-cycle implementation.
+draws each point's piece on its own as bool X and Z arrays, gathers all
+its rows' syndromes and logical classes (`StabilizerCode.parity_batch`),
+decodes (`decode_batch`) and classifies them at once, and tallies each
+piece; this is the only cycle implementation.
 It builds no recovery: a trial fails where the decoder gives up (only a
 truncated lookup table does, on a syndrome it misses) or picks another
 logical class than the error's.
@@ -107,18 +106,17 @@ def _run_trials(args) -> np.ndarray:
     decoder post-selects.  A piece (noise, point_seed, start, stop) is
     trials start..stop-1 of one point, start < stop, drawn on its own."""
     code, decoder, pieces = args
-    errors = code.pack_batch(*sample_batch(code.n, pieces))
-    syndromes = code.syndrome_batch(errors)
+    syndromes, error_classes = code.parity_batch(*sample_batch(code.n, pieces))
     if decoder is None:
         # Repeat-until-success: nonzero syndromes are discarded, and the
         # zero-syndrome recovery is the identity, of class zero.
         kept = ~syndromes.any(axis=1)
-        classes, failed = False, np.zeros(len(errors), dtype=bool)
+        classes, failed = False, np.zeros(len(syndromes), dtype=bool)
     else:
-        kept = np.ones(len(errors), dtype=bool)
+        kept = np.ones(len(syndromes), dtype=bool)
         classes, failed = decoder.decode_batch(syndromes)
     # Column by column: `.any(axis=1)` is several times slower on 2k columns.
-    wrong = reduce(np.logical_or, (code.logical_batch(errors) != classes).T, failed)
+    wrong = reduce(np.logical_or, (error_classes != classes).T, failed)
     tally = np.stack((wrong & kept, kept, ~kept, failed))
     offsets = np.cumsum([0] + [b - a for *_, a, b in pieces[:-1]])
     return np.add.reduceat(tally, offsets, axis=1, dtype=np.int64).T

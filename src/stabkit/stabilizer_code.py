@@ -11,11 +11,10 @@ the order their published syndrome tables assume.
 Stabilizer-group membership is span membership in one symplectic generator
 basis, which `validate` also reads; phases are ignored (projective stabilizers).
 
-Batches of operators, as the Monte Carlo loop uses them, are bit-packed:
-one row of uint64 words per operator holding its symplectic vector (x bits
-0..n-1, then z bits n..2n-1), little-endian across words.  A batch
-syndrome is their popcount parity against the generators, and a logical
-class (`logical_batch`) their parity against each X̄_i and Z̄_i.  For a
+A batch of errors is the sampler's (trials, n) bool X and Z arrays.
+`parity_batch` XORs their X|Z columns on each check's and each logical's
+symplectic support, gathered by index, so a trial costs the supports'
+weight, not n × m; only the syndromes are packed, for the decoders.  For a
 valid code, a recovery with the error's syndrome succeeds (the product is a
 stabilizer) iff both have the same class: 2k parities, not a span reduction.
 
@@ -32,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,11 +124,6 @@ class StabilizerCode:
     def _symplectic(self, p: PauliOperator) -> int:
         return p.x_bits | (p.z_bits << self.n)
 
-    @property
-    def words(self) -> int:
-        """uint64 words per packed operator (2n bits)."""
-        return (2 * self.n + 63) // 64
-
     @cached_property
     def _check_rows(self) -> list[int]:
         """Generators, then X̄_1, Z̄_1, X̄_2, ..., each with its x and z
@@ -139,8 +133,20 @@ class StabilizerCode:
         return [p.z_bits | (p.x_bits << self.n) for p in ops]
 
     @cached_property
-    def _check_words(self) -> np.ndarray:
-        return _pack_ints(self._check_rows, self.words)
+    def _supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_check_rows`' set bits, walked, as column indices into [x | z | 0]:
+        an (m, w) table for the generators and a (2k, w') one for the
+        logicals, each padded with 2n (the zero column) to its widest row."""
+        tables = []
+        for rows in (self._check_rows[: self.m], self._check_rows[self.m :]):
+            width = max((row.bit_count() for row in rows), default=0)
+            table = np.full((len(rows), width), 2 * self.n, dtype=np.intp)
+            for i, row in enumerate(rows):
+                for j in range(row.bit_count()):
+                    table[i, j] = (row & -row).bit_length() - 1
+                    row &= row - 1
+            tables.append(table)
+        return tables[0], tables[1]
 
     @cached_property
     def pure_errors(self) -> tuple[PauliOperator, ...]:
@@ -168,24 +174,13 @@ class StabilizerCode:
     def syndrome(self, error: PauliOperator) -> Syndrome:
         return Syndrome.from_int(self.syndrome_value(error), self.m)
 
-    def pack(self, ops: Iterable[PauliOperator]) -> np.ndarray:
-        """Packed rows of the given operators (phases dropped)."""
-        return _pack_ints([self._symplectic(p) for p in ops], self.words)
-
-    def pack_batch(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Packed rows of a batch given as (trials, n) boolean X and Z arrays."""
-        return _pack_bits(self.words, x, z)
-
-    def syndrome_batch(self, ops: np.ndarray) -> np.ndarray:
-        """Packed syndromes of packed operators: one row of ceil(m/64) words
-        each, bit i (of the little-endian word sequence) for generator i."""
-        parities = and_popcount(ops, self._check_words[: self.m]) & 1
-        return _pack_bits(-(-self.m // 64), parities.astype(bool))
-
-    def logical_batch(self, ops: np.ndarray) -> np.ndarray:
-        """(rows, 2k) bools of packed operators: column 2i (2i+1) says the
-        row anti-commutes with X̄_i (Z̄_i)."""
-        return (and_popcount(ops, self._check_words[self.m :]) & 1).astype(bool)
+    def parity_batch(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Syndromes, packed (ceil(m/64) uint64 words a row, bit i for generator
+        i), and (trials, 2k) bool classes (column 2i (2i+1): anti-commutes
+        with X̄_i (Z̄_i)) of the errors in (trials, n) bool X and Z arrays."""
+        xz = np.concatenate((x, z, np.zeros((len(x), 1), dtype=bool)), axis=1)
+        syndromes, classes = (np.bitwise_xor.reduce(xz[:, t], axis=2) for t in self._supports)
+        return _pack_bits(-(-self.m // 64), syndromes), classes
 
     def in_stabilizer_group(self, p: PauliOperator) -> bool:
         if p.n != self.n:
@@ -263,12 +258,12 @@ def _pack_ints(values: Sequence[int], words: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
 
 
-def _pack_bits(words: int, *blocks: np.ndarray) -> np.ndarray:
-    """(rows, columns) boolean blocks, side by side -> (rows, words) uint64
-    words: column j at bit j % 64 of word j // 64, then zeros.  Padded rows
-    are 64 * words bits, so one flat packbits gives the row-by-row bytes."""
-    padded = np.zeros((len(blocks[0]), 64 * words), dtype=bool)
-    np.concatenate(blocks, axis=1, out=padded[:, : sum(b.shape[1] for b in blocks)])
+def _pack_bits(words: int, bits: np.ndarray) -> np.ndarray:
+    """(rows, columns) bools -> (rows, words) uint64 words: column j at bit
+    j % 64 of word j // 64, then zeros.  Padded rows are 64 * words bits, so
+    one flat packbits gives the row-by-row bytes."""
+    padded = np.zeros((len(bits), 64 * words), dtype=bool)
+    padded[:, : bits.shape[1]] = bits
     return np.packbits(padded, bitorder="little").view("<u8").reshape(len(padded), words)
 
 

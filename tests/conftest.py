@@ -30,6 +30,15 @@ def dense_from_letters(letters: str, phase_exp: int = 0) -> np.ndarray:
     return (1j**phase_exp) * out
 
 
+def xz_rows(n: int, ops) -> tuple[np.ndarray, np.ndarray]:
+    """(len(ops), n) bool X and Z arrays of operators on n qubits (phases
+    dropped): the batch form `StabilizerCode.parity_batch` takes."""
+    ops = list(ops)
+    x = np.array([[op.x_bits >> q & 1 for q in range(n)] for op in ops], dtype=bool)
+    z = np.array([[op.z_bits >> q & 1 for q in range(n)] for op in ops], dtype=bool)
+    return x.reshape(len(ops), n), z.reshape(len(ops), n)
+
+
 def pauli_operators(max_n: int = 6, with_phase: bool = True):
     """Hypothesis strategy for random operators."""
 

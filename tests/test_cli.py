@@ -69,6 +69,27 @@ class TestSyndromeTable:
         assert rows["X2"] == "10" and rows["Z3"] == "01" and rows["Y1"] == "11"
         assert len(rows) == 13  # identity + 12 single-qubit errors
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["shor_nine", "-1"], ["shor_nine", "10"], ["shor_nine", "1000000000"],
+         ["surface_d5", "10"], ["surface_d3", "7"]],
+        ids=["negative", "past-n", "far-past-n", "far-past-guard", "just-past-guard"],
+    )
+    def test_a_weight_out_of_range_or_past_the_guard_is_config_error(self, capsys, argv):
+        # surface_d5 to weight 10 would list about 7.4e13 Paulis, surface_d3
+        # to weight 7 5.4e6 (1.6e6 to weight 6): each fails before any row,
+        # and a weight far past n is not counted up to.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "syndrome-table", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("ERR_CONFIG: max_weight must be in 0..") and err.count("\n") == 1
+        assert time.perf_counter() - start < 5
+
+    def test_a_table_within_the_guard_runs_at_every_weight_up_to_n(self, capsys):
+        # shor_nine, X only: all 2^9 X errors, weights 0..9.
+        code, out, _ = run_cli(capsys, "syndrome-table", "shor_nine", "9", "--letters", "X")
+        assert code == 0 and len(out.splitlines()) == 1 + 2**9
+
 
 class TestDistance:
     def test_shor(self, capsys):

@@ -26,6 +26,8 @@ from stabkit.pauli import (
 )
 from stabkit.stabilizer_code import StabilizerCode, Syndrome, correctable_weight
 
+from conftest import xz_rows
+
 
 def brute_force_matching_cost(dist, boundary):
     """Minimum over every pairing, each defect pairable with the boundary
@@ -140,7 +142,7 @@ def sampled_components(lam, rates, seed, trials):
 
 
 def packed(code, values):
-    """Syndrome values as `syndrome_batch`-shaped rows of uint64 words."""
+    """Syndrome values as rows of uint64 words, as `parity_batch` packs them."""
     words = -(-code.m // 64)
     data = b"".join(v.to_bytes(8 * words, "little") for v in values)
     return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
@@ -148,8 +150,8 @@ def packed(code, values):
 
 def sampled_syndromes(code, p, seed, trials):
     """Syndrome values of `trials` sampled iid_xz(p, p) errors."""
-    errors = code.pack_batch(*sample_batch(code.n, [(iid_xz(p, p), seed, 0, trials)]))
-    return [int.from_bytes(row.tobytes(), "little") for row in code.syndrome_batch(errors)]
+    syndromes, _ = code.parity_batch(*sample_batch(code.n, [(iid_xz(p, p), seed, 0, trials)]))
+    return [int.from_bytes(row.tobytes(), "little") for row in syndromes]
 
 
 def d7_syndromes():
@@ -450,8 +452,8 @@ class TestOneSidedComponents:
             rests = [sector.shortcut(bits[:, sector.generators].astype(bool))[1] for sector in sectors]
             assert not failed.any()
             for index, (value, row) in enumerate(zip(values, classes)):
-                expected = code.logical_batch(code.pack([decoder.decode_value(value)]))[0]
-                assert np.array_equal(row, expected)
+                recovery = decoder.decode_value(value)
+                assert np.array_equal(row, code.parity_batch(*xz_rows(code.n, [recovery]))[1][0])
                 assert list(row) == [matched_flip(sectors[1], value), matched_flip(sectors[0], value)]
                 for sector, rest in zip(sectors, rests):
                     defects = sector.defects_of(value)
@@ -499,7 +501,7 @@ class TestOneSidedComponents:
         assert rest.any(axis=1).tolist() == [False, True, True, True]
         classes, failed = decoder.decode_batch(packed(code, values))
         assert not failed.any()
-        expected = code.logical_batch(code.pack([decoder.decode_value(v) for v in values]))
+        expected = code.parity_batch(*xz_rows(code.n, [decoder.decode_value(v) for v in values]))[1]
         assert np.array_equal(classes, expected)
 
     def test_components_over_16_decode(self):
@@ -533,13 +535,14 @@ class TestOneSidedComponents:
         assert not failed.any()
         assert classes.tolist() == [[False, f] for f in expected]
         for value, row in zip(values, classes):
-            assert np.array_equal(row, code.logical_batch(code.pack([decoder.decode_value(value)]))[0])
+            recovery = decoder.decode_value(value)
+            assert np.array_equal(row, code.parity_batch(*xz_rows(code.n, [recovery]))[1][0])
         mixed = sector_mask(sector)
         assert [len(set(c)) for c in sector_components(sector, mixed)] == [2]
         classes, failed = decoder.decode_batch(packed(code, [mixed]))
         assert not failed.any()
         assert classes.tolist() == [[False, matched_flip(sector, mixed)]]
-        expected = code.logical_batch(code.pack([decoder.decode_value(mixed)]))
+        expected = code.parity_batch(*xz_rows(code.n, [decoder.decode_value(mixed)]))[1]
         assert np.array_equal(classes, expected)
 
 
@@ -796,16 +799,16 @@ class TestMwpmDecoder:
         assert [d.name for d in decoders] == ["mwpm", "lookup"]
         errors = list(enumerate_paulis(code.n, 1))
         values = [code.syndrome_value(e) for e in errors]
-        packed = code.syndrome_batch(code.pack(errors))
+        packed, error_classes = code.parity_batch(*xz_rows(code.n, errors))
         for decoder in decoders:
             recoveries = [decoder.decode_value(v) for v in values]
             assert [code.syndrome_value(r) for r in recoveries] == values
             assert all(code.in_stabilizer_group(multiply(r, e)) for r, e in zip(recoveries, errors))
             classes, failed = decoder.decode_batch(packed)
             assert not failed.any()
-            assert np.array_equal(classes, code.logical_batch(code.pack(recoveries)))
+            assert np.array_equal(classes, code.parity_batch(*xz_rows(code.n, recoveries))[1])
             # Every recovery has its error's class: the batch verdict is success.
-            assert np.array_equal(classes, code.logical_batch(code.pack(errors)))
+            assert np.array_equal(classes, error_classes)
 
 
 class TestDecodeBatch:
@@ -823,8 +826,9 @@ class TestDecodeBatch:
             classes, failed = decoder.decode_batch(packed(code, values))
             assert list(failed) == missed
             expected = [decoder.decode_value(v) for v in values]
-            assert np.array_equal(classes, code.logical_batch(code.pack(expected)))
-            success = (classes == code.logical_batch(code.pack(errors))).all(axis=1) & ~failed
+            assert np.array_equal(classes, code.parity_batch(*xz_rows(code.n, expected))[1])
+            error_classes = code.parity_batch(*xz_rows(code.n, errors))[1]
+            success = (classes == error_classes).all(axis=1) & ~failed
             reference = [
                 code.in_stabilizer_group(multiply(r, e)) for r, e in zip(expected, errors)
             ]
@@ -870,7 +874,7 @@ class TestDecodeBatch:
                 elif sizes:
                     paths.add(names.get(max(sizes), "component >= 3"))
                 expected = decoder.decode_value(value)
-                assert np.array_equal(row, code.logical_batch(code.pack([expected]))[0])
+                assert np.array_equal(row, code.parity_batch(*xz_rows(code.n, [expected]))[1][0])
         assert paths == {
             "isolated only", "isolated pair", "component >= 3", "mixed component > 16",
             "sector > 16, components within",
@@ -899,7 +903,7 @@ class TestDecodeBatch:
         values = [sum(1 << int(g) for g in sector.generators[row]) for row in present]
         classes, failed = decoder.decode_batch(packed(code, values))
         assert not failed.any()
-        expected = code.logical_batch(code.pack([decoder.decode_value(v) for v in values]))
+        expected = code.parity_batch(*xz_rows(code.n, [decoder.decode_value(v) for v in values]))[1]
         assert np.array_equal(classes, expected)
 
     def test_a_component_past_the_search_limit_raises(self):
@@ -998,16 +1002,17 @@ class TestCheckGraph:
         recoveries = [decoder.decode_value(v) for v in values]
         assert not failed.any()
         assert [code.syndrome_value(r) for r in recoveries] == values
-        assert np.array_equal(classes, code.logical_batch(code.pack(recoveries)))
+        assert np.array_equal(classes, code.parity_batch(*xz_rows(code.n, recoveries))[1])
 
     def test_shor_corrects_every_weight_one_error(self):
         # Shor's X̄ is Z-type, so its X-error sector sets the X̄ class column.
         code = library.shor_nine()
         decoder = MwpmDecoder(code)
         errors = list(enumerate_paulis(code.n, 1))
-        classes, failed = decoder.decode_batch(code.syndrome_batch(code.pack(errors)))
+        syndromes, error_classes = code.parity_batch(*xz_rows(code.n, errors))
+        classes, failed = decoder.decode_batch(syndromes)
         assert not failed.any()
-        assert np.array_equal(classes, code.logical_batch(code.pack(errors)))
+        assert np.array_equal(classes, error_classes)
         for error in errors:
             recovery = decoder.decode_value(code.syndrome_value(error))
             assert code.residual_class(multiply(recovery, error)).success, format_sparse(error)

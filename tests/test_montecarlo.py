@@ -93,9 +93,10 @@ class TestCycle:
         ]
         counts = _run_trials((code, decoder, parts)).tolist()
         for (noise, seed, start, stop), row in zip(parts, counts):
-            errors = code.pack_batch(*sample_batch(code.n, [(noise, seed, start, stop)]))
-            classes, failed = decoder.decode_batch(code.syndrome_batch(errors))
-            wrong = (code.logical_batch(errors) != classes).any(axis=1) | failed
+            draws = sample_batch(code.n, [(noise, seed, start, stop)])
+            syndromes, error_classes = code.parity_batch(*draws)
+            classes, failed = decoder.decode_batch(syndromes)
+            wrong = (error_classes != classes).any(axis=1) | failed
             assert row == [int(wrong.sum()), stop - start, 0, int(failed.sum())]
         assert counts[-1][3] > 0
 
@@ -151,9 +152,9 @@ class TestEstimate:
         # kept draw fails where its error is a logical operator.
         code = library.four_two_two()
         point = estimate_logical_rate(code, None, iid_x(0.2), 500, 17)
-        errors = code.pack_batch(*sample_batch(code.n, [(iid_x(0.2), 17, 0, 500)]))
-        kept = ~code.syndrome_batch(errors).any(axis=1)
-        logical = code.logical_batch(errors).any(axis=1)
+        syndromes, classes = code.parity_batch(*sample_batch(code.n, [(iid_x(0.2), 17, 0, 500)]))
+        kept = ~syndromes.any(axis=1)
+        logical = classes.any(axis=1)
         assert (point.trials, point.discarded) == (kept.sum(), (~kept).sum())
         assert point.failures == (logical & kept).sum() > 0
         assert point.decoder_failures == 0
@@ -299,7 +300,7 @@ class TestSweep:
         assert [(pt.failures, pt.decoder_failures) for pt in report.points] == counts
         for index, pt in enumerate(report.points):
             draws = sample_batch(code.n, [(CHANNELS[noise](pt.p), derive_seed(2024, index), 0, 2000)])
-            syndromes = code.syndrome_batch(code.pack_batch(*draws))[:, 0]
+            syndromes = code.parity_batch(*draws)[0][:, 0]
             assert pt.decoder_failures == sum(int(v) not in decoder.table for v in syndromes)
 
     def test_post_selected_golden_counts(self):
@@ -358,9 +359,10 @@ class TestExactOracle:
         values = np.arange(1 << code.n)
         bits = (values[:, None] >> np.arange(code.n)) & 1 == 1
         none = np.zeros_like(bits)
-        errors = code.pack_batch(*((bits, none) if sector == "X" else (none, bits)))
-        classes, failed = decoder.decode_batch(code.syndrome_batch(errors))
-        wrong = (classes != code.logical_batch(errors)).any(axis=1) | failed
+        draws = (bits, none) if sector == "X" else (none, bits)
+        syndromes, error_classes = code.parity_batch(*draws)
+        classes, failed = decoder.decode_batch(syndromes)
+        wrong = (classes != error_classes).any(axis=1) | failed
         return np.bincount(bits.sum(axis=1)[wrong], minlength=code.n + 1).tolist()
 
     @staticmethod
@@ -396,15 +398,15 @@ class TestExactOracle:
         )
 
 
-def _unpack(code, row) -> PauliOperator:
-    """The Pauli of one packed row (x bits, then z bits, little-endian)."""
-    bits = int.from_bytes(row.tobytes(), "little")
-    return PauliOperator(code.n, bits & ((1 << code.n) - 1), bits >> code.n)
+def _pauli_of_row(x_row, z_row) -> PauliOperator:
+    """The Pauli of one row of bool X and Z arrays."""
+    x, z = (sum(1 << int(q) for q in np.flatnonzero(row)) for row in (x_row, z_row))
+    return PauliOperator(len(x_row), x, z)
 
 
 class TestCrossOracle:
     def test_commutation_cycle_matches_statevector_replay(self):
-        # Replays the batch stages of `_run_trials` (sample, pack, syndrome,
+        # Replays the batch stages of `_run_trials` (sample, parities,
         # decode, classify) on a dense logical state, trial by trial: the
         # recovery of `decode_value` must restore the state exactly where
         # the batch's class verdict says the trial succeeds.
@@ -428,13 +430,13 @@ class TestCrossOracle:
             amps = sum(c * b.amplitudes for c, b in zip(coeffs, basis))
             amps /= np.linalg.norm(amps)
             logical = sv.StateVector(code.n, amps)
-            errors = code.pack_batch(*sample_batch(code.n, [(iid_xz(0.15, 0.15), seed, 0, trials)]))
-            syndromes = code.syndrome_batch(errors)
+            x, z = sample_batch(code.n, [(iid_xz(0.15, 0.15), seed, 0, trials)])
+            syndromes, error_classes = code.parity_batch(x, z)
             classes, failed = decoder.decode_batch(syndromes)
-            success = (code.logical_batch(errors) == classes).all(axis=1) & ~failed
+            success = (error_classes == classes).all(axis=1) & ~failed
             assert success.any() and not success.all()
             for row in range(trials):
-                corrupted = sv.apply_pauli(logical, _unpack(code, errors[row]))
+                corrupted = sv.apply_pauli(logical, _pauli_of_row(x[row], z[row]))
                 syndrome, post = sv.extract_syndrome(code, corrupted)
                 assert syndrome.value == int.from_bytes(syndromes[row].tobytes(), "little")
                 recovered = sv.apply_pauli(post, decoder.decode_value(syndrome.value))

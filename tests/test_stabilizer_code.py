@@ -14,6 +14,8 @@ from stabkit.stabilizer_code import (
     distance,
 )
 
+from conftest import xz_rows
+
 ALL_CODES = [
     library.two_qubit(),
     library.three_qubit_bitflip(),
@@ -203,10 +205,12 @@ def random_member(code, rng):
 
 
 class TestBatch:
-    # Surface d5 and d7 pack into two and three words per operator.
+    # Shor's checks have widths 2 and 6, four_cycle has no logicals (k = 0),
+    # and surface d15's 7-word syndromes come from checks of width 2-4 and
+    # logicals of width 15.
     @pytest.mark.parametrize(
         "code",
-        ALL_CODES + [library.surface_code(5), library.surface_code(7)],
+        ALL_CODES + [library.surface_code(5), library.surface_code(7), library.surface_code(15)],
         ids=lambda code: code.name,
     )
     def test_batch_syndrome_and_classify_match_scalar(self, code):
@@ -217,14 +221,10 @@ class TestBatch:
             ops += [member, random_pauli(code.n, rng)]
             # Zero syndrome but a logical class: only the logical parities see it.
             ops += [multiply(member, rng.choice(pair)) for pair in code.logicals]
-        packed = code.pack(ops)
-        x = np.array([[(op.x_bits >> q) & 1 for q in range(code.n)] for op in ops], dtype=bool)
-        z = np.array([[(op.z_bits >> q) & 1 for q in range(code.n)] for op in ops], dtype=bool)
-        assert np.array_equal(code.pack_batch(x, z), packed)
-        syndromes = code.syndrome_batch(packed)
+        syndromes, classes = code.parity_batch(*xz_rows(code.n, ops))
+        assert syndromes.shape == (len(ops), -(-code.m // 64)) and syndromes.dtype == "<u8"
         for op, row in zip(ops, syndromes):
             assert int.from_bytes(row.tobytes(), "little") == code.syndrome_value(op)
-        classes = code.logical_batch(packed)
         logicals = [p for pair in code.logicals for p in pair]
         for op, row in zip(ops, classes):
             assert list(row) == [not commutes(op, logical) for logical in logicals]
@@ -257,9 +257,6 @@ class TestBatch:
             for row, out in zip(bits, packed):
                 expect = sum(int(b) << j for j, b in enumerate(row))
                 assert sum(int(w) << 64 * i for i, w in enumerate(out)) == expect
-            # Blocks side by side pack as their concatenation.
-            halves = bits[:, : columns // 2], bits[:, columns // 2 :]
-            assert np.array_equal(stabilizer_code._pack_bits(words, *halves), packed)
 
 
 class TestPureErrors:
