@@ -11,6 +11,8 @@ fixed seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import math
 import os
 import sys
@@ -27,12 +29,11 @@ CONFIG_ERROR = 2
 RUNTIME_ERROR = 3
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out: str | None):
+    """Write each string of `chunks`, as it is made, to the file `out` or
+    to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
 
 
 def cmd_codes(args) -> int:
@@ -65,11 +66,9 @@ def cmd_syndrome_table(args) -> int:
     if not 0 <= args.max_weight <= code.n or rows > DISTANCE_SEARCH_GUARD:
         raise ValueError(f"max_weight must be in 0..{code.n} and list at most"
                          f" {DISTANCE_SEARCH_GUARD:,} Paulis; {args.max_weight} lists {rows:,}")
-    lines = ["error\tsyndrome"]
-    for w in weights:
-        for p in enumerate_paulis(code.n, w, letters):
-            lines.append(f"{format_sparse(p)}\t{code.syndrome(p)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = (f"{format_sparse(p)}\t{code.syndrome(p)}\n" for w in weights
+            for p in enumerate_paulis(code.n, w, letters))
+    _emit(itertools.chain(["error\tsyndrome\n"], rows), args.out)
     return 0
 
 
@@ -120,7 +119,7 @@ def cmd_simulate(args) -> int:
     grid = _p_grid(args)
     decoder = _build_decoder(args, code)
     report = sweep(code, decoder, args.noise, grid, args.trials, args.seed, workers=args.threads)
-    _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
+    _emit([report.to_json() if args.format == "json" else report.to_csv()], args.out)
     return 0
 
 
@@ -128,7 +127,7 @@ def cmd_threshold(args) -> int:
     distances = [int(tok) for tok in args.distances.split(",")]
     grid = _p_grid(args)
     scan = threshold_scan(distances, grid, args.trials, args.seed, workers=args.threads)
-    _emit(scan.to_json() if args.format == "json" else scan.to_csv(), args.out)
+    _emit([scan.to_json() if args.format == "json" else scan.to_csv()], args.out)
     print(
         f"p_th estimate: {scan.p_threshold:.4f} +/- {scan.sigma:.4f} "
         f"from {len(scan.crossings)} crossing(s)",

@@ -28,8 +28,12 @@ Only a component of more than `_SEARCH_DEFECTS` raises (DecoderError):
 its search could pass Python's recursion limit.  `decode_batch` first
 settles isolated defects, isolated pairs, one-sided leftovers and rows
 whose leftovers are pairs of adjacent checks with packed AND+popcount
-arithmetic (`_Sector.shortcut`).  It uses no float matmul: BLAS threads
-oversubscribe the CPUs that `montecarlo`'s worker pool fills.
+arithmetic (`_Sector.shortcut`), then each sector row left with at most
+`_SLOTS` defects by its first optimal matching in option order
+(`_settle_small`).  That is the search's pick: it pairs no pruned edge
+(two boundary matches cost no more and come first), and on kept edges
+option order compares each component's picks in their own order.  No
+float matmul: BLAS threads oversubscribe `montecarlo`'s worker pool.
 
 Recovery: the matching only picks each sector's logical class.  An edge
 flips if its qubit is on the logical that the sector's errors can
@@ -203,6 +207,21 @@ def _search(mask: int, sector: _Sector, half: dict, bound: int) -> tuple[int, bo
     while (flip := visit(mask, limit, bound)) is None:
         limit += 2
     return limit // 2, flip, picks[::-1]
+
+
+def _matchings(slots: list[int]) -> list[dict[int, int]]:
+    """Every matching of `slots` as a partner map (i: i for a boundary), in
+    `_search`'s option order: the lowest slot's boundary, then its partners ascending."""
+    if not slots:
+        return [{}]
+    low, *rest = slots
+    return [{low: j, j: low, **m} for j in slots for m in _matchings([s for s in rest if s != j])]
+
+
+# `_settle_small` costs all T(6) = 76 matchings of up to 6 defects (8 slots, 764
+# matchings, made d3 batches slower); _PARTNER[i, m]: slot i's partner in m.
+_SLOTS = 6
+_PARTNER = np.array([[m[i] for i in range(_SLOTS)] for m in _matchings(list(range(_SLOTS)))]).T
 
 
 # --- MWPM on a CSS code's check graph ----------------------------------------
@@ -403,6 +422,15 @@ class MwpmDecoder:
             sectors.append(_Sector(sector, checks, *graph))
         self._z_checks, self._x_checks = sectors
         self._columns = (c, 1 - c)  # the class column each sector's flip sets
+        # `_settle_small`'s per-slot costs (a matching pays twice its cost): doubled
+        # boundaries on the diagonal, each sector's pairs, padding last, else unaffordable.
+        boundary = sectors[0].boundary_cost + sectors[1].boundary_cost + [0]
+        self._costs = np.full((len(boundary),) * 2, 1 + 2 * _SLOTS * max(boundary), dtype=np.int32)
+        for sector, at in zip(sectors, (0, len(sectors[0].boundary_cost))):
+            k = len(sector.boundary_cost)
+            self._costs[at : at + k, at : at + k] = np.reshape(sector.pair_cost, (k, k))
+        np.fill_diagonal(self._costs, 2 * np.array(boundary))
+        self._flipping = np.array(sectors[0].boundary_flips + sectors[1].boundary_flips + [False])
 
     def matching_problems(self, s: Syndrome) -> dict[str, MatchingProblem]:
         sectors = (self._z_checks, self._x_checks)
@@ -424,19 +452,42 @@ class MwpmDecoder:
         return PauliOperator(code.n, v & ((1 << code.n) - 1), v >> code.n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class of `decode_value` of each row, none failed.
-        `_Sector.shortcut` resolves isolated defects and pairs and settles
-        one-sided leftovers and rows of adjacent pairs; `_Sector.flip`
-        solves a row's other defects by component."""
+        """Class of `decode_value` of each row, none failed.  `shortcut` settles
+        isolated defects and pairs, one-sided leftovers and adjacent pairs;
+        `_settle_small` rows of 1 to `_SLOTS` defects by their first optimum in
+        option order, the search's pick (module docstring); `flip` the rest."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))
-        for sector, flip, rest in zip(sectors, flips, rests):
-            left = np.flatnonzero(rest.any(axis=1))
-            for row, mask in zip(left.tolist(), _row_ints(rest[left])):
-                flip[row] ^= sector.flip(mask)
+        flips = np.stack(flips, axis=1)
+        rest = np.zeros((len(flips), 2, max(r.shape[1] for r in rests)), dtype=np.uint64)
+        rest[:, 0, : rests[0].shape[1]], rest[:, 1, : rests[1].shape[1]] = rests
+        self._settle_small(flips, rest)
+        for s, sector in enumerate(sectors):
+            left = np.flatnonzero(rest[:, s].any(axis=1))
+            for row, mask in zip(left.tolist(), _row_ints(rest[left, s])):
+                flips[row, s] ^= sector.flip(mask)
         # `_columns` is (0, 1) or (1, 0), its own inverse.
-        return np.stack(flips, axis=1)[:, self._columns], np.zeros(len(syndromes), dtype=bool)
+        return flips[:, self._columns], np.zeros(len(syndromes), dtype=bool)
+
+    def _settle_small(self, flips: np.ndarray, rest: np.ndarray):
+        """Settle each row of `rest` (trials by sector by packed words) with 1
+        to `_SLOTS` defects: XOR its flip into `flips` and zero it.  Defects fill
+        slots in order, padding the rest (free boundary, no pair); the first
+        argmin of all doubled costs is the search's pick (module docstring)."""
+        rows = rest.reshape(flips.size, rest.shape[2])  # one per (trial, sector)
+        counts = np.bitwise_count(rows).sum(axis=1)
+        settled = np.flatnonzero((counts > 0) & (counts <= _SLOTS))
+        bits = np.unpackbits(rows[settled].view(np.uint8), axis=1, bitorder="little")
+        found, checks = np.nonzero(bits)  # found: position in `settled`
+        slots = np.full((_SLOTS, len(settled)), len(self._costs) - 1)
+        ranks = np.arange(len(found)) - np.searchsorted(found, found)
+        slots[ranks, found] = checks + len(self._z_checks.boundary_cost) * (settled[found] & 1)
+        costs = self._costs[slots[:, None], slots]  # (slot, slot, row)
+        pick = sum(costs[i, _PARTNER[i]] for i in range(_SLOTS)).argmin(axis=0)
+        boundary = _PARTNER[:, pick] == np.arange(_SLOTS)[:, None]
+        flips.reshape(-1)[settled] ^= np.logical_xor.reduce(self._flipping[slots] & boundary)
+        rows[settled] = 0
 
 
 def _row_ints(packed: np.ndarray) -> list[int]:

@@ -140,12 +140,12 @@ class StabilizerCode:
         tables = []
         for rows in (self._check_rows[: self.m], self._check_rows[self.m :]):
             width = max((row.bit_count() for row in rows), default=0)
-            table = np.full((len(rows), width), 2 * self.n, dtype=np.intp)
-            for i, row in enumerate(rows):
-                for j in range(row.bit_count()):
-                    table[i, j] = (row & -row).bit_length() - 1
-                    row &= row - 1
-            tables.append(table)
+            table = [[2 * self.n] * width for _ in rows]
+            for support, row in zip(table, rows):
+                for j in range(row.bit_count() - 1, -1, -1):
+                    support[j] = row.bit_length() - 1
+                    row ^= 1 << support[j]
+            tables.append(np.array(table, dtype=np.intp).reshape(len(rows), width))
         return tables[0], tables[1]
 
     @cached_property

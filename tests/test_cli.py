@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -84,6 +85,25 @@ class TestSyndromeTable:
         assert code == 2 and out == ""
         assert err.startswith("ERR_CONFIG: max_weight must be in 0..") and err.count("\n") == 1
         assert time.perf_counter() - start < 5
+
+    def test_streamed_rows_keep_their_bytes(self, capsys, tmp_path):
+        # Rows are written as they are made, to stdout or to --out, with
+        # the bytes the table had when it was joined into one string; an
+        # --out path that cannot be opened is a runtime error.
+        code, out, _ = run_cli(capsys, "syndrome-table", "shor_nine", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f122700aa4674a6916fdff05ac7f6cad93b56e97116e77ad623f263dba29e82d"
+        )
+        path = tmp_path / "table.tsv"
+        argv = ("syndrome-table", "surface_d3", "3", "--letters", "Z", "X", "--out")
+        code, out, _ = run_cli(capsys, *argv, str(path))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "768329f66ff5953b8bc7662de3d93b8012fb87879a7c2a6544b91d4bc98a9d0c"
+        )
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "table.tsv"))
+        assert code == 3 and out == "" and err.startswith("ERR_RUNTIME:")
 
     def test_a_table_within_the_guard_runs_at_every_weight_up_to_n(self, capsys):
         # shor_nine, X only: all 2^9 X errors, weights 0..9.

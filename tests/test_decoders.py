@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import os
 import pickle
@@ -24,7 +25,7 @@ from stabkit.noise import derive_seed, iid_xz, sample, sample_batch
 from stabkit.pauli import (
     PauliOperator, enumerate_paulis, format_sparse, from_support, identity, multiply, parse, weight,
 )
-from stabkit.stabilizer_code import StabilizerCode, Syndrome, correctable_weight
+from stabkit.stabilizer_code import StabilizerCode, Syndrome, _pack_ints, correctable_weight
 
 from conftest import xz_rows
 
@@ -880,6 +881,20 @@ class TestDecodeBatch:
             "sector > 16, components within",
         }
 
+    def test_fixed_seed_classes_are_pinned_row_by_row(self):
+        # The per-row classes of sampled surface d3-d9 batches at p = .01-
+        # .15, hashed: unlike per-point counts, two compensating row
+        # changes would show.
+        digest = hashlib.sha256()
+        for lam in (3, 5, 7, 9):
+            code = library.surface_code(lam)
+            rates = (0.01, 0.03, 0.06, 0.09, 0.12, 0.15)
+            pieces = [(iid_xz(p, p), 100 * lam + s, 0, 400) for s, p in enumerate(rates)]
+            classes, failed = MwpmDecoder(code).decode_batch(code.parity_batch(*sample_batch(code.n, pieces))[0])
+            assert not failed.any()
+            digest.update(classes.tobytes())
+        assert digest.hexdigest() == "e8c3237922c484af74694f3d1dab2fcb9e6c924e9bfef9bad863f9465ebfde44"
+
     def test_degrees_past_255_are_counted_exactly(self):
         # d20 Z-checks: with all 380 flagged, some defects have 256 or 257
         # flagged neighbours, and with one check plus 256 of its neighbours
@@ -1016,3 +1031,162 @@ class TestCheckGraph:
         for error in errors:
             recovery = decoder.decode_value(code.syndrome_value(error))
             assert code.residual_class(multiply(recovery, error)).success, format_sparse(error)
+
+
+def shortcut_rows(decoder, syndromes):
+    """`decode_batch`'s state after `_Sector.shortcut`: (flips, trials by
+    sector, and the leftovers, trials by sector by packed words)."""
+    bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
+    sectors = (decoder._z_checks, decoder._x_checks)
+    flips, rests = zip(*(s.shortcut(bits[:, s.generators]) for s in sectors))
+    return np.stack(flips, axis=1), leftovers(rests)
+
+
+def leftovers(rests):
+    """Each sector's (trials, words) leftovers in one (trials, 2, words)
+    array, the narrower padded with zero words, as `decode_batch` does."""
+    rest = np.zeros((len(rests[0]), 2, max(r.shape[1] for r in rests)), dtype=np.uint64)
+    for s, r in enumerate(rests):
+        rest[:, s, : r.shape[1]] = r
+    return rest
+
+
+def settle_small(decoder, masks, s):
+    """`_settle_small` on rows whose sector-`s` leftover is the defect set
+    masks[r] and whose other sector is empty: (the flips it set in sector
+    s, which rows it zeroed)."""
+    sectors = (decoder._z_checks, decoder._x_checks)
+    rests = [np.zeros((len(masks), sector.words), dtype=np.uint64) for sector in sectors]
+    rests[s] = _pack_ints(masks, sectors[s].words)
+    rest, flips = leftovers(rests), np.zeros((len(masks), 2), dtype=bool)
+    decoder._settle_small(flips, rest)
+    assert not flips[:, 1 - s].any() and not rest[:, 1 - s].any()
+    return flips[:, s].tolist(), (~rest[:, s].any(axis=1)).tolist()
+
+
+def optimal_parities(sector, mask):
+    """The flip parities of every optimal matching of `mask`'s defects, by
+    costing each one that `_matchings` lists (pruned pairs included)."""
+    defects = [i for i in range(len(sector.boundary_cost)) if mask >> i & 1]
+    cost, flip, boundary = sector.pair_cost, sector.boundary_flips, sector.boundary_cost
+    parities = {}
+    for m in decoders_module._matchings(defects):
+        total = sum(boundary[i] if i == j else cost[i][j] for i, j in m.items() if i <= j)
+        parities.setdefault(total, set()).add(sum(flip[i] for i, j in m.items() if i == j) % 2 == 1)
+    return parities[min(parities)]
+
+
+class TestSmallRows:
+    """`MwpmDecoder._settle_small` costs every matching of a leftover of at
+    most `_SLOTS` defects in numpy and takes the first optimum in option
+    order: it must give `_Sector.flip`'s parity, ties included."""
+
+    def test_the_matching_list_is_every_matching_in_option_order(self):
+        # A matching is an involution of the slots (a fixed point takes its
+        # boundary); its key lists each pick of the lowest unmatched slot,
+        # -1 for the boundary, so sorting the keys is option order.  T(c)
+        # counts them.  With slots c..5 at their boundary, the six-slot list
+        # holds the c-slot list in its order: padding keeps the order.
+        def key(partner):
+            picks, left = [], sorted(range(len(partner)))
+            while left:
+                i = left.pop(0)
+                picks.append(-1 if partner[i] == i else partner[i])
+                left = [j for j in left if j != partner[i]]
+            return picks
+
+        six = decoders_module._matchings(list(range(6)))
+        for c, size in zip(range(1, 7), (1, 2, 4, 10, 26, 76)):
+            found = decoders_module._matchings(list(range(c)))
+            involutions = [p for p in itertools.permutations(range(c)) if all(p[p[i]] == i for i in range(c))]
+            assert len(found) == len(involutions) == size
+            assert [key(m) for m in found] == sorted(map(key, involutions))
+            padded = [m for m in six if all(m[s] == s for s in range(c, 6))]
+            assert [{i: m[i] for i in range(c)} for m in padded] == found
+        partner = decoders_module._PARTNER
+        assert partner.tolist() == [[m[i] for m in six] for i in range(6)]
+
+    @pytest.mark.parametrize("lam", [3, 4])
+    def test_every_set_of_up_to_six_defects_equals_flip(self, lam):
+        # Every defect set of 1-6 checks of each sector is settled with
+        # `flip`'s parity, including sets whose optimal matchings have both
+        # parities.  An empty row and one of seven defects are left alone.
+        decoder = MwpmDecoder(library.surface_code(lam))
+        tied = 0
+        for s, sector in enumerate((decoder._z_checks, decoder._x_checks)):
+            k = len(sector.boundary_cost)
+            masks = [sum(1 << i for i in c) for w in range(1, 7) for c in itertools.combinations(range(k), w)]
+            seven = (1 << 7) - 1 if k >= 7 else 0
+            flips, zeroed = settle_small(decoder, masks + [0, seven], s)
+            assert flips == [sector.flip(m) for m in masks] + [False, False]
+            assert zeroed == [True] * len(masks) + [True, not seven]
+            tied += sum(len(optimal_parities(sector, m)) == 2 for m in masks)
+        assert tied > 0
+
+    def test_sampled_leftovers_equal_flip(self):
+        # Every sector row that `shortcut` leaves with 1-6 defects, in
+        # sampled d5-d9 batches at p = .01-.15, gets `flip`'s parity and is
+        # zeroed; larger rows are left unchanged for `flip`.
+        settled, larger, tied = 0, 0, 0
+        for lam, rates in ((5, (0.01, 0.05, 0.1, 0.15)), (7, (0.01, 0.03, 0.08, 0.12)), (9, (0.02, 0.06, 0.15))):
+            code = library.surface_code(lam)
+            decoder = MwpmDecoder(code)
+            pieces = [(iid_xz(p, p), 41 + i, 0, 200) for i, p in enumerate(rates)]
+            flips, rest = shortcut_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
+            before = [decoders_module._row_ints(rest[:, s]) for s in (0, 1)]
+            after = flips.copy()
+            decoder._settle_small(after, rest)
+            for s, sector in enumerate((decoder._z_checks, decoder._x_checks)):
+                for row, (mask, left) in enumerate(zip(before[s], decoders_module._row_ints(rest[:, s]))):
+                    if 1 <= mask.bit_count() <= 6:
+                        assert left == 0 and after[row, s] == flips[row, s] ^ sector.flip(mask)
+                        settled += 1
+                        tied += len(optimal_parities(sector, mask)) == 2
+                    else:
+                        assert left == mask and after[row, s] == flips[row, s]
+                        larger += mask > 0
+        assert settled > 400 and larger > 100 and tied > 10
+
+    def test_sectors_of_different_word_counts(self):
+        # Shor's construction with 8 blocks of 10 qubits: 72 Z-checks (two
+        # words) and 7 X-checks (one word), so the X-check sector's
+        # leftovers are padded with a zero word.  Rows of both sectors are
+        # settled in numpy, and every class equals `decode_value`'s.
+        blocks, size = 8, 10
+        n = blocks * size
+        def chain(letter, qubits):
+            return from_support(n, [(q, letter) for q in qubits])
+        block = [list(range(b * size + 1, (b + 1) * size + 1)) for b in range(blocks)]
+        generators = [chain("Z", [q, q + 1]) for b in block for q in b[:-1]]
+        generators += [chain("X", a + b) for a, b in zip(block, block[1:])]
+        logicals = ((chain("Z", [b[0] for b in block]), chain("X", block[0])),)
+        code = StabilizerCode("shor_8x10", n, 1, tuple(generators), logicals)
+        assert code.validate().ok
+        decoder = MwpmDecoder(code)
+        assert (decoder._z_checks.words, decoder._x_checks.words) == (2, 1)
+        pieces = [(iid_xz(p, p), 51 + i, 0, 100) for i, p in enumerate((0.02, 0.05, 0.1))]
+        syndromes = code.parity_batch(*sample_batch(n, pieces))[0]
+        flips, rest = shortcut_rows(decoder, syndromes)
+        before = rest.copy()
+        decoder._settle_small(flips, rest)
+        settled = before.any(axis=2) & ~rest.any(axis=2)
+        assert settled[:, 0].any() and settled[:, 1].any()
+        classes, failed = decoder.decode_batch(syndromes)
+        values = [int.from_bytes(row.tobytes(), "little") for row in syndromes]
+        recoveries = [decoder.decode_value(v) for v in values]
+        assert not failed.any()
+        assert np.array_equal(classes, code.parity_batch(*xz_rows(n, recoveries))[1])
+
+    @pytest.mark.parametrize("name", SMALL_CSS_CODES)
+    def test_small_codes_leave_nothing_to_python(self, name):
+        # Every sector of these codes has at most 6 checks, so every row
+        # is settled in numpy; two_qubit and the three-qubit codes have an
+        # empty sector, Shor's code sectors of 6 and 2 checks.
+        code = library.get_code(name)
+        decoder = MwpmDecoder(code)
+        values = list(range(1 << code.m))
+        flips, rest = shortcut_rows(decoder, packed(code, values))
+        decoder._settle_small(flips, rest)
+        assert not rest.any()
+        sectors = (decoder._z_checks, decoder._x_checks)
+        assert flips.tolist() == [[logical_flip(s, v) for s in sectors] for v in values]
