@@ -145,16 +145,16 @@ def minimum_weight_matching(
     return cost, pairs
 
 
-def _search(mask: int, sector: _Sector, half: dict, bound: int) -> tuple[int, bool, list[int]]:
+def _search(mask: int, sector: _Sector, half: list[int], bound: int) -> tuple[int, bool, list[int]]:
     """(cost, flip parity of the boundary matches, picks) of the exact
     optimum on the non-empty defect set `mask` of `sector`: walking the
     picks, the lowest unmatched defect goes to its boundary (-1) or to the
     pick.
 
     half[i] = h_i = min(2 boundary[i], dist[i][j] over kept edges i-j in a
-    superset of `mask`), and `bound` is the sum of h over `mask`.  With
-    dist symmetric a defect pays its boundary or half an edge, so the sum
-    of h over any S within `mask` is at most 2 opt(S) (admissible).
+    superset of `mask`), read only for i in `mask`; `bound` is their sum.
+    With dist symmetric a defect pays its boundary or half an edge, so the
+    sum of h over any S within `mask` is at most 2 opt(S) (admissible).
 
     Iterative deepening (IDA*, Korf 1985) in doubled cost: each pass is a
     depth-first search under a limit that starts at `bound` rounded up to
@@ -189,17 +189,19 @@ def _search(mask: int, sector: _Sector, half: dict, bound: int) -> tuple[int, bo
             if flip is not None:
                 picks.append(-1)
                 return flip ^ flips[i]
-        others, row = neighbours[i] & rest, dist[i]
-        while others:
-            bit = others & -others
-            others ^= bit
-            j = bit.bit_length() - 1
-            spare, sub = budget - 2 * row[j], rest ^ bit
-            if bound - half[j] <= spare and known(sub, 0) <= spare:
-                flip = visit(sub, spare, bound - half[j]) if sub else False
-                if flip is not None:
-                    picks.append(j)
-                    return flip
+        others = neighbours[i] & rest
+        if others:
+            row = dist[i]
+            while others:
+                bit = others & -others
+                others ^= bit
+                j = bit.bit_length() - 1
+                spare, left = budget - 2 * row[j], bound - half[j]
+                if left <= spare and known(sub := rest ^ bit, 0) <= spare:
+                    flip = visit(sub, spare, left) if sub else False
+                    if flip is not None:
+                        picks.append(j)
+                        return flip
         learned[mask] = budget + 2  # 2 opt(mask) is even and above budget
         return None
 
@@ -275,11 +277,13 @@ class _Sector:
         by one BFS: yields (component, half, bound), where half[i] = h_i is
         the cost of the first ring of defect i that meets `mask` and bound
         is their sum over the component.  Kept edges never leave a
-        component, so these are `_search`'s h on the component alone."""
+        component, so these are `_search`'s h on the component alone.  One
+        list per call, rewritten per component: use it before the next yield."""
         rings, neighbours = self.rings, self.neighbours
+        half = [0] * len(rings)
         while mask:
             component = frontier = mask & -mask
-            half = {}
+            bound = 0
             while frontier:
                 low = frontier & -frontier
                 i = low.bit_length() - 1
@@ -290,7 +294,8 @@ class _Sector:
                     if ring & mask:
                         break
                 half[i] = w
-            yield component, half, sum(half.values())
+                bound += w
+            yield component, half, bound
             mask ^= component
 
     def defects_of(self, syndrome_value: int) -> list[int]:
@@ -455,7 +460,8 @@ class MwpmDecoder:
         """Class of `decode_value` of each row, none failed.  `shortcut` settles
         isolated defects and pairs, one-sided leftovers and adjacent pairs;
         `_settle_small` rows of 1 to `_SLOTS` defects by their first optimum in
-        option order, the search's pick (module docstring); `flip` the rest."""
+        option order, the search's pick (module docstring); `flip` the rest,
+        one numpy XOR per sector."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))
@@ -465,8 +471,7 @@ class MwpmDecoder:
         self._settle_small(flips, rest)
         for s, sector in enumerate(sectors):
             left = np.flatnonzero(rest[:, s].any(axis=1))
-            for row, mask in zip(left.tolist(), _row_ints(rest[left, s])):
-                flips[row, s] ^= sector.flip(mask)
+            flips[left, s] ^= np.fromiter(map(sector.flip, _row_ints(rest[left, s])), bool)
         # `_columns` is (0, 1) or (1, 0), its own inverse.
         return flips[:, self._columns], np.zeros(len(syndromes), dtype=bool)
 

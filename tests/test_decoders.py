@@ -73,11 +73,18 @@ def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
 
 def solve(sector, mask):
     """`_search` on the whole non-empty defect set `mask` of `sector`,
-    unsplit, with the h of its `walk` components merged."""
-    half = {}
-    for _, part, _ in sector.walk(mask):
-        half.update(part)
-    return decoders_module._search(mask, sector, half, sum(half.values()))
+    unsplit, with the h of each `walk` component's defects taken from its
+    list; the bound is their sum."""
+    half = [0] * len(sector.boundary_cost)
+    for component, part, _ in sector.walk(mask):
+        for i in bits_of(component):
+            half[i] = part[i]
+    return decoders_module._search(mask, sector, half, sum(half[i] for i in bits_of(mask)))
+
+
+def bits_of(mask):
+    """Indices of the set bits of `mask`, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def logical_flip(sector, value):
@@ -812,6 +819,36 @@ class TestMwpmDecoder:
             assert np.array_equal(classes, error_classes)
 
 
+class TestWalk:
+    def test_each_component_gets_its_h_and_bound(self):
+        # Sampled d5-d9 leftovers of two or more components: at each yield,
+        # `walk`'s one list holds every h of the component, as a brute-force
+        # min over the mask's kept partners gives it, and the bound is their
+        # sum.  Reading each before the next yield is the callers' contract.
+        split = 0
+        for lam, rates in ((5, (0.1, 0.12)), (7, (0.1, 0.12)), (9, (0.08, 0.1))):
+            code = library.surface_code(lam)
+            decoder = MwpmDecoder(code)
+            pieces = [(iid_xz(p, p), 60 + i, 0, 400) for i, p in enumerate(rates)]
+            flips, rest = shortcut_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
+            decoder._settle_small(flips, rest)
+            for s, sector in enumerate((decoder._z_checks, decoder._x_checks)):
+                cost, boundary = sector.pair_cost, sector.boundary_cost
+                for mask in decoders_module._row_ints(rest[:, s]):
+                    walked = []
+                    for component, half, bound in sector.walk(mask):
+                        expected = {
+                            i: min([2 * boundary[i]] + [cost[i][j] for j in bits_of(sector.neighbours[i] & mask)])
+                            for i in bits_of(component)
+                        }
+                        assert {i: half[i] for i in expected} == expected
+                        assert bound == sum(expected.values())
+                        walked.append(component)
+                    assert sum(walked) == mask
+                    split += len(walked) >= 2
+        assert split > 50
+
+
 class TestDecodeBatch:
     @pytest.mark.parametrize("max_weight", [None, 1])
     def test_lookup_batch_matches_scalar(self, max_weight):
@@ -894,6 +931,20 @@ class TestDecodeBatch:
             assert not failed.any()
             digest.update(classes.tobytes())
         assert digest.hexdigest() == "e8c3237922c484af74694f3d1dab2fcb9e6c924e9bfef9bad863f9465ebfde44"
+
+    def test_reversed_rows_decode_alike(self):
+        # A d7 batch near threshold and below it, decoded forwards and in
+        # reverse row order, gives each row the same classes: nothing
+        # carries over between rows, sectors or components.
+        code = library.surface_code(7)
+        pieces = [(iid_xz(p, p), 70 + i, 0, 150) for i, p in enumerate((0.02, 0.1, 0.12))]
+        syndromes = code.parity_batch(*sample_batch(code.n, pieces))[0]
+        decoder = MwpmDecoder(code)
+        classes, failed = decoder.decode_batch(syndromes)
+        backwards, failed_backwards = decoder.decode_batch(syndromes[::-1].copy())
+        assert not failed.any() and not failed_backwards.any()
+        assert np.array_equal(classes, backwards[::-1])
+        assert classes[:, 0].any() and not classes[:, 0].all()
 
     def test_degrees_past_255_are_counted_exactly(self):
         # d20 Z-checks: with all 380 flagged, some defects have 256 or 257
