@@ -99,6 +99,8 @@ def _p_grid(args) -> list[float]:
         return [args.p]
     if None in (args.p_start, args.p_end, args.steps):
         raise ValueError("give --p-start, --p-end and --steps (or one simulate point: --p/--px)")
+    if not (math.isfinite(args.p_start) and math.isfinite(args.p_end)):
+        raise ValueError("--p-start and --p-end must be finite")
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     if args.log_grid and (args.p_start <= 0 or args.p_end <= 0):

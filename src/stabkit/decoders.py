@@ -26,14 +26,14 @@ iterative-deepening search whose ties go, at each step, to the first
 option (boundary, then partners ascending) that reaches the optimum.
 Only a component of more than `_SEARCH_DEFECTS` raises (DecoderError):
 its search could pass Python's recursion limit.  `decode_batch` first
-settles isolated defects, isolated pairs, one-sided leftovers and rows
-whose leftovers are pairs of adjacent checks with packed AND+popcount
+settles isolated defects and isolated pairs with packed AND+popcount
 arithmetic (`_Sector.shortcut`), then each sector row left with at most
 `_SLOTS` defects by its first optimal matching in option order
-(`_settle_small`).  That is the search's pick: it pairs no pruned edge
-(two boundary matches cost no more and come first), and on kept edges
-option order compares each component's picks in their own order.  No
-float matmul: BLAS threads oversubscribe `montecarlo`'s worker pool.
+(`_settle_small`), and `flip` settles the rest.  That first matching is
+the search's pick: it pairs no pruned edge (two boundary matches cost no
+more and come first), and on kept edges option order compares each
+component's picks in their own order.  No float matmul: BLAS threads
+oversubscribe `montecarlo`'s worker pool.
 
 Recovery: the matching only picks each sector's logical class.  An edge
 flips if its qubit is on the logical that the sector's errors can
@@ -253,9 +253,7 @@ class _Sector:
         # optimal cost and splits the defect graph into small components),
         # and those edges as rings for `walk`: (w, mask of the edges of cost
         # w) for each w below 2 boundary[i], ascending, then (2 boundary[i],
-        # -1 = every defect).  Cost-1 edges (checks that share a qubit) are
-        # all kept: a first ring of cost 1 is the adjacency mask `shortcut`
-        # counts.  Masks are packed for numpy.
+        # -1 = every defect).  Masks are packed for numpy.
         self.neighbours, self.rings = [], []
         for i, b in enumerate(boundary_cost):
             kept, ring = 0, {2 * b: -1}
@@ -266,11 +264,10 @@ class _Sector:
                         ring[w] = ring.get(w, 0) | 1 << j
             self.neighbours.append(kept)
             self.rings.append(sorted(ring.items()))
-        adjacent = [m if w == 1 else 0 for (w, m), *_ in self.rings]
         self.generators = np.array(checks, dtype=np.intp)
-        self.words, k = -(-len(checks) // 64), len(checks)
-        words = _pack_ints(self.neighbours + adjacent + [self.flipping], self.words)
-        self.neighbour_words, self.adjacent_words, self.flip_words = np.split(words, (k, -1))
+        self.words = -(-len(checks) // 64)
+        words = _pack_ints(self.neighbours + [self.flipping], self.words)
+        self.neighbour_words, self.flip_words = words[:-1], words[-1:]
 
     def walk(self, mask: int):
         """Components of the pruning graph on the defect set `mask`, found
@@ -332,32 +329,19 @@ class _Sector:
 
     def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Numpy pass over the rows of `present` (flagged checks in sector
-        order).  It settles isolated defects (the boundary is the only
-        option) and isolated pairs (they never flip), then a row's other
-        defects if they are one-sided (by parity, as in `flip`) or if each
-        has exactly one adjacent leftover (pair cost 1).  Those pairs are
-        the unique optimum: every pair cost and doubled boundary cost is at
-        least 1, so each defect has h_i = 1, and the sum of h (see
-        `_search`), the number of defects, is twice the pairing's cost; an
-        optimum pays exactly h_i at every defect, which only the one
-        adjacent leftover does, and pair edges never flip.  Returns the
-        flip parity of the settled defects and the packed rest, which
-        `flip` must solve."""
+        order).  It settles isolated defects, whose boundary is their only
+        option, and isolated pairs, whose kept edge costs less than their
+        two boundary matches and never flips; both hold for any positive
+        costs.  Returns the flip parity of the settled defects and the
+        packed rest, which `_settle_small` and `flip` must solve."""
         words = self.words
         degree = and_popcount(_pack_bits(words, present), self.neighbour_words)
         isolated = present & (degree == 0)
         single = present & (degree == 1)
         paired = single & (and_popcount(_pack_bits(words, single), self.neighbour_words) == 1)
-        rest = present & ~isolated & ~paired
-        packed = _pack_bits(words, rest)
-        flipping = packed & self.flip_words
-        one_sided = ~flipping.any(axis=1) | (flipping == packed).all(axis=1)
-        settled = _pack_bits(words, isolated | rest & one_sided[:, None])
-        packed[one_sided] = 0
-        left = np.flatnonzero(packed.any(axis=1))
-        adjacent = and_popcount(packed[left], self.adjacent_words)
-        packed[left[((adjacent == 1) | ~rest[left]).all(axis=1)]] = 0
-        return (and_popcount(settled, self.flip_words)[:, 0] & 1).astype(bool), packed
+        settled = _pack_bits(words, isolated)
+        rest = _pack_bits(words, present & ~isolated & ~paired)
+        return (and_popcount(settled, self.flip_words)[:, 0] & 1).astype(bool), rest
 
 
 def _check_graph(supports: list[int], conjugate: int) -> tuple:
@@ -458,10 +442,9 @@ class MwpmDecoder:
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class of `decode_value` of each row, none failed.  `shortcut` settles
-        isolated defects and pairs, one-sided leftovers and adjacent pairs;
-        `_settle_small` rows of 1 to `_SLOTS` defects by their first optimum in
-        option order, the search's pick (module docstring); `flip` the rest,
-        one numpy XOR per sector."""
+        isolated defects and isolated pairs; `_settle_small` rows of 1 to
+        `_SLOTS` defects by their first optimum in option order, the search's
+        pick (module docstring); `flip` the rest, one numpy XOR per sector."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))

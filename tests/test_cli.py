@@ -322,6 +322,26 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == f"ERR_CONFIG: {message}\n"
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "--p-start 0 --p-end inf --steps 2",
+            "--p-start 0.01 --p-end inf --steps 3 --log-grid",
+            "--p-start=-inf --p-end 0.1 --steps 2",
+            "--p-start nan --p-end 0.1 --steps 1",
+        ],
+        ids=["end-inf", "log-grid-end-inf", "start-minus-inf", "start-nan"],
+    )
+    def test_a_non_finite_end_is_config_error(self, capsys, grid):
+        # inf * 0 made the first grid point nan, and the error named a
+        # probability nan that was never given; the message names the flags.
+        code, out, err = run_cli(
+            capsys, "simulate", "--code", "shor_nine", *grid.split(), "--trials", "10",
+            "--threads", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "ERR_CONFIG: --p-start and --p-end must be finite\n"
+
     def test_one_step_with_equal_ends_runs_that_point(self, capsys):
         code, out, _ = run_cli(
             capsys,

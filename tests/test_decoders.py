@@ -90,7 +90,8 @@ def bits_of(mask):
 def logical_flip(sector, value):
     """Parity of the defects the matching sends to a flipping boundary:
     `sector.flip` on all of the value's defects in the sector, with no
-    numpy pass.  The reference for `shortcut`."""
+    numpy pass.  The reference for `shortcut` and `_settle_small` run in
+    turn (`shortcut_oracle` checks `shortcut` alone)."""
     return sector.flip(sum(1 << i for i in sector.defects_of(value)))
 
 
@@ -444,11 +445,12 @@ class TestOneSidedComponents:
     def test_batch_settles_one_sided_leftovers(self):
         # Sampled d5/d7/d9 rows: `decode_batch` equals `decode_value` and
         # the parity of `minimum_weight_matching`'s boundary matches.  A
-        # sector's leftover is its components of three or more defects.  If
-        # it is one-sided, or each of its defects has exactly one adjacent
-        # leftover (pair cost 1), the numpy pass settles it: nothing is left
-        # of it.  Mixed rows of adjacent pairs come up at every size, d9's
-        # two-word sectors (72 checks) among them.
+        # sector's leftover is its components of three or more defects, and
+        # the numpy pass leaves exactly those to `_settle_small` and `flip`,
+        # also when the leftover is one-sided or each of its defects has
+        # exactly one adjacent leftover (pair cost 1).  Both kinds come up,
+        # mixed rows of adjacent pairs at every size, d9's two-word sectors
+        # (72 checks) among them.
         settled, paired_off = 0, {5: 0, 7: 0, 9: 0}
         for lam, rates in ((5, (0.03, 0.08)), (7, (0.01, 0.03, 0.08)), (9, (0.02, 0.06))):
             code = library.surface_code(lam)
@@ -457,7 +459,10 @@ class TestOneSidedComponents:
             values = [v for s, p in enumerate(rates, 11) for v in sampled_syndromes(code, p, s, 40)]
             classes, failed = decoder.decode_batch(packed(code, values))
             bits = np.unpackbits(packed(code, values).view(np.uint8), axis=1, bitorder="little")
-            rests = [sector.shortcut(bits[:, sector.generators].astype(bool))[1] for sector in sectors]
+            rests = [
+                decoders_module._row_ints(sector.shortcut(bits[:, sector.generators].astype(bool))[1])
+                for sector in sectors
+            ]
             assert not failed.any()
             for index, (value, row) in enumerate(zip(values, classes)):
                 recovery = decoder.decode_value(value)
@@ -467,13 +472,12 @@ class TestOneSidedComponents:
                     defects = sector.defects_of(value)
                     problem = sector.problem(defects)
                     left = [i for c in components_of(problem) if len(c) >= 3 for i in c]
+                    assert bits_of(rest[index]) == sorted(defects[i] for i in left)
                     sides = {sector.boundary_flips[defects[i]] for i in left}
                     adjacent = [sum(problem.pair_costs[i][j] == 1 for j in left) for i in left]
                     if len(sides) == 1:
-                        assert not rest[index].any()
                         settled += 1
                     elif left and set(adjacent) == {1}:
-                        assert not rest[index].any()
                         paired_off[lam] += 1
         assert settled > 20
         assert sum(paired_off.values()) > 20 and paired_off[9] > 0
@@ -482,10 +486,10 @@ class TestOneSidedComponents:
         # surface_d7 X-error sector: Z-checks in 6 rows of 7, a check
         # adjacent (pair cost 1) to the ones beside, above and below it.
         # Rows 0-2 flip and rows 3-5 do not, so each group below straddles
-        # the middle and is one mixed component.  Two adjacent pairs are
-        # settled by the numpy pass; three in a line, a pair with a lone
-        # defect whose kept edges reach it, and a 2x2 block are left to
-        # `flip`, and every row decodes as `decode_value` does.
+        # the middle and is one mixed component.  The numpy pass settles
+        # none of them: two adjacent pairs, three in a line, a pair with a
+        # lone defect whose kept edges reach it, and a 2x2 block are all left
+        # to `_settle_small`, and every row decodes as `decode_value` does.
         code = library.surface_code(7)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -506,7 +510,7 @@ class TestOneSidedComponents:
             assert [len(set(c)) for c in sector_components(sector, value)] == [2]
         flips, rest = sector.shortcut(present)
         assert not flips.any()
-        assert rest.any(axis=1).tolist() == [False, True, True, True]
+        assert rest.any(axis=1).tolist() == [True] * 4
         classes, failed = decoder.decode_batch(packed(code, values))
         assert not failed.any()
         expected = code.parity_batch(*xz_rows(code.n, [decoder.decode_value(v) for v in values]))[1]
@@ -517,10 +521,10 @@ class TestOneSidedComponents:
         # defects) are one component, four non-flipping bottom defects
         # another.  Sending every defect to its own boundary is a matching,
         # and on one-sided components every matching has the same flip, so
-        # the class is the parity of the flipping defects.  The first two
-        # rows are settled in the numpy pass, the last two (mixed leftover)
-        # in `flip`.  The whole sector flagged is one mixed component of 72,
-        # which the search solves.
+        # the class is the parity of the flipping defects.  The numpy pass
+        # leaves every row to `flip`, whose parity rule settles these
+        # components at 18 and 19 defects.  The whole sector flagged is one
+        # mixed component of 72, which the search solves.
         code = library.surface_code(9)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -538,7 +542,7 @@ class TestOneSidedComponents:
         bits = np.zeros((len(rows), len(flips)), dtype=bool)
         for r, row in enumerate(rows):
             bits[r, row] = True
-        assert sector.shortcut(bits)[1].any(axis=1).tolist() == [False, False, True, True]
+        assert sector.shortcut(bits)[1].any(axis=1).tolist() == [True] * 4
         classes, failed = decoder.decode_batch(packed(code, values))
         assert not failed.any()
         assert classes.tolist() == [[False, f] for f in expected]
@@ -847,6 +851,54 @@ class TestWalk:
                     assert sum(walked) == mask
                     split += len(walked) >= 2
         assert split > 50
+
+
+def shortcut_oracle(sector, mask):
+    """(the defects of `mask` that `_Sector.shortcut` leaves, the flip
+    parity of the ones it settles), by brute force over `sector.neighbours`:
+    it settles each defect with no kept flagged neighbour (its boundary) and
+    each pair that is each other's only kept flagged neighbour (their edge)."""
+    kept = {i: bits_of(sector.neighbours[i] & mask) for i in bits_of(mask)}
+    isolated = {i for i, js in kept.items() if not js}
+    paired = {i for i, js in kept.items() if len(js) == 1 and kept[js[0]] == [i]}
+    flip = sum(sector.boundary_flips[i] for i in isolated) % 2 == 1
+    return sum(1 << i for i in kept if i not in isolated | paired), flip
+
+
+class TestShortcut:
+    def test_it_settles_isolated_defects_and_isolated_pairs(self):
+        # Sampled d3-d9 rows at p = .01-.15, and the d20 Z-checks all
+        # flagged and a 257-check star (one check and 256 of its kept
+        # neighbours): `shortcut`'s rest and flip equal the brute force.
+        rows = []
+        for lam in (3, 5, 7, 9):
+            code = library.surface_code(lam)
+            decoder = MwpmDecoder(code)
+            pieces = [(iid_xz(p, p), 80 + i, 0, 60) for i, p in enumerate((0.01, 0.05, 0.1, 0.15))]
+            bits = code.parity_batch(*sample_batch(code.n, pieces))[0]
+            bits = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").view(bool)
+            rows += [(sector, bits[:, sector.generators]) for sector in (decoder._z_checks, decoder._x_checks)]
+        sector = MwpmDecoder(library.surface_code(20))._z_checks
+        k = len(sector.boundary_cost)
+        hub = max(range(k), key=lambda i: sector.neighbours[i].bit_count())
+        star = [hub] + bits_of(sector.neighbours[hub])[:256]
+        present = np.zeros((2, k), dtype=bool)
+        present[0] = True
+        present[1, star] = True
+        rows.append((sector, present))
+        pairs = flipped = left = 0
+        for sector, present in rows:
+            flips, rest = sector.shortcut(present)
+            masks = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in present]
+            expected = [shortcut_oracle(sector, mask) for mask in masks]
+            assert decoders_module._row_ints(rest) == [r for r, _ in expected]
+            assert flips.tolist() == [f for _, f in expected]
+            for mask, (r, _) in zip(masks, expected):
+                pairs += any(sector.neighbours[i] & mask for i in bits_of(mask ^ r))
+                left += r > 0
+            flipped += sum(flips.tolist())
+        # Rows with a settled pair, with an odd flip, and with a rest.
+        assert pairs > 200 and flipped > 100 and left > 500
 
 
 class TestDecodeBatch:
