@@ -60,9 +60,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliOperator, commutes, enumerate_paulis, identity
+from .pauli import PauliOperator, enumerate_paulis, identity
 from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
-from .stabilizer_code import _pack_bits, _pack_ints, and_popcount
+from .stabilizer_code import _pack_bits, _pack_ints, _set_bits, and_popcount
 
 # `_search` recurses once per pick, so at most once per defect: past this
 # many, with the caller's frames, it could pass Python's default limit of
@@ -83,7 +83,9 @@ class LookupDecoder:
     per syndrome stored.  Enumeration stops once every possible syndrome
     has an entry.  The constructor also builds `decode_batch`'s class
     table: per syndrome value, the class of `decode_value` (see the
-    protocol), then a miss column (set where the table has no entry)."""
+    protocol), then a miss column (set where the table has no entry).  A
+    class row holds the parities of the recovery against the code's logical
+    check rows, the rows `parity_batch` gathers for an error's class."""
 
     name = "lookup"
 
@@ -102,11 +104,11 @@ class LookupDecoder:
                 self.table.setdefault(code.syndrome_value(p), p)
             if len(self.table) == 1 << code.m:
                 break
-        logicals = [p for pair in code.logicals for p in pair]
         self._class_table = np.zeros((1 << code.m, 2 * code.k + 1), dtype=bool)
         self._class_table[:, -1] = True
         self._class_table[np.fromiter(self.table, dtype=np.intp)] = [
-            [not commutes(p, q) for q in logicals] + [False] for p in self.table.values()
+            [(row & v).bit_count() & 1 for row in code._check_rows[code.m :]] + [0]
+            for v in map(code._symplectic, self.table.values())
         ]
 
     def decode_value(self, value: int) -> PauliOperator:
@@ -466,10 +468,8 @@ class MwpmDecoder:
         rows = rest.reshape(flips.size, rest.shape[2])  # one per (trial, sector)
         counts = np.bitwise_count(rows).sum(axis=1)
         settled = np.flatnonzero((counts > 0) & (counts <= _SLOTS))
-        bits = np.unpackbits(rows[settled].view(np.uint8), axis=1, bitorder="little")
-        found, checks = np.nonzero(bits)  # found: position in `settled`
+        found, ranks, checks = _set_bits(rows[settled])  # found: position in `settled`
         slots = np.full((_SLOTS, len(settled)), len(self._costs) - 1)
-        ranks = np.arange(len(found)) - np.searchsorted(found, found)
         slots[ranks, found] = checks + len(self._z_checks.boundary_cost) * (settled[found] & 1)
         costs = self._costs[slots[:, None], slots]  # (slot, slot, row)
         pick = sum(costs[i, _PARTNER[i]] for i in range(_SLOTS)).argmin(axis=0)

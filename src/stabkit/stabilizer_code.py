@@ -12,17 +12,18 @@ Stabilizer-group membership is span membership in one symplectic generator
 basis, which `validate` also reads; phases are ignored (projective stabilizers).
 
 A batch of errors is the sampler's (trials, n) bool X and Z arrays.
-`parity_batch` XORs their X|Z columns on each check's and each logical's
-symplectic support, gathered by index, so a trial costs the supports'
-weight, not n × m; only the syndromes are packed, for the decoders.  For a
-valid code, a recovery with the error's syndrome succeeds (the product is a
-stabilizer) iff both have the same class: 2k parities, not a span reduction.
+`parity_batch` XORs their X|Z columns on each check row's support (both
+built with the code: `_check_rows`, `_supports`), gathered by index, so a
+trial costs the supports' weight, not n × m; only the syndromes are packed,
+for the decoders.  For a valid code, a recovery with the error's syndrome
+succeeds (the product is a stabilizer) iff both have the same class: 2k
+parities, not a span reduction.
 
 Pure errors turn a syndrome into an operator: `pure_errors[i]`, entry i of
 the check rows' right inverse (`_gf2.right_inverse`), flips syndrome bit i
 alone and commutes with every logical.  Their product over the set bits of
 a syndrome has that syndrome; any other operator with it differs from that
-product by a stabilizer times a logical.
+product by a stabilizer times a logical.  No trial reads them.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class Syndrome:
 
     @classmethod
     def from_int(cls, value: int, m: int) -> "Syndrome":
+        if not 0 <= value < 1 << m:
+            raise ValueError(f"syndrome value {value} is not in [0, 2^{m})")
         return cls(tuple((value >> i) & 1 for i in range(m)))
 
     @classmethod
@@ -98,7 +101,11 @@ class ValidationReport:
 
 @dataclass(eq=True)
 class StabilizerCode:
-    """Treat instances as immutable once built; derived structures are cached."""
+    """Treat instances as immutable once built.  The check rows and supports,
+    which every parity reads, are built with the code (attributes, not
+    fields: ==, repr and asdict ignore them, a pickle keeps them).
+    `_stab_basis` and `pure_errors` are built on first use: no trial reads
+    them, and a dependent code has no pure errors."""
 
     name: str
     n: int
@@ -110,12 +117,24 @@ class StabilizerCode:
     def __post_init__(self):
         self.generators = tuple(self.generators)
         self.logicals = tuple((x, z) for x, z in self.logicals)
+        ops = list(self.generators) + [p for pair in self.logicals for p in pair]
+        # Generators, then X̄_1, Z̄_1, X̄_2, ..., with x and z swapped: the
+        # parity of (symplectic vector & row) is their symplectic product.
+        self._check_rows = [p.z_bits | p.x_bits << self.n for p in ops]
+        # Set bits as columns of [x | z | 0], padded with 2n (the zero column);
+        # words fit the widest row, even of an operator of the wrong size.
+        self._supports = []
+        for rows in (self._check_rows[: self.m], self._check_rows[self.m :]):
+            words = -(-max(rows, default=0).bit_length() // 64)
+            found, ranks, columns = _set_bits(_pack_ints(rows, words))
+            self._supports.append(np.full((len(rows), ranks.max(initial=-1) + 1), 2 * self.n))
+            self._supports[-1][found, ranks] = columns
 
     @property
     def m(self) -> int:
         return len(self.generators)
 
-    # -- cached symplectic machinery ------------------------------------
+    # -- symplectic machinery ------------------------------------------
 
     @cached_property
     def _stab_basis(self) -> RowBasis:
@@ -123,30 +142,6 @@ class StabilizerCode:
 
     def _symplectic(self, p: PauliOperator) -> int:
         return p.x_bits | (p.z_bits << self.n)
-
-    @cached_property
-    def _check_rows(self) -> list[int]:
-        """Generators, then X̄_1, Z̄_1, X̄_2, ..., each with its x and z
-        halves swapped, so that the parity of (symplectic vector & row) is
-        their symplectic product."""
-        ops = list(self.generators) + [p for pair in self.logicals for p in pair]
-        return [p.z_bits | (p.x_bits << self.n) for p in ops]
-
-    @cached_property
-    def _supports(self) -> tuple[np.ndarray, np.ndarray]:
-        """`_check_rows`' set bits, walked, as column indices into [x | z | 0]:
-        an (m, w) table for the generators and a (2k, w') one for the
-        logicals, each padded with 2n (the zero column) to its widest row."""
-        tables = []
-        for rows in (self._check_rows[: self.m], self._check_rows[self.m :]):
-            width = max((row.bit_count() for row in rows), default=0)
-            table = [[2 * self.n] * width for _ in rows]
-            for support, row in zip(table, rows):
-                for j in range(row.bit_count() - 1, -1, -1):
-                    support[j] = row.bit_length() - 1
-                    row ^= 1 << support[j]
-            tables.append(np.array(table, dtype=np.intp).reshape(len(rows), width))
-        return tables[0], tables[1]
 
     @cached_property
     def pure_errors(self) -> tuple[PauliOperator, ...]:
@@ -161,13 +156,12 @@ class StabilizerCode:
     # -- operations ------------------------------------------------------
 
     def syndrome_value(self, error: PauliOperator) -> int:
-        """Packed syndrome of one operator (bit i = generator i)."""
+        """Packed syndrome of one operator: bit i is its parity with `_check_rows[i]`."""
         if error.n != self.n:
             raise ValueError(f"error acts on {error.n} qubits, code has {self.n}")
-        ex, ez = error.x_bits, error.z_bits
-        v = 0
-        for i, g in enumerate(self.generators):
-            if (g.x_bits & ez).bit_count() + (g.z_bits & ex).bit_count() & 1:
+        e, rows, v = self._symplectic(error), self._check_rows, 0
+        for i in range(self.m):
+            if (rows[i] & e).bit_count() & 1:
                 v |= 1 << i
         return v
 
@@ -196,10 +190,9 @@ class StabilizerCode:
         """
         if self.syndrome_value(residual) != 0:
             raise ValueError("residual has nonzero syndrome; not a codespace operator")
-        classes = tuple(
-            LETTERS[(not commutes(residual, zbar)) + 2 * (not commutes(residual, xbar))]
-            for xbar, zbar in self.logicals
-        )
+        v = self._symplectic(residual)
+        bits = [(row & v).bit_count() & 1 for row in self._check_rows[self.m :]]
+        classes = tuple(LETTERS[zbar + 2 * xbar] for xbar, zbar in zip(bits[::2], bits[1::2]))
         return ResidualClass(self.in_stabilizer_group(residual), classes)
 
     def validate(self, distance_max_weight: int | None = None) -> ValidationReport:
@@ -258,6 +251,13 @@ def _pack_ints(values: Sequence[int], words: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
 
 
+def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major (row, rank in its row, column) of each set bit of uint64 rows."""
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
+    rows, columns = np.divmod(np.flatnonzero(bits), bits.shape[1])
+    return rows, np.arange(len(rows)) - np.searchsorted(rows, rows), columns
+
+
 def _pack_bits(words: int, bits: np.ndarray) -> np.ndarray:
     """(rows, columns) bools -> (rows, words) uint64 words: column j at bit
     j % 64 of word j // 64, then zeros.  Padded rows are 64 * words bits, so
@@ -285,9 +285,8 @@ def distance(
         if candidates > DISTANCE_SEARCH_GUARD:
             raise ValueError(f"distance search to weight {w} tries {candidates:,} Paulis")
         for p in enumerate_paulis(code.n, w, letters):
-            if all(commutes(p, g) for g in code.generators):
-                if not code.in_stabilizer_group(p):
-                    return w
+            if code.syndrome_value(p) == 0 and not code.in_stabilizer_group(p):
+                return w
     return None
 
 

@@ -23,7 +23,8 @@ from stabkit.decoders import (
 )
 from stabkit.noise import derive_seed, iid_xz, sample, sample_batch
 from stabkit.pauli import (
-    PauliOperator, enumerate_paulis, format_sparse, from_support, identity, multiply, parse, weight,
+    PauliOperator, commutes, enumerate_paulis, format_sparse, from_support, identity, multiply,
+    parse, weight,
 )
 from stabkit.stabilizer_code import StabilizerCode, Syndrome, _pack_ints, correctable_weight
 
@@ -276,6 +277,22 @@ class TestLookup:
         assert len(decoder.table) == 256 and max(weights) < code.n
         full = LookupDecoder(code)
         assert decoder.table == full.table
+
+
+    @pytest.mark.parametrize("max_weight", [None, 1])
+    @pytest.mark.parametrize("name", library.registered_names())
+    def test_class_rows_are_the_commutation_rule(self, name, max_weight):
+        # A stored recovery's class row is whether it anti-commutes with X̄_1,
+        # Z̄_1, X̄_2, ..., then a clear miss bit; a syndrome the table lacks
+        # has no class and its miss bit set.
+        code = library.get_code(name)
+        decoder = LookupDecoder(code, max_weight)
+        logicals = [p for pair in code.logicals for p in pair]
+        expect = np.zeros((1 << code.m, 2 * code.k + 1), dtype=bool)
+        expect[:, -1] = True
+        for value, recovery in decoder.table.items():
+            expect[value] = [not commutes(recovery, q) for q in logicals] + [False]
+        assert np.array_equal(decoder._class_table, expect)
 
 
 class TestMatchingSolver:

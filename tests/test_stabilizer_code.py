@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
+import pickle
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabkit import code_library as library
 from stabkit import stabilizer_code
-from stabkit.pauli import commutes, from_support, identity, multiply, parse
+from stabkit.pauli import PauliOperator, commutes, from_support, identity, multiply, parse
 from stabkit.stabilizer_code import (
     StabilizerCode,
     Syndrome,
@@ -79,6 +83,13 @@ class TestValidate:
         assert not report.ok
         assert problem in report.problems
 
+    def test_an_operator_past_the_code_s_last_word_is_a_problem(self):
+        # X on qubit 33 is bit 64 of its check row, past a 32-qubit code's
+        # one 64-bit word: the code must still build, so that this is reported.
+        logicals = ((parse("X1", n=32), parse("Z1", n=32)),)
+        bad = StabilizerCode("bad", 32, 31, (parse("X33", n=33),), logicals)
+        assert "generator 1 acts on 33 qubits, code has 32" in bad.validate().problems
+
     def test_only_a_logical_pair_may_anti_commute(self):
         # X̄_i and Z̄_i must anti-commute; any other pair of generators and
         # logicals must commute.
@@ -135,6 +146,13 @@ class TestSyndrome:
         assert s.value == 0b0110 >> 0 and str(s) == "0110"
         assert Syndrome.from_int(s.value, 4) == s
 
+    @pytest.mark.parametrize("value, m", [(5, 2), (4, 2), (-1, 3), (1, 0)])
+    def test_from_int_rejects_a_value_past_m_bits(self, value, m):
+        # 5 in 2 bits used to come back as "10", whose value is 1.
+        with pytest.raises(ValueError, match="not in"):
+            Syndrome.from_int(value, m)
+        assert str(Syndrome.from_int(3, 2)) == "11" and Syndrome.from_int(0, 0).bits == ()
+
 
 class TestMembership:
     def test_shor_z1z2(self):
@@ -181,6 +199,24 @@ class TestResidualClass:
     def test_nonzero_syndrome_rejected(self):
         with pytest.raises(ValueError):
             library.three_qubit_bitflip().residual_class(parse("XII"))
+
+    def test_classes_are_the_commutation_rule(self):
+        # Qubit i's letter gets X where the residual anti-commutes with Z̄_i
+        # and Z where it anti-commutes with X̄_i; four_two_two pins the order
+        # of its two qubits.
+        rng = random.Random(23)
+        for code in ALL_CODES:
+            for _ in range(20):
+                residual = random_member(code, rng)
+                for pair in code.logicals:
+                    for p in pair:
+                        if rng.random() < 0.5:
+                            residual = multiply(residual, p)
+                expect = tuple(
+                    "IXZY"[(not commutes(residual, zbar)) + 2 * (not commutes(residual, xbar))]
+                    for xbar, zbar in code.logicals
+                )
+                assert code.residual_class(residual).logical_classes == expect
 
     def test_invariant_under_stabilizer_multiplication(self):
         rng = random.Random(17)
@@ -257,6 +293,78 @@ class TestBatch:
             for row, out in zip(bits, packed):
                 expect = sum(int(b) << j for j, b in enumerate(row))
                 assert sum(int(w) << 64 * i for i, w in enumerate(out)) == expect
+
+
+# Every registered code (four_cycle has k = 0, four_two_two k = 2) and the
+# surface codes up to d9.
+CHECK_MATRIX_NAMES = library.registered_names() + [f"surface_d{d}" for d in range(4, 10)]
+
+
+def walked_supports(code):
+    """`_supports` as the walk over each check row's set bits that built
+    them lazily before they were built with the code: the oracle."""
+    tables = []
+    for rows in (code._check_rows[: code.m], code._check_rows[code.m :]):
+        width = max((row.bit_count() for row in rows), default=0)
+        table = [[2 * code.n] * width for _ in rows]
+        for support, row in zip(table, rows):
+            for j in range(row.bit_count() - 1, -1, -1):
+                support[j] = row.bit_length() - 1
+                row ^= 1 << support[j]
+        tables.append(np.array(table, dtype=np.intp).reshape(len(rows), width))
+    return tables
+
+
+def generator_rule(code, op):
+    """Syndrome of one operator, generator by generator, from the operators'
+    own bits: the rule `syndrome_value` used before it read the check rows."""
+    v = 0
+    for i, g in enumerate(code.generators):
+        if (g.x_bits & op.z_bits).bit_count() + (g.z_bits & op.x_bits).bit_count() & 1:
+            v |= 1 << i
+    return v
+
+
+class TestCheckMatrix:
+    @pytest.mark.parametrize("name", CHECK_MATRIX_NAMES)
+    def test_built_with_the_code_and_kept_by_a_pickle(self, name):
+        code = library.get_code(name)
+        tables = ("_check_rows", "_supports")
+        assert all(t in vars(code) for t in tables)
+        clone = pickle.loads(pickle.dumps(code))
+        assert all(t in vars(clone) for t in tables)
+        assert clone._check_rows == code._check_rows
+        assert all(np.array_equal(a, b) for a, b in zip(clone._supports, code._supports))
+        # Not fields: equality, repr and asdict read only the definition.
+        assert clone == code and "_supports" not in repr(code)
+        assert [f.name for f in dataclasses.fields(code)] == list(dataclasses.asdict(code)) == [
+            "name", "n", "k", "generators", "logicals", "declared_distance",
+        ]
+
+    @pytest.mark.parametrize("name", CHECK_MATRIX_NAMES)
+    def test_parity_batch_matches_the_walked_supports(self, name):
+        code = library.get_code(name)
+        walked = pickle.loads(pickle.dumps(code))
+        walked._supports = walked_supports(code)
+        for mine, oracle in zip(code._supports, walked._supports):
+            assert mine.shape == oracle.shape
+            assert np.array_equal(np.sort(mine, axis=1), np.sort(oracle, axis=1))
+        rng = np.random.default_rng(len(name))
+        x, z = rng.random((2, 300, code.n)) < rng.random((2, 300, 1))
+        for got, expect in zip(code.parity_batch(x, z), walked.parity_batch(x, z)):
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("name", library.registered_names() + ["surface_d5"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_syndrome_value_is_the_generator_rule_and_the_batch_syndrome(self, name, data):
+        code = library.get_code(name)
+        bits = st.integers(min_value=0, max_value=(1 << code.n) - 1)
+        ops = [PauliOperator(code.n, data.draw(bits), data.draw(bits)) for _ in range(4)]
+        syndromes, _ = code.parity_batch(*xz_rows(code.n, ops))
+        for op, row in zip(ops, syndromes):
+            value = int.from_bytes(row.tobytes(), "little")
+            assert code.syndrome_value(op) == generator_rule(code, op) == value
 
 
 class TestPureErrors:
