@@ -19,21 +19,21 @@ boundary matches are pruned, once per sector: a `_Sector` holds one
 instance's costs and its pruning graph (`minimum_weight_matching` builds
 one too).  Cost and flip parity add over the components of the pruned
 graph, and the picks in one do not depend on the rest, so every entry
-point splits the defects with `_Sector.walk`, one BFS that also bounds
-each component, and solves each alone, at any size: a one-sided
-component by parity (`_Sector.flip`), a mixed one by `_search`, an exact
-iterative-deepening search whose ties go, at each step, to the first
-option (boundary, then partners ascending) that reaches the optimum.
-Only a component of more than `_SEARCH_DEFECTS` raises (DecoderError):
-its search could pass Python's recursion limit.  `decode_batch` first
-settles isolated defects and isolated pairs with packed AND+popcount
-arithmetic (`_Sector.shortcut`), then each sector row left with at most
-`_SLOTS` defects by its first optimal matching in option order
-(`_settle_small`), and `flip` settles the rest.  That first matching is
-the search's pick: it pairs no pruned edge (two boundary matches cost no
-more and come first), and on kept edges option order compares each
-component's picks in their own order.  No float matmul: BLAS threads
-oversubscribe `montecarlo`'s worker pool.
+point goes through one loop, `_Sector.flips`: over a list of defect sets,
+one BFS splits each set into components and bounds them, and each is
+solved alone, at any size: a one-sided one by parity, a mixed one by an
+exact iterative-deepening search whose ties go, at each step, to the
+first option (boundary, then partners ascending) that reaches the
+optimum.  Only a component of more than `_SEARCH_DEFECTS` raises
+(DecoderError): its search could pass Python's recursion limit.
+`decode_batch` first settles isolated defects and isolated pairs with
+packed AND+popcount arithmetic (`_Sector.shortcut`), then each sector row
+left with at most `_SLOTS` defects by its first optimal matching in option
+order (`_settle_small`), and one `flips` call per sector the rest.  That
+first matching is the search's pick: it pairs no pruned edge (two boundary
+matches cost no more and come first), and on kept edges option order
+compares each component's picks in their own order.  No float matmul:
+BLAS threads oversubscribe `montecarlo`'s worker pool.
 
 Recovery: the matching only picks each sector's logical class.  An edge
 flips if its qubit is on the logical that the sector's errors can
@@ -64,7 +64,7 @@ from .pauli import PauliOperator, enumerate_paulis, identity
 from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
 from .stabilizer_code import _pack_bits, _pack_ints, _set_bits, and_popcount
 
-# `_search` recurses once per pick, so at most once per defect: past this
+# The search recurses once per pick, so at most once per defect: past this
 # many, with the caller's frames, it could pass Python's default limit of
 # 1,000 frames.
 _SEARCH_DEFECTS = 512
@@ -135,10 +135,10 @@ def minimum_weight_matching(
     marking a boundary match.  Solves one component at a time.
     """
     k = len(boundary)
-    sector = _Sector(None, range(k), dist, boundary, [False] * k)
+    record = []
+    _Sector(None, range(k), dist, boundary, [False] * k).flips([(1 << k) - 1], record)
     cost, pairs = 0, []
-    for mask, half, bound in sector.walk((1 << k) - 1):
-        c, _, picks = _search(mask, sector, half, bound)
+    for mask, c, picks in record:
         cost += c
         for partner in picks:
             low = mask & -mask
@@ -147,75 +147,9 @@ def minimum_weight_matching(
     return cost, pairs
 
 
-def _search(mask: int, sector: _Sector, half: list[int], bound: int) -> tuple[int, bool, list[int]]:
-    """(cost, flip parity of the boundary matches, picks) of the exact
-    optimum on the non-empty defect set `mask` of `sector`: walking the
-    picks, the lowest unmatched defect goes to its boundary (-1) or to the
-    pick.
-
-    half[i] = h_i = min(2 boundary[i], dist[i][j] over kept edges i-j in a
-    superset of `mask`), read only for i in `mask`; `bound` is their sum.
-    With dist symmetric a defect pays its boundary or half an edge, so the
-    sum of h over any S within `mask` is at most 2 opt(S) (admissible).
-
-    Iterative deepening (IDA*, Korf 1985) in doubled cost: each pass is a
-    depth-first search under a limit that starts at `bound` rounded up to
-    even and rises by 2.  The lowest defect tries its boundary, then its
-    kept partners ascending, each only if its spent cost plus the h, or a
-    learned bound, of the unmatched set fits the limit; a node that fails
-    learns that its set costs more than its budget (without this a
-    star-shaped component takes millions of visits).  A pass is exhaustive
-    below its limit, so the first to complete has limit 2 opt, and its
-    first matching takes at every depth the first option in that order
-    that reaches the optimum: that is the tie-break.  Raises DecoderError
-    past `_SEARCH_DEFECTS` defects."""
-    if mask.bit_count() > _SEARCH_DEFECTS:
-        raise DecoderError(
-            f"a {mask.bit_count()}-defect matching component is over the"
-            f" search's {_SEARCH_DEFECTS}"
-        )
-    neighbours, boundary = sector.neighbours, sector.boundary_cost
-    dist, flips = sector.pair_cost, sector.boundary_flips
-    learned, picks = {}, []
-    known = learned.get
-
-    def visit(mask, budget, bound):
-        # Flip parity of the first matching of `mask` within `budget`, or None.
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        bound -= half[i]
-        spare = budget - 2 * boundary[i]
-        if bound <= spare and known(rest, 0) <= spare:
-            flip = visit(rest, spare, bound) if rest else False
-            if flip is not None:
-                picks.append(-1)
-                return flip ^ flips[i]
-        others = neighbours[i] & rest
-        if others:
-            row = dist[i]
-            while others:
-                bit = others & -others
-                others ^= bit
-                j = bit.bit_length() - 1
-                spare, left = budget - 2 * row[j], bound - half[j]
-                if left <= spare and known(sub := rest ^ bit, 0) <= spare:
-                    flip = visit(sub, spare, left) if sub else False
-                    if flip is not None:
-                        picks.append(j)
-                        return flip
-        learned[mask] = budget + 2  # 2 opt(mask) is even and above budget
-        return None
-
-    limit = bound + (bound & 1)
-    while (flip := visit(mask, limit, bound)) is None:
-        limit += 2
-    return limit // 2, flip, picks[::-1]
-
-
 def _matchings(slots: list[int]) -> list[dict[int, int]]:
     """Every matching of `slots` as a partner map (i: i for a boundary), in
-    `_search`'s option order: the lowest slot's boundary, then its partners ascending."""
+    the search's option order: the lowest slot's boundary, then its partners ascending."""
     if not slots:
         return [{}]
     low, *rest = slots
@@ -253,7 +187,7 @@ class _Sector:
         # The pruning graph: per defect i, a bitmask of the pair edges that
         # beat two boundary matches (dropping the rest, ties too, keeps the
         # optimal cost and splits the defect graph into small components),
-        # and those edges as rings for `walk`: (w, mask of the edges of cost
+        # and those edges as rings for `flips`: (w, mask of the edges of cost
         # w) for each w below 2 boundary[i], ascending, then (2 boundary[i],
         # -1 = every defect).  Masks are packed for numpy.
         self.neighbours, self.rings = [], []
@@ -271,32 +205,6 @@ class _Sector:
         words = _pack_ints(self.neighbours + [self.flipping], self.words)
         self.neighbour_words, self.flip_words = words[:-1], words[-1:]
 
-    def walk(self, mask: int):
-        """Components of the pruning graph on the defect set `mask`, found
-        by one BFS: yields (component, half, bound), where half[i] = h_i is
-        the cost of the first ring of defect i that meets `mask` and bound
-        is their sum over the component.  Kept edges never leave a
-        component, so these are `_search`'s h on the component alone.  One
-        list per call, rewritten per component: use it before the next yield."""
-        rings, neighbours = self.rings, self.neighbours
-        half = [0] * len(rings)
-        while mask:
-            component = frontier = mask & -mask
-            bound = 0
-            while frontier:
-                low = frontier & -frontier
-                i = low.bit_length() - 1
-                grown = neighbours[i] & mask & ~component
-                component |= grown
-                frontier = (frontier ^ low) | grown
-                for w, ring in rings[i]:
-                    if ring & mask:
-                        break
-                half[i] = w
-                bound += w
-            yield component, half, bound
-            mask ^= component
-
     def defects_of(self, syndrome_value: int) -> list[int]:
         """Flagged checks of this sector, in ascending generator order (the
         matching's tie-breaks depend on that order)."""
@@ -312,22 +220,107 @@ class _Sector:
             ),
         )
 
-    def flip(self, mask: int) -> bool:
-        """Flip parity of the optimum on the defect set `mask`, one `walk`
-        component at a time.  A one-sided component, whose defects all flip
-        or all do not, is settled by the parity of its flipping defects: a
-        pair path never flips and pairs cover an even number of defects, so
-        every matching of k defects that all flip f makes k mod 2 boundary
-        matches and flips f (k mod 2).  Only mixed components reach the
-        search."""
-        flip = False
-        for component, half, bound in self.walk(mask):
-            side = component & self.flipping
-            if side in (0, component):
-                flip ^= side.bit_count() & 1
-            else:
-                flip ^= _search(component, self, half, bound)[1]
-        return flip
+    def flips(self, masks: list[int], record: list | None = None) -> list[bool]:
+        """Flip parity of the optimum on each defect set of `masks`, solved
+        one component of the pruning graph at a time, all in one loop.
+
+        One BFS finds each component and bounds it: half[i] = h_i is the
+        cost of the first ring of defect i that meets the set, and `bound`
+        their sum over the component.  Kept edges never leave a component,
+        so these are its h alone; with dist symmetric a defect pays its
+        boundary or half an edge, so the sum of h over any S within it is at
+        most 2 opt(S) (admissible).  A one-sided component, whose defects
+        all flip or all do not, is settled by the parity of its flipping
+        defects: a pair path never flips and pairs cover an even number of
+        defects, so every matching of k defects that all flip f makes k mod
+        2 boundary matches and flips f (k mod 2).  A mixed one is searched.
+        With `record` a list, every component is searched and (component,
+        cost, picks) appended: walking the picks, the lowest unmatched
+        defect goes to its boundary (-1) or to the pick.
+
+        The search is iterative deepening (IDA*, Korf 1985) in doubled
+        cost: each pass is a depth-first search (`visit`) under a limit that
+        starts at `bound` rounded up to even and rises by 2.  The lowest
+        defect tries its boundary, then its kept partners ascending, each
+        only if its spent cost plus the h, or a learned bound, of the
+        unmatched set fits the limit; a node that fails learns that its set
+        costs more than its budget (without this a star-shaped component
+        takes millions of visits).  A pass is exhaustive below its limit, so
+        the first to complete has limit 2 opt, and its first matching takes
+        at every depth the first option in that order that reaches the
+        optimum: that is the tie-break.  A component of more than
+        `_SEARCH_DEFECTS` raises DecoderError.  The call makes one `half`
+        list, one `learned` dict (cleared per component) and one `visit`."""
+        rings, neighbours, flipping = self.rings, self.neighbours, self.flipping
+        boundary, dist, sides = self.boundary_cost, self.pair_cost, self.boundary_flips
+        half, learned, picks = [0] * len(rings), {}, []
+        known = learned.get
+
+        def visit(mask, budget, bound):
+            # Flip parity of the first matching of `mask` within `budget`, or None.
+            low = mask & -mask
+            i = low.bit_length() - 1
+            rest = mask ^ low
+            bound -= half[i]
+            spare = budget - 2 * boundary[i]
+            if bound <= spare and known(rest, 0) <= spare:
+                flip = visit(rest, spare, bound) if rest else False
+                if flip is not None:
+                    picks.append(-1)
+                    return flip ^ sides[i]
+            others = neighbours[i] & rest
+            if others:
+                row = dist[i]
+                while others:
+                    bit = others & -others
+                    others ^= bit
+                    j = bit.bit_length() - 1
+                    spare, left = budget - 2 * row[j], bound - half[j]
+                    if left <= spare and known(sub := rest ^ bit, 0) <= spare:
+                        flip = visit(sub, spare, left) if sub else False
+                        if flip is not None:
+                            picks.append(j)
+                            return flip
+            learned[mask] = budget + 2  # 2 opt(mask) is even and above budget
+            return None
+
+        found = []
+        for mask in masks:
+            flip = False
+            while mask:
+                component = frontier = mask & -mask
+                bound = 0
+                while frontier:
+                    low = frontier & -frontier
+                    i = low.bit_length() - 1
+                    grown = neighbours[i] & mask & ~component
+                    component |= grown
+                    frontier = (frontier ^ low) | grown
+                    for w, ring in rings[i]:
+                        if ring & mask:
+                            break
+                    half[i] = w
+                    bound += w
+                mask ^= component
+                side = component & flipping
+                if record is None and side in (0, component):
+                    flip ^= side.bit_count() & 1
+                    continue
+                if component.bit_count() > _SEARCH_DEFECTS:
+                    raise DecoderError(
+                        f"a {component.bit_count()}-defect matching component is over the"
+                        f" search's {_SEARCH_DEFECTS}"
+                    )
+                learned.clear()
+                limit = bound + (bound & 1)
+                while (parity := visit(component, limit, bound)) is None:
+                    limit += 2
+                flip ^= parity
+                if record is not None:
+                    record.append((component, limit // 2, picks[::-1]))
+                picks.clear()
+            found.append(flip)
+        return found
 
     def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Numpy pass over the rows of `present` (flagged checks in sector
@@ -335,7 +328,7 @@ class _Sector:
         option, and isolated pairs, whose kept edge costs less than their
         two boundary matches and never flips; both hold for any positive
         costs.  Returns the flip parity of the settled defects and the
-        packed rest, which `_settle_small` and `flip` must solve."""
+        packed rest, which `_settle_small` and `flips` must solve."""
         words = self.words
         degree = and_popcount(_pack_bits(words, present), self.neighbour_words)
         isolated = present & (degree == 0)
@@ -434,7 +427,7 @@ class MwpmDecoder:
         must equal."""
         code, v = self.code, 0
         for sector, column in zip((self._z_checks, self._x_checks), self._columns):
-            if sector.flip(sum(1 << i for i in sector.defects_of(value))):
+            if sector.flips([sum(1 << i for i in sector.defects_of(value))])[0]:
                 v ^= code._symplectic(code.logicals[0][1 - column])
         while value:
             low = value & -value
@@ -446,7 +439,7 @@ class MwpmDecoder:
         """Class of `decode_value` of each row, none failed.  `shortcut` settles
         isolated defects and isolated pairs; `_settle_small` rows of 1 to
         `_SLOTS` defects by their first optimum in option order, the search's
-        pick (module docstring); `flip` the rest, one numpy XOR per sector."""
+        pick (module docstring); one `flips` call per sector the rest."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         sectors = (self._z_checks, self._x_checks)
         flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))
@@ -456,7 +449,7 @@ class MwpmDecoder:
         self._settle_small(flips, rest)
         for s, sector in enumerate(sectors):
             left = np.flatnonzero(rest[:, s].any(axis=1))
-            flips[left, s] ^= np.fromiter(map(sector.flip, _row_ints(rest[left, s])), bool)
+            flips[left, s] ^= np.fromiter(sector.flips(_row_ints(rest[left, s])), bool)
         # `_columns` is (0, 1) or (1, 0), its own inverse.
         return flips[:, self._columns], np.zeros(len(syndromes), dtype=bool)
 

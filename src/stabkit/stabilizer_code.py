@@ -252,9 +252,12 @@ def _pack_ints(values: Sequence[int], words: int) -> np.ndarray:
 
 
 def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major (row, rank in its row, column) of each set bit of uint64 rows."""
-    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
-    rows, columns = np.divmod(np.flatnonzero(bits), bits.shape[1])
+    """Row-major (row, rank in its row, column) of each set bit of uint64 rows.
+    Only the nonzero bytes are unpacked, so no temporary holds a byte per bit."""
+    data = packed.view(np.uint8)
+    at = np.flatnonzero(data)
+    hit = np.flatnonzero(np.unpackbits(data.reshape(-1)[at], bitorder="little"))
+    rows, columns = np.divmod(at[hit >> 3] * 8 + (hit & 7), 8 * data.shape[1])
     return rows, np.arange(len(rows)) - np.searchsorted(rows, rows), columns
 
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import os
@@ -51,7 +52,7 @@ def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
     the optimum on `mask`, by a memoised DP over defect sets with no bound:
     the lowest defect i takes its boundary (partner -1) unless a kept edge
     to a neighbour j, every one solved and tried in ascending order, is
-    strictly cheaper.  The oracle for `decoders._search`."""
+    strictly cheaper.  The oracle for the search in `_Sector.flips`."""
     low = mask & -mask
     i = low.bit_length() - 1
     rest = mask ^ low
@@ -73,14 +74,21 @@ def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
 
 
 def solve(sector, mask):
-    """`_search` on the whole non-empty defect set `mask` of `sector`,
-    unsplit, with the h of each `walk` component's defects taken from its
-    list; the bound is their sum."""
-    half = [0] * len(sector.boundary_cost)
-    for component, part, _ in sector.walk(mask):
-        for i in bits_of(component):
-            half[i] = part[i]
-    return decoders_module._search(mask, sector, half, sum(half[i] for i in bits_of(mask)))
+    """(cost, flip, picks) of the optimum on the non-empty defect set `mask`
+    of `sector`, from `flips` with every component searched and recorded:
+    costs summed, flips XORed, and the components' picks merged in the
+    order a search of the whole set takes them (each pick is the lowest
+    unmatched defect's)."""
+    record = []
+    flip = sector.flips([mask], record)[0]
+    queues = {component: picks[::-1] for component, _, picks in record}
+    picks, rest = [], mask
+    while rest:
+        low = rest & -rest
+        partner = next(queue for component, queue in queues.items() if component & low).pop()
+        picks.append(partner)
+        rest ^= low if partner < 0 else low | 1 << partner
+    return sum(cost for _, cost, _ in record), flip, picks
 
 
 def bits_of(mask):
@@ -88,12 +96,28 @@ def bits_of(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def component_masks(sector, mask):
+    """Components of `sector`'s pruning graph on the defect set `mask`, as
+    masks, lowest defect first: a BFS over `sector.neighbours`."""
+    found = []
+    while mask:
+        component = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            grown = sector.neighbours[low.bit_length() - 1] & mask & ~component
+            component |= grown
+            frontier = (frontier ^ low) | grown
+        found.append(component)
+        mask ^= component
+    return found
+
+
 def logical_flip(sector, value):
     """Parity of the defects the matching sends to a flipping boundary:
-    `sector.flip` on all of the value's defects in the sector, with no
+    `sector.flips` on all of the value's defects in the sector, with no
     numpy pass.  The reference for `shortcut` and `_settle_small` run in
     turn (`shortcut_oracle` checks `shortcut` alone)."""
-    return sector.flip(sum(1 << i for i in sector.defects_of(value)))
+    return sector.flips([sum(1 << i for i in sector.defects_of(value))])[0]
 
 
 def sector_mask(sector):
@@ -117,23 +141,29 @@ def search_and_dp(mask, sector):
     return found, (cost, flip, picks), len(memo) - 1
 
 
-def search_calls(run):
-    """Calls of `_search`'s inner depth-first function while `run()` runs."""
+def profile_visits(run, on_call):
+    """Run `run()`, calling `on_call(frame)` at each call of `visit`, the
+    depth-first search inside `_Sector.flips`."""
     inner = next(
-        c for c in decoders_module._search.__code__.co_consts if isinstance(c, types.CodeType)
+        c for c in decoders_module._Sector.flips.__code__.co_consts if isinstance(c, types.CodeType)
     )
-    calls = 0
 
     def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and frame.f_code is inner
+        if event == "call" and frame.f_code is inner:
+            on_call(frame)
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return calls
+
+
+def search_calls(run):
+    """Calls of `visit` while `run()` runs."""
+    calls = []
+    profile_visits(run, calls.append)
+    return len(calls)
 
 
 def sampled_components(lam, rates, seed, trials):
@@ -146,8 +176,7 @@ def sampled_components(lam, rates, seed, trials):
         for value in sampled_syndromes(code, p, s, trials):
             for sector in (decoder._z_checks, decoder._x_checks):
                 mask = sum(1 << i for i in sector.defects_of(value))
-                components = [c for c, *_ in sector.walk(mask)]
-                found += [(sector, c) for c in components if c.bit_count() >= 3]
+                found += [(sector, c) for c in component_masks(sector, mask) if c.bit_count() >= 3]
     return found
 
 
@@ -203,7 +232,7 @@ def sector_components(sector, value):
 
 def toy_sector(dist, boundary, flips):
     """A `_Sector` on a given matching instance instead of a code's checks,
-    for calling `flip` or `solve` on it."""
+    for calling `flips` or `solve` on it."""
     return decoders_module._Sector("X", list(range(len(boundary))), dist, boundary, flips)
 
 
@@ -354,8 +383,9 @@ class TestMatchingSolver:
 
 
 class TestSearch:
-    """`_search` must find the unbounded DP's optimum: the same cost, flip
-    and partner on every step of the walk from the top entry down."""
+    """The search in `_Sector.flips` must find the unbounded DP's optimum:
+    the same cost, flip and partner on every step of the walk from the top
+    entry down."""
 
     def assert_same_picks(self, mask, sector):
         found, walked, _ = search_and_dp(mask, sector)
@@ -387,7 +417,7 @@ class TestSearch:
             sector = toy_sector(dist, boundary, flips)
             whole = (1 << k) - 1
             cost = self.assert_same_picks(whole, sector)[0]
-            for mask in [c for c, *_ in sector.walk(whole)]:
+            for mask in component_masks(sector, whole):
                 self.assert_same_picks(mask, sector)
             assert cost == minimum_weight_matching(dist, boundary)[0]
             assert cost == brute_force_matching_cost(dist, boundary)
@@ -447,10 +477,10 @@ class TestOneSidedComponents:
             flips = [side if rng.random() < 0.7 else rng.random() < 0.5 for _ in range(k)]
             sector = toy_sector(dist, boundary, flips)
             cost = 0
-            for mask in [c for c, *_ in sector.walk((1 << k) - 1)]:
+            for mask in component_masks(sector, (1 << k) - 1):
                 found, (c, f, picks), _ = search_and_dp(mask, sector)
                 assert found == (c, f, picks)
-                assert sector.flip(mask) == f
+                assert sector.flips([mask]) == [f]
                 cost += c
                 sides = {flips[i] for i in range(k) if mask >> i & 1}
                 if mask.bit_count() > 1 and len(sides) == 1:
@@ -463,7 +493,7 @@ class TestOneSidedComponents:
         # Sampled d5/d7/d9 rows: `decode_batch` equals `decode_value` and
         # the parity of `minimum_weight_matching`'s boundary matches.  A
         # sector's leftover is its components of three or more defects, and
-        # the numpy pass leaves exactly those to `_settle_small` and `flip`,
+        # the numpy pass leaves exactly those to `_settle_small` and `flips`,
         # also when the leftover is one-sided or each of its defects has
         # exactly one adjacent leftover (pair cost 1).  Both kinds come up,
         # mixed rows of adjacent pairs at every size, d9's two-word sectors
@@ -539,7 +569,7 @@ class TestOneSidedComponents:
         # another.  Sending every defect to its own boundary is a matching,
         # and on one-sided components every matching has the same flip, so
         # the class is the parity of the flipping defects.  The numpy pass
-        # leaves every row to `flip`, whose parity rule settles these
+        # leaves every row to `flips`, whose parity rule settles these
         # components at 18 and 19 defects.  The whole sector flagged is one
         # mixed component of 72, which the search solves.
         code = library.surface_code(9)
@@ -769,7 +799,7 @@ class TestMwpmDecoder:
                     whole, walked, _ = search_and_dp(mask, sector)
                     assert whole == walked
                     assert logical_flip(sector, value) == whole[1]
-                    split += len([c for c, *_ in sector.walk(mask)]) > 1
+                    split += len(component_masks(sector, mask)) > 1
         assert split > 50
 
     def test_pure_errors_are_built_lazily_and_survive_a_pickle(self):
@@ -840,12 +870,13 @@ class TestMwpmDecoder:
             assert np.array_equal(classes, error_classes)
 
 
-class TestWalk:
+class TestComponentBounds:
     def test_each_component_gets_its_h_and_bound(self):
-        # Sampled d5-d9 leftovers of two or more components: at each yield,
-        # `walk`'s one list holds every h of the component, as a brute-force
-        # min over the mask's kept partners gives it, and the bound is their
-        # sum.  Reading each before the next yield is the callers' contract.
+        # Sampled d5-d9 leftovers of two or more components, every one
+        # searched (`flips` with a record): at the top `visit` of each
+        # component, the call's one `half` list holds every h of the
+        # component, as a brute-force min over the set's kept partners gives
+        # it, and the bound passed is their sum.
         split = 0
         for lam, rates in ((5, (0.1, 0.12)), (7, (0.1, 0.12)), (9, (0.08, 0.1))):
             code = library.surface_code(lam)
@@ -856,18 +887,61 @@ class TestWalk:
             for s, sector in enumerate((decoder._z_checks, decoder._x_checks)):
                 cost, boundary = sector.pair_cost, sector.boundary_cost
                 for mask in decoders_module._row_ints(rest[:, s]):
-                    walked = []
-                    for component, half, bound in sector.walk(mask):
+                    tops, record = {}, []
+
+                    def top(frame):
+                        # Each pass starts with a call from the loop; keep the first per component.
+                        if frame.f_back.f_code is not frame.f_code:
+                            local = frame.f_locals
+                            tops.setdefault(local["mask"], (local["bound"], list(local["half"])))
+
+                    profile_visits(lambda: sector.flips([mask], record), top)
+                    walked = [component for component, *_ in record]
+                    assert list(tops) == walked
+                    for component, (bound, half) in tops.items():
                         expected = {
                             i: min([2 * boundary[i]] + [cost[i][j] for j in bits_of(sector.neighbours[i] & mask)])
                             for i in bits_of(component)
                         }
                         assert {i: half[i] for i in expected} == expected
                         assert bound == sum(expected.values())
-                        walked.append(component)
                     assert sum(walked) == mask
                     split += len(walked) >= 2
         assert split > 50
+
+
+def near_threshold_d7():
+    """A surface_d7 decoder and its 2,046-row packed syndromes at iid_xz p =
+    .07-.12, 341 rows a point, point i seeded with derive_seed(4, i)."""
+    code = library.surface_code(7)
+    rates = (0.07, 0.08, 0.09, 0.1, 0.11, 0.12)
+    pieces = [(iid_xz(p, p), derive_seed(4, i), 0, 341) for i, p in enumerate(rates)]
+    return MwpmDecoder(code), code.parity_batch(*sample_batch(code.n, pieces))[0]
+
+
+class TestOneLoopPerCall:
+    """`decode_batch` solves each sector's leftover rows in one `flips`
+    call: one `visit` closure for the call, not one per searched component."""
+
+    def test_a_warm_batch_leaves_no_cyclic_garbage(self):
+        # A self-recursive closure per component made 46,946 unreachable
+        # objects on this batch; one per sector call makes a few dozen.
+        decoder, syndromes = near_threshold_d7()
+        decoder.decode_batch(syndromes)
+        gc.collect()
+        gc.disable()
+        try:
+            decoder.decode_batch(syndromes)
+        finally:
+            unreachable = gc.collect()
+            gc.enable()
+        assert unreachable < 100
+
+    def test_the_search_work_is_pinned(self):
+        # The deterministic work count: the same `visit` calls, option order
+        # and pruning as a search per component.
+        decoder, syndromes = near_threshold_d7()
+        assert search_calls(lambda: decoder.decode_batch(syndromes)) == 46_521
 
 
 def shortcut_oracle(sector, mask):
@@ -1051,7 +1125,7 @@ class TestDecodeBatch:
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
         whole = (1 << len(sector.boundary_cost)) - 1
-        assert [c for c, *_ in sector.walk(whole)] == [whole]
+        assert component_masks(sector, whole) == [whole]
         assert 0 < whole & sector.flipping < whole
         assert whole.bit_count() == 552 > decoders_module._SEARCH_DEFECTS
         with pytest.raises(DecoderError, match="552-defect"):
@@ -1199,7 +1273,7 @@ def optimal_parities(sector, mask):
 class TestSmallRows:
     """`MwpmDecoder._settle_small` costs every matching of a leftover of at
     most `_SLOTS` defects in numpy and takes the first optimum in option
-    order: it must give `_Sector.flip`'s parity, ties included."""
+    order: it must give `_Sector.flips`'s parity, ties included."""
 
     def test_the_matching_list_is_every_matching_in_option_order(self):
         # A matching is an involution of the slots (a fixed point takes its
@@ -1229,7 +1303,7 @@ class TestSmallRows:
     @pytest.mark.parametrize("lam", [3, 4])
     def test_every_set_of_up_to_six_defects_equals_flip(self, lam):
         # Every defect set of 1-6 checks of each sector is settled with
-        # `flip`'s parity, including sets whose optimal matchings have both
+        # `flips`'s parity, including sets whose optimal matchings have both
         # parities.  An empty row and one of seven defects are left alone.
         decoder = MwpmDecoder(library.surface_code(lam))
         tied = 0
@@ -1238,15 +1312,15 @@ class TestSmallRows:
             masks = [sum(1 << i for i in c) for w in range(1, 7) for c in itertools.combinations(range(k), w)]
             seven = (1 << 7) - 1 if k >= 7 else 0
             flips, zeroed = settle_small(decoder, masks + [0, seven], s)
-            assert flips == [sector.flip(m) for m in masks] + [False, False]
+            assert flips == sector.flips(masks) + [False, False]
             assert zeroed == [True] * len(masks) + [True, not seven]
             tied += sum(len(optimal_parities(sector, m)) == 2 for m in masks)
         assert tied > 0
 
     def test_sampled_leftovers_equal_flip(self):
         # Every sector row that `shortcut` leaves with 1-6 defects, in
-        # sampled d5-d9 batches at p = .01-.15, gets `flip`'s parity and is
-        # zeroed; larger rows are left unchanged for `flip`.
+        # sampled d5-d9 batches at p = .01-.15, gets `flips`'s parity and is
+        # zeroed; larger rows are left unchanged for `flips`.
         settled, larger, tied = 0, 0, 0
         for lam, rates in ((5, (0.01, 0.05, 0.1, 0.15)), (7, (0.01, 0.03, 0.08, 0.12)), (9, (0.02, 0.06, 0.15))):
             code = library.surface_code(lam)
@@ -1259,7 +1333,7 @@ class TestSmallRows:
             for s, sector in enumerate((decoder._z_checks, decoder._x_checks)):
                 for row, (mask, left) in enumerate(zip(before[s], decoders_module._row_ints(rest[:, s]))):
                     if 1 <= mask.bit_count() <= 6:
-                        assert left == 0 and after[row, s] == flips[row, s] ^ sector.flip(mask)
+                        assert left == 0 and after[row, s] == flips[row, s] ^ sector.flips([mask])[0]
                         settled += 1
                         tied += len(optimal_parities(sector, mask)) == 2
                     else:
