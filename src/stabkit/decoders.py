@@ -26,10 +26,10 @@ exact iterative-deepening search whose ties go, at each step, to the
 first option (boundary, then partners ascending) that reaches the
 optimum.  Only a component of more than `_SEARCH_DEFECTS` raises
 (DecoderError): its search could pass Python's recursion limit.
-`decode_batch` first settles isolated defects and isolated pairs with
-packed AND+popcount arithmetic (`_Sector.shortcut`), then each sector row
-left with at most `_SLOTS` defects by its first optimal matching in option
-order (`_settle_small`), and one `flips` call per sector the rest.  That
+`decode_batch` runs one `_Sector.decode` per sector: packed AND+popcount
+arithmetic settles isolated defects and isolated pairs (`shortcut`), the
+sector's own cost table each row left with at most `_SLOTS` defects by its
+first optimal matching in option order (`settle`), `flips` the rest.  That
 first matching is the search's pick: it pairs no pruned edge (two boundary
 matches cost no more and come first), and on kept edges option order
 compares each component's picks in their own order.  No float matmul:
@@ -156,10 +156,11 @@ def _matchings(slots: list[int]) -> list[dict[int, int]]:
     return [{low: j, j: low, **m} for j in slots for m in _matchings([s for s in rest if s != j])]
 
 
-# `_settle_small` costs all T(6) = 76 matchings of up to 6 defects (8 slots, 764
-# matchings, made d3 batches slower); _PARTNER[i, m]: slot i's partner in m.
+# `_Sector.settle` costs all T(6) = 76 matchings of up to 6 defects (8 slots, 764 matchings,
+# made d3 batches slower); _PARTNER[i, m]: slot i's partner in m, _PAIRS[i, m]: flat (i, partner).
 _SLOTS = 6
 _PARTNER = np.array([[m[i] for i in range(_SLOTS)] for m in _matchings(list(range(_SLOTS)))]).T
+_PAIRS = _PARTNER + _SLOTS * np.arange(_SLOTS)[:, None]
 
 
 # --- MWPM on a CSS code's check graph ----------------------------------------
@@ -204,6 +205,14 @@ class _Sector:
         self.words = -(-len(checks) // 64)
         words = _pack_ints(self.neighbours + [self.flipping], self.words)
         self.neighbour_words, self.flip_words = words[:-1], words[-1:]
+        # `settle`'s costs (a matching pays twice its cost) in the smallest dtype
+        # that holds them: doubled boundaries on the diagonal, pairs off it, then a
+        # padding check, free boundary, whose pairs are pruned (cost >= any boundary).
+        k, largest = len(boundary_cost), max(boundary_cost, default=0)
+        costs = np.pad(np.array(pair_cost, int).reshape(k, k), (0, 1), constant_values=largest)
+        np.fill_diagonal(costs, 2 * np.array([*boundary_cost, 0]))
+        self.costs = costs.astype(np.min_scalar_type(costs.max()))
+        self.sides = np.array([*boundary_flips, False])
 
     def defects_of(self, syndrome_value: int) -> list[int]:
         """Flagged checks of this sector, in ascending generator order (the
@@ -328,7 +337,7 @@ class _Sector:
         option, and isolated pairs, whose kept edge costs less than their
         two boundary matches and never flips; both hold for any positive
         costs.  Returns the flip parity of the settled defects and the
-        packed rest, which `_settle_small` and `flips` must solve."""
+        packed rest, which `settle` and `flips` must solve."""
         words = self.words
         degree = and_popcount(_pack_bits(words, present), self.neighbour_words)
         isolated = present & (degree == 0)
@@ -337,6 +346,31 @@ class _Sector:
         settled = _pack_bits(words, isolated)
         rest = _pack_bits(words, present & ~isolated & ~paired)
         return (and_popcount(settled, self.flip_words)[:, 0] & 1).astype(bool), rest
+
+    def settle(self, flip: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        """XOR into `flip` the flip of each row of packed defects `rest` with 1
+        to `_SLOTS` of them, and return the rows of more, left to `flips`.
+        Defects fill slots in order, the padding check the rest; the first
+        argmin of all doubled costs is the search's pick (module docstring)."""
+        counts = np.bitwise_count(rest).sum(axis=1)
+        settled = np.flatnonzero((counts > 0) & (counts <= _SLOTS))
+        found, ranks, checks = _set_bits(rest[settled])  # found: position in `settled`
+        slots = np.full((_SLOTS, len(settled)), len(self.costs) - 1)
+        slots[ranks, found] = checks
+        block = self.costs[slots[:, None], slots].reshape(_SLOTS * _SLOTS, -1)
+        pick = np.take(block, _PAIRS, axis=0).sum(axis=0, dtype=np.int32).argmin(axis=0)
+        boundary = _PARTNER[:, pick] == np.arange(_SLOTS)[:, None]
+        flip[settled] ^= np.logical_xor.reduce(self.sides[slots] & boundary)
+        return np.flatnonzero(counts > _SLOTS)
+
+    def decode(self, present: np.ndarray) -> np.ndarray:
+        """Flip parity of the optimum on each row of `present` (flagged checks
+        in sector order): `shortcut`, then `settle`, then one `flips` call on
+        the rows they leave."""
+        flip, rest = self.shortcut(present)
+        left = self.settle(flip, rest)
+        flip[left] ^= np.fromiter(self.flips(_row_ints(rest[left])), bool, len(left))
+        return flip
 
 
 def _check_graph(supports: list[int], conjugate: int) -> tuple:
@@ -405,16 +439,7 @@ class MwpmDecoder:
             graph = _check_graph([rows[gi] for gi in checks], conjugate)
             sectors.append(_Sector(sector, checks, *graph))
         self._z_checks, self._x_checks = sectors
-        self._columns = (c, 1 - c)  # the class column each sector's flip sets
-        # `_settle_small`'s per-slot costs (a matching pays twice its cost): doubled
-        # boundaries on the diagonal, each sector's pairs, padding last, else unaffordable.
-        boundary = sectors[0].boundary_cost + sectors[1].boundary_cost + [0]
-        self._costs = np.full((len(boundary),) * 2, 1 + 2 * _SLOTS * max(boundary), dtype=np.int32)
-        for sector, at in zip(sectors, (0, len(sectors[0].boundary_cost))):
-            k = len(sector.boundary_cost)
-            self._costs[at : at + k, at : at + k] = np.reshape(sector.pair_cost, (k, k))
-        np.fill_diagonal(self._costs, 2 * np.array(boundary))
-        self._flipping = np.array(sectors[0].boundary_flips + sectors[1].boundary_flips + [False])
+        self._columns = (c, 1 - c)  # the class column each sector's flip sets, and its own inverse
 
     def matching_problems(self, s: Syndrome) -> dict[str, MatchingProblem]:
         sectors = (self._z_checks, self._x_checks)
@@ -436,39 +461,11 @@ class MwpmDecoder:
         return PauliOperator(code.n, v & ((1 << code.n) - 1), v >> code.n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class of `decode_value` of each row, none failed.  `shortcut` settles
-        isolated defects and isolated pairs; `_settle_small` rows of 1 to
-        `_SLOTS` defects by their first optimum in option order, the search's
-        pick (module docstring); one `flips` call per sector the rest."""
+        """Class of `decode_value` of each row, none failed: each sector
+        decodes its own checks' columns (`_Sector.decode`)."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
-        sectors = (self._z_checks, self._x_checks)
-        flips, rests = zip(*(sector.shortcut(bits[:, sector.generators]) for sector in sectors))
-        flips = np.stack(flips, axis=1)
-        rest = np.zeros((len(flips), 2, max(r.shape[1] for r in rests)), dtype=np.uint64)
-        rest[:, 0, : rests[0].shape[1]], rest[:, 1, : rests[1].shape[1]] = rests
-        self._settle_small(flips, rest)
-        for s, sector in enumerate(sectors):
-            left = np.flatnonzero(rest[:, s].any(axis=1))
-            flips[left, s] ^= np.fromiter(sector.flips(_row_ints(rest[left, s])), bool)
-        # `_columns` is (0, 1) or (1, 0), its own inverse.
-        return flips[:, self._columns], np.zeros(len(syndromes), dtype=bool)
-
-    def _settle_small(self, flips: np.ndarray, rest: np.ndarray):
-        """Settle each row of `rest` (trials by sector by packed words) with 1
-        to `_SLOTS` defects: XOR its flip into `flips` and zero it.  Defects fill
-        slots in order, padding the rest (free boundary, no pair); the first
-        argmin of all doubled costs is the search's pick (module docstring)."""
-        rows = rest.reshape(flips.size, rest.shape[2])  # one per (trial, sector)
-        counts = np.bitwise_count(rows).sum(axis=1)
-        settled = np.flatnonzero((counts > 0) & (counts <= _SLOTS))
-        found, ranks, checks = _set_bits(rows[settled])  # found: position in `settled`
-        slots = np.full((_SLOTS, len(settled)), len(self._costs) - 1)
-        slots[ranks, found] = checks + len(self._z_checks.boundary_cost) * (settled[found] & 1)
-        costs = self._costs[slots[:, None], slots]  # (slot, slot, row)
-        pick = sum(costs[i, _PARTNER[i]] for i in range(_SLOTS)).argmin(axis=0)
-        boundary = _PARTNER[:, pick] == np.arange(_SLOTS)[:, None]
-        flips.reshape(-1)[settled] ^= np.logical_xor.reduce(self._flipping[slots] & boundary)
-        rows[settled] = 0
+        flips = [s.decode(bits[:, s.generators]) for s in (self._z_checks, self._x_checks)]
+        return np.stack(flips, axis=1)[:, self._columns], np.zeros(len(syndromes), dtype=bool)
 
 
 def _row_ints(packed: np.ndarray) -> list[int]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -150,6 +151,7 @@ def _estimate_points(jobs, trials: int, workers: int) -> list[RatePoint]:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)  # a fork pool starts every worker at once
     total, qubit_trials = len(jobs) * trials, trials * sum(job[0].n for job in jobs)
     if total <= _SLICE_TRIALS and qubit_trials <= _IN_PROCESS_QUBIT_TRIALS:
         workers = 1  # a small call: starting a pool costs more than it saves

@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -115,8 +116,8 @@ def component_masks(sector, mask):
 def logical_flip(sector, value):
     """Parity of the defects the matching sends to a flipping boundary:
     `sector.flips` on all of the value's defects in the sector, with no
-    numpy pass.  The reference for `shortcut` and `_settle_small` run in
-    turn (`shortcut_oracle` checks `shortcut` alone)."""
+    numpy pass.  The reference for `shortcut` and `settle` run in turn
+    (`shortcut_oracle` checks `shortcut` alone)."""
     return sector.flips([sum(1 << i for i in sector.defects_of(value))])[0]
 
 
@@ -493,7 +494,7 @@ class TestOneSidedComponents:
         # Sampled d5/d7/d9 rows: `decode_batch` equals `decode_value` and
         # the parity of `minimum_weight_matching`'s boundary matches.  A
         # sector's leftover is its components of three or more defects, and
-        # the numpy pass leaves exactly those to `_settle_small` and `flips`,
+        # the numpy pass leaves exactly those to `settle` and `flips`,
         # also when the leftover is one-sided or each of its defects has
         # exactly one adjacent leftover (pair cost 1).  Both kinds come up,
         # mixed rows of adjacent pairs at every size, d9's two-word sectors
@@ -536,7 +537,7 @@ class TestOneSidedComponents:
         # the middle and is one mixed component.  The numpy pass settles
         # none of them: two adjacent pairs, three in a line, a pair with a
         # lone defect whose kept edges reach it, and a 2x2 block are all left
-        # to `_settle_small`, and every row decodes as `decode_value` does.
+        # to `settle`, and every row decodes as `decode_value` does.
         code = library.surface_code(7)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -882,11 +883,10 @@ class TestComponentBounds:
             code = library.surface_code(lam)
             decoder = MwpmDecoder(code)
             pieces = [(iid_xz(p, p), 60 + i, 0, 400) for i, p in enumerate(rates)]
-            flips, rest = shortcut_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
-            decoder._settle_small(flips, rest)
-            for s, sector in enumerate((decoder._z_checks, decoder._x_checks)):
+            rows = shortcut_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
+            for sector, (flip, rest) in zip((decoder._z_checks, decoder._x_checks), rows):
                 cost, boundary = sector.pair_cost, sector.boundary_cost
-                for mask in decoders_module._row_ints(rest[:, s]):
+                for mask in decoders_module._row_ints(rest[sector.settle(flip, rest)]):
                     tops, record = {}, []
 
                     def top(frame):
@@ -908,6 +908,31 @@ class TestComponentBounds:
                     assert sum(walked) == mask
                     split += len(walked) >= 2
         assert split > 50
+
+
+class TestSectorTables:
+    """Each `_Sector` owns the cost table `settle` reads, in the smallest
+    dtype that holds its largest entry; no table spans both sectors."""
+
+    def test_a_batch_decode_stays_small(self):
+        # Gathering from one int32 table over both sectors' checks traced a
+        # 2.1 MB peak on this batch.
+        code = library.surface_code(5)
+        decoder = MwpmDecoder(code)
+        syndromes = code.parity_batch(*sample_batch(code.n, [(iid_xz(0.1, 0.1), 5, 0, 2048)]))[0]
+        tracemalloc.start()
+        try:
+            decoder.decode_batch(syndromes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6
+
+    def test_the_pickled_d15_pair_stays_small(self):
+        # A pool task pickles its (code, decoder) pair: 1.06 MB at d15 with
+        # the int32 table over both sectors.
+        code = library.surface_code(15)
+        assert len(pickle.dumps((code, MwpmDecoder(code)))) < 0.75e6
 
 
 def near_threshold_d7():
@@ -1228,34 +1253,35 @@ class TestCheckGraph:
 
 
 def shortcut_rows(decoder, syndromes):
-    """`decode_batch`'s state after `_Sector.shortcut`: (flips, trials by
-    sector, and the leftovers, trials by sector by packed words)."""
+    """`_Sector.decode`'s state after `shortcut`, per sector: (the flips of
+    the defects it settled, the packed leftovers), trials by words."""
     bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
-    sectors = (decoder._z_checks, decoder._x_checks)
-    flips, rests = zip(*(s.shortcut(bits[:, s.generators]) for s in sectors))
-    return np.stack(flips, axis=1), leftovers(rests)
+    return [s.shortcut(bits[:, s.generators]) for s in (decoder._z_checks, decoder._x_checks)]
 
 
-def leftovers(rests):
-    """Each sector's (trials, words) leftovers in one (trials, 2, words)
-    array, the narrower padded with zero words, as `decode_batch` does."""
-    rest = np.zeros((len(rests[0]), 2, max(r.shape[1] for r in rests)), dtype=np.uint64)
-    for s, r in enumerate(rests):
-        rest[:, s, : r.shape[1]] = r
-    return rest
+def settle_small(sector, masks):
+    """`_Sector.settle` on rows whose leftover is the defect set masks[r]:
+    (the flips it set, which rows it settled: those it does not return)."""
+    flips, rest = np.zeros(len(masks), dtype=bool), _pack_ints(masks, sector.words)
+    settled = np.ones(len(masks), dtype=bool)
+    settled[sector.settle(flips, rest)] = False
+    assert np.array_equal(rest, _pack_ints(masks, sector.words))
+    return flips.tolist(), settled.tolist()
 
 
-def settle_small(decoder, masks, s):
-    """`_settle_small` on rows whose sector-`s` leftover is the defect set
-    masks[r] and whose other sector is empty: (the flips it set in sector
-    s, which rows it zeroed)."""
-    sectors = (decoder._z_checks, decoder._x_checks)
-    rests = [np.zeros((len(masks), sector.words), dtype=np.uint64) for sector in sectors]
-    rests[s] = _pack_ints(masks, sectors[s].words)
-    rest, flips = leftovers(rests), np.zeros((len(masks), 2), dtype=bool)
-    decoder._settle_small(flips, rest)
-    assert not flips[:, 1 - s].any() and not rest[:, 1 - s].any()
-    return flips[:, s].tolist(), (~rest[:, s].any(axis=1)).tolist()
+def shor_blocks(blocks, size):
+    """Shor's construction with `blocks` blocks of `size` qubits: ZZ checks
+    along each block and an X check on each two adjacent blocks."""
+    n = blocks * size
+
+    def chain(letter, qubits):
+        return from_support(n, [(q, letter) for q in qubits])
+
+    block = [list(range(b * size + 1, (b + 1) * size + 1)) for b in range(blocks)]
+    generators = [chain("Z", [q, q + 1]) for b in block for q in b[:-1]]
+    generators += [chain("X", a + b) for a, b in zip(block, block[1:])]
+    logicals = ((chain("Z", [b[0] for b in block]), chain("X", block[0])),)
+    return StabilizerCode(f"shor_{blocks}x{size}", n, 1, tuple(generators), logicals)
 
 
 def optimal_parities(sector, mask):
@@ -1271,9 +1297,10 @@ def optimal_parities(sector, mask):
 
 
 class TestSmallRows:
-    """`MwpmDecoder._settle_small` costs every matching of a leftover of at
-    most `_SLOTS` defects in numpy and takes the first optimum in option
-    order: it must give `_Sector.flips`'s parity, ties included."""
+    """`_Sector.settle` costs every matching of a leftover of at most
+    `_SLOTS` defects in numpy, from the sector's own cost table, and takes
+    the first optimum in option order: it must give `_Sector.flips`'s
+    parity, ties included."""
 
     def test_the_matching_list_is_every_matching_in_option_order(self):
         # A matching is an involution of the slots (a fixed point takes its
@@ -1304,67 +1331,74 @@ class TestSmallRows:
     def test_every_set_of_up_to_six_defects_equals_flip(self, lam):
         # Every defect set of 1-6 checks of each sector is settled with
         # `flips`'s parity, including sets whose optimal matchings have both
-        # parities.  An empty row and one of seven defects are left alone.
+        # parities.  An empty row needs nothing, and one of seven defects is
+        # returned for `flips`.
         decoder = MwpmDecoder(library.surface_code(lam))
         tied = 0
-        for s, sector in enumerate((decoder._z_checks, decoder._x_checks)):
+        for sector in (decoder._z_checks, decoder._x_checks):
             k = len(sector.boundary_cost)
             masks = [sum(1 << i for i in c) for w in range(1, 7) for c in itertools.combinations(range(k), w)]
             seven = (1 << 7) - 1 if k >= 7 else 0
-            flips, zeroed = settle_small(decoder, masks + [0, seven], s)
+            flips, settled = settle_small(sector, masks + [0, seven])
             assert flips == sector.flips(masks) + [False, False]
-            assert zeroed == [True] * len(masks) + [True, not seven]
+            assert settled == [True] * len(masks) + [True, not seven]
             tied += sum(len(optimal_parities(sector, m)) == 2 for m in masks)
         assert tied > 0
 
     def test_sampled_leftovers_equal_flip(self):
         # Every sector row that `shortcut` leaves with 1-6 defects, in
-        # sampled d5-d9 batches at p = .01-.15, gets `flips`'s parity and is
-        # zeroed; larger rows are left unchanged for `flips`.
-        settled, larger, tied = 0, 0, 0
-        for lam, rates in ((5, (0.01, 0.05, 0.1, 0.15)), (7, (0.01, 0.03, 0.08, 0.12)), (9, (0.02, 0.06, 0.15))):
-            code = library.surface_code(lam)
+        # sampled d5-d15 batches at p = .01-.15 and in Shor's construction
+        # with 16 blocks of 9, gets `flips`'s parity and is settled; larger
+        # rows are returned unchanged for `flips`.  Surface tables are uint8;
+        # that code's Z-checks in different blocks are unjoined (pair cost 2k
+        # = 256, 0 if it wrapped in uint8), so its X-error sector's table is uint16.
+        settled, larger, tied, wide = 0, 0, 0, 0
+        cases = [
+            (library.surface_code(lam), rates)
+            for lam, rates in (
+                (5, (0.01, 0.05, 0.1, 0.15)),
+                (7, (0.01, 0.03, 0.08, 0.12)),
+                (9, (0.02, 0.06, 0.15)),
+                (15, (0.01, 0.03)),
+            )
+        ]
+        for code, rates in cases + [(shor_blocks(16, 9), (0.02, 0.05))]:
             decoder = MwpmDecoder(code)
             pieces = [(iid_xz(p, p), 41 + i, 0, 200) for i, p in enumerate(rates)]
-            flips, rest = shortcut_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
-            before = [decoders_module._row_ints(rest[:, s]) for s in (0, 1)]
-            after = flips.copy()
-            decoder._settle_small(after, rest)
-            for s, sector in enumerate((decoder._z_checks, decoder._x_checks)):
-                for row, (mask, left) in enumerate(zip(before[s], decoders_module._row_ints(rest[:, s]))):
+            rows = shortcut_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
+            for sector, (flips, rest) in zip((decoder._z_checks, decoder._x_checks), rows):
+                unjoined = code.name == "shor_16x9" and sector.sector == "X"
+                assert sector.costs.dtype == (np.uint16 if unjoined else np.uint8)
+                before, after = rest.copy(), flips.copy()
+                left = set(sector.settle(after, rest).tolist())
+                assert np.array_equal(rest, before)
+                for row, mask in enumerate(decoders_module._row_ints(rest)):
                     if 1 <= mask.bit_count() <= 6:
-                        assert left == 0 and after[row, s] == flips[row, s] ^ sector.flips([mask])[0]
+                        assert row not in left and after[row] == flips[row] ^ sector.flips([mask])[0]
                         settled += 1
+                        wide += unjoined
                         tied += len(optimal_parities(sector, mask)) == 2
                     else:
-                        assert left == mask and after[row, s] == flips[row, s]
+                        assert (row in left) == (mask > 0) and after[row] == flips[row]
                         larger += mask > 0
-        assert settled > 400 and larger > 100 and tied > 10
+        assert settled > 400 and larger > 100 and tied > 10 and wide > 20
 
     def test_sectors_of_different_word_counts(self):
         # Shor's construction with 8 blocks of 10 qubits: 72 Z-checks (two
-        # words) and 7 X-checks (one word), so the X-check sector's
-        # leftovers are padded with a zero word.  Rows of both sectors are
-        # settled in numpy, and every class equals `decode_value`'s.
-        blocks, size = 8, 10
-        n = blocks * size
-        def chain(letter, qubits):
-            return from_support(n, [(q, letter) for q in qubits])
-        block = [list(range(b * size + 1, (b + 1) * size + 1)) for b in range(blocks)]
-        generators = [chain("Z", [q, q + 1]) for b in block for q in b[:-1]]
-        generators += [chain("X", a + b) for a, b in zip(block, block[1:])]
-        logicals = ((chain("Z", [b[0] for b in block]), chain("X", block[0])),)
-        code = StabilizerCode("shor_8x10", n, 1, tuple(generators), logicals)
+        # words) and 7 X-checks (one word): each sector settles rows of its
+        # own width.  Rows of both sectors are settled in numpy, and every
+        # class equals `decode_value`'s.
+        code = shor_blocks(8, 10)
+        n = code.n
         assert code.validate().ok
         decoder = MwpmDecoder(code)
         assert (decoder._z_checks.words, decoder._x_checks.words) == (2, 1)
         pieces = [(iid_xz(p, p), 51 + i, 0, 100) for i, p in enumerate((0.02, 0.05, 0.1))]
         syndromes = code.parity_batch(*sample_batch(n, pieces))[0]
-        flips, rest = shortcut_rows(decoder, syndromes)
-        before = rest.copy()
-        decoder._settle_small(flips, rest)
-        settled = before.any(axis=2) & ~rest.any(axis=2)
-        assert settled[:, 0].any() and settled[:, 1].any()
+        for sector, (flips, rest) in zip((decoder._z_checks, decoder._x_checks), shortcut_rows(decoder, syndromes)):
+            assert rest.shape[1] == sector.words
+            left = sector.settle(flips, rest)
+            assert np.setdiff1d(np.flatnonzero(rest.any(axis=1)), left).size > 0
         classes, failed = decoder.decode_batch(syndromes)
         values = [int.from_bytes(row.tobytes(), "little") for row in syndromes]
         recoveries = [decoder.decode_value(v) for v in values]
@@ -1379,8 +1413,7 @@ class TestSmallRows:
         code = library.get_code(name)
         decoder = MwpmDecoder(code)
         values = list(range(1 << code.m))
-        flips, rest = shortcut_rows(decoder, packed(code, values))
-        decoder._settle_small(flips, rest)
-        assert not rest.any()
         sectors = (decoder._z_checks, decoder._x_checks)
-        assert flips.tolist() == [[logical_flip(s, v) for s in sectors] for v in values]
+        for sector, (flips, rest) in zip(sectors, shortcut_rows(decoder, packed(code, values))):
+            assert len(sector.settle(flips, rest)) == 0
+            assert flips.tolist() == [logical_flip(sector, v) for v in values]

@@ -36,7 +36,8 @@ def three_qubit_closed_form(p):
 @pytest.fixture
 def opened_pools(monkeypatch):
     """The `max_workers` of each process pool that `montecarlo` opens; its
-    `tasks` attribute lists how many tasks each pool's `map` received."""
+    `tasks` attribute lists how many tasks each pool's `map` received.  The
+    host reads as 4 CPUs, so no pool size asked for here is capped."""
 
     class Opened(list):
         tasks: list[int]
@@ -55,6 +56,7 @@ def opened_pools(monkeypatch):
             return super().map(fn, tasks, *iterables[1:], **kwargs)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     return opened
 
 
@@ -574,6 +576,36 @@ class TestPooledCalls:
         ]
         assert pooled.points == alone
         assert opened_pools == [2]
+
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        # A fork pool starts every worker at once, so 10,000 requested
+        # workers on 2 CPUs must open a pool of 2; the counts do not depend
+        # on the worker count.  The fake pool maps in-process: no real pool
+        # is ever asked for thousands of processes.
+        code = library.shor_nine()
+        decoder = LookupDecoder(code)
+        p_values = [0.02, 0.05, 0.10]
+        alone = sweep(code, decoder, "depolarizing", p_values, 20_000, 13, workers=1)
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        capped = sweep(code, decoder, "depolarizing", p_values, 20_000, 13, workers=10_000)
+        assert opened == [2]
+        assert capped.points == alone.points
 
     def test_one_batch_of_a_large_code_opens_a_pool(self, opened_pools):
         code = library.surface_code(13)
