@@ -26,14 +26,14 @@ exact iterative-deepening search whose ties go, at each step, to the
 first option (boundary, then partners ascending) that reaches the
 optimum.  Only a component of more than `_SEARCH_DEFECTS` raises
 (DecoderError): its search could pass Python's recursion limit.
-`decode_batch` runs one `_Sector.decode` per sector: packed AND+popcount
-arithmetic settles isolated defects and isolated pairs (`shortcut`), the
-sector's own cost table each row left with at most `_SLOTS` defects by its
-first optimal matching in option order (`settle`), `flips` the rest.  That
-first matching is the search's pick: it pairs no pruned edge (two boundary
-matches cost no more and come first), and on kept edges option order
-compares each component's picks in their own order.  No float matmul:
-BLAS threads oversubscribe `montecarlo`'s worker pool.
+`decode_batch` runs one `_Sector.decode` per sector, in two stages: the
+sector's own cost table settles each row of 1 to `_SLOTS` defects by its
+first optimal matching in option order (`settle`), and one `flips` call
+solves the rows of more.  That first matching is the search's pick: it
+pairs no pruned edge (two boundary matches cost no more and come first),
+and on kept edges option order compares each component's picks in their
+own order; isolated defects and isolated pairs are rows like any other.
+No float matmul: BLAS threads oversubscribe `montecarlo`'s worker pool.
 
 Recovery: the matching only picks each sector's logical class.  An edge
 flips if its qubit is on the logical that the sector's errors can
@@ -62,7 +62,7 @@ import numpy as np
 
 from .pauli import PauliOperator, enumerate_paulis, identity
 from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
-from .stabilizer_code import _pack_bits, _pack_ints, _set_bits, and_popcount
+from .stabilizer_code import _pack_bits, _set_bits
 
 # The search recurses once per pick, so at most once per defect: past this
 # many, with the caller's frames, it could pass Python's default limit of
@@ -178,7 +178,8 @@ class MatchingProblem:
 
 class _Sector:
     """One sector's matching instance, on the checks with generator indices
-    `checks` (ascending), and the pruning graph built from it once."""
+    `checks` (ascending), and what its two decode stages use, built from it
+    once: the pruning graph (`flips`) and the cost table (`settle`)."""
 
     def __init__(self, sector, checks, pair_cost, boundary_cost, boundary_flips):
         self.sector = sector  # error species decoded
@@ -190,7 +191,7 @@ class _Sector:
         # optimal cost and splits the defect graph into small components),
         # and those edges as rings for `flips`: (w, mask of the edges of cost
         # w) for each w below 2 boundary[i], ascending, then (2 boundary[i],
-        # -1 = every defect).  Masks are packed for numpy.
+        # -1 = every defect).
         self.neighbours, self.rings = [], []
         for i, b in enumerate(boundary_cost):
             kept, ring = 0, {2 * b: -1}
@@ -203,8 +204,6 @@ class _Sector:
             self.rings.append(sorted(ring.items()))
         self.generators = np.array(checks, dtype=np.intp)
         self.words = -(-len(checks) // 64)
-        words = _pack_ints(self.neighbours + [self.flipping], self.words)
-        self.neighbour_words, self.flip_words = words[:-1], words[-1:]
         # `settle`'s costs (a matching pays twice its cost) in the smallest dtype
         # that holds them: doubled boundaries on the diagonal, pairs off it, then a
         # padding check, free boundary, whose pairs are pruned (cost >= any boundary).
@@ -331,27 +330,12 @@ class _Sector:
             found.append(flip)
         return found
 
-    def shortcut(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy pass over the rows of `present` (flagged checks in sector
-        order).  It settles isolated defects, whose boundary is their only
-        option, and isolated pairs, whose kept edge costs less than their
-        two boundary matches and never flips; both hold for any positive
-        costs.  Returns the flip parity of the settled defects and the
-        packed rest, which `settle` and `flips` must solve."""
-        words = self.words
-        degree = and_popcount(_pack_bits(words, present), self.neighbour_words)
-        isolated = present & (degree == 0)
-        single = present & (degree == 1)
-        paired = single & (and_popcount(_pack_bits(words, single), self.neighbour_words) == 1)
-        settled = _pack_bits(words, isolated)
-        rest = _pack_bits(words, present & ~isolated & ~paired)
-        return (and_popcount(settled, self.flip_words)[:, 0] & 1).astype(bool), rest
-
     def settle(self, flip: np.ndarray, rest: np.ndarray) -> np.ndarray:
         """XOR into `flip` the flip of each row of packed defects `rest` with 1
-        to `_SLOTS` of them, and return the rows of more, left to `flips`.
-        Defects fill slots in order, the padding check the rest; the first
-        argmin of all doubled costs is the search's pick (module docstring)."""
+        to `_SLOTS` of them, isolated defects and pairs included, and return
+        the rows of more, left to `flips`.  Defects fill slots in order, the
+        padding check the rest; the first argmin of all doubled costs is the
+        search's pick (module docstring)."""
         counts = np.bitwise_count(rest).sum(axis=1)
         settled = np.flatnonzero((counts > 0) & (counts <= _SLOTS))
         found, ranks, checks = _set_bits(rest[settled])  # found: position in `settled`
@@ -365,9 +349,9 @@ class _Sector:
 
     def decode(self, present: np.ndarray) -> np.ndarray:
         """Flip parity of the optimum on each row of `present` (flagged checks
-        in sector order): `shortcut`, then `settle`, then one `flips` call on
-        the rows they leave."""
-        flip, rest = self.shortcut(present)
+        in sector order): packed once, `settle`, then one `flips` call on the
+        rows of more than `_SLOTS` defects that it leaves."""
+        flip, rest = np.zeros(len(present), dtype=bool), _pack_bits(self.words, present)
         left = self.settle(flip, rest)
         flip[left] ^= np.fromiter(self.flips(_row_ints(rest[left])), bool, len(left))
         return flip
@@ -447,9 +431,9 @@ class MwpmDecoder:
 
     def decode_value(self, value: int) -> PauliOperator:
         """Recovery for a syndrome value (bit i = generator i), built as the
-        module docstring says.  Each sector is split by component with no
-        numpy pass, so this is the reference whose class `decode_batch`
-        must equal."""
+        module docstring says.  Each sector goes to `flips` whole, split by
+        component, with no cost-table stage, so this is the reference whose
+        class `decode_batch` must equal."""
         code, v = self.code, 0
         for sector, column in zip((self._z_checks, self._x_checks), self._columns):
             if sector.flips([sum(1 << i for i in sector.defects_of(value))])[0]:

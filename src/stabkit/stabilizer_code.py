@@ -233,17 +233,6 @@ class StabilizerCode:
         return ValidationReport(not problems, tuple(problems))
 
 
-def and_popcount(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(len(a), len(rows)) exact popcounts of a[i] & rows[j] over the words
-    of `a`, one word at a time so temporaries stay (len(a), len(rows)).
-    They are summed in the smallest unsigned type that holds 64 bits per
-    word: uint8 up to 3 words, uint16 up to 1,023."""
-    acc = np.zeros((len(a), len(rows)), dtype=np.min_scalar_type(64 * a.shape[1]))
-    for w in range(a.shape[1]):
-        acc += np.bitwise_count(a[:, w, None] & rows[None, :, w])
-    return acc
-
-
 def _pack_ints(values: Sequence[int], words: int) -> np.ndarray:
     """Non-negative ints -> (len(values), words) uint64 words, little-endian
     (`words` may be 0)."""

@@ -28,7 +28,7 @@ from stabkit.pauli import (
     PauliOperator, commutes, enumerate_paulis, format_sparse, from_support, identity, multiply,
     parse, weight,
 )
-from stabkit.stabilizer_code import StabilizerCode, Syndrome, _pack_ints, correctable_weight
+from stabkit.stabilizer_code import StabilizerCode, Syndrome, _pack_bits, _pack_ints, correctable_weight
 
 from conftest import xz_rows
 
@@ -116,8 +116,7 @@ def component_masks(sector, mask):
 def logical_flip(sector, value):
     """Parity of the defects the matching sends to a flipping boundary:
     `sector.flips` on all of the value's defects in the sector, with no
-    numpy pass.  The reference for `shortcut` and `settle` run in turn
-    (`shortcut_oracle` checks `shortcut` alone)."""
+    cost-table stage.  The reference for `settle` and `flips` run in turn."""
     return sector.flips([sum(1 << i for i in sector.defects_of(value))])[0]
 
 
@@ -492,13 +491,12 @@ class TestOneSidedComponents:
 
     def test_batch_settles_one_sided_leftovers(self):
         # Sampled d5/d7/d9 rows: `decode_batch` equals `decode_value` and
-        # the parity of `minimum_weight_matching`'s boundary matches.  A
-        # sector's leftover is its components of three or more defects, and
-        # the numpy pass leaves exactly those to `settle` and `flips`,
-        # also when the leftover is one-sided or each of its defects has
-        # exactly one adjacent leftover (pair cost 1).  Both kinds come up,
-        # mixed rows of adjacent pairs at every size, d9's two-word sectors
-        # (72 checks) among them.
+        # the parity of `minimum_weight_matching`'s boundary matches.  Rows
+        # whose components of three or more defects are one-sided, and rows
+        # whose such components are mixed and each of their defects has
+        # exactly one adjacent defect in them (pair cost 1), both come up,
+        # the second kind at every size, d9's two-word sectors (72 checks)
+        # among them.
         settled, paired_off = 0, {5: 0, 7: 0, 9: 0}
         for lam, rates in ((5, (0.03, 0.08)), (7, (0.01, 0.03, 0.08)), (9, (0.02, 0.06))):
             code = library.surface_code(lam)
@@ -506,21 +504,15 @@ class TestOneSidedComponents:
             sectors = (decoder._z_checks, decoder._x_checks)
             values = [v for s, p in enumerate(rates, 11) for v in sampled_syndromes(code, p, s, 40)]
             classes, failed = decoder.decode_batch(packed(code, values))
-            bits = np.unpackbits(packed(code, values).view(np.uint8), axis=1, bitorder="little")
-            rests = [
-                decoders_module._row_ints(sector.shortcut(bits[:, sector.generators].astype(bool))[1])
-                for sector in sectors
-            ]
             assert not failed.any()
-            for index, (value, row) in enumerate(zip(values, classes)):
+            for value, row in zip(values, classes):
                 recovery = decoder.decode_value(value)
                 assert np.array_equal(row, code.parity_batch(*xz_rows(code.n, [recovery]))[1][0])
                 assert list(row) == [matched_flip(sectors[1], value), matched_flip(sectors[0], value)]
-                for sector, rest in zip(sectors, rests):
+                for sector in sectors:
                     defects = sector.defects_of(value)
                     problem = sector.problem(defects)
                     left = [i for c in components_of(problem) if len(c) >= 3 for i in c]
-                    assert bits_of(rest[index]) == sorted(defects[i] for i in left)
                     sides = {sector.boundary_flips[defects[i]] for i in left}
                     adjacent = [sum(problem.pair_costs[i][j] == 1 for j in left) for i in left]
                     if len(sides) == 1:
@@ -534,10 +526,9 @@ class TestOneSidedComponents:
         # surface_d7 X-error sector: Z-checks in 6 rows of 7, a check
         # adjacent (pair cost 1) to the ones beside, above and below it.
         # Rows 0-2 flip and rows 3-5 do not, so each group below straddles
-        # the middle and is one mixed component.  The numpy pass settles
-        # none of them: two adjacent pairs, three in a line, a pair with a
-        # lone defect whose kept edges reach it, and a 2x2 block are all left
-        # to `settle`, and every row decodes as `decode_value` does.
+        # the middle and is one mixed component: two adjacent pairs, three
+        # in a line, a pair with a lone defect whose kept edges reach it, and
+        # a 2x2 block.  Every row decodes as `decode_value` does.
         code = library.surface_code(7)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -556,9 +547,6 @@ class TestOneSidedComponents:
         values = [sum(1 << int(gi) for gi in sector.generators[row]) for row in present]
         for value in values:
             assert [len(set(c)) for c in sector_components(sector, value)] == [2]
-        flips, rest = sector.shortcut(present)
-        assert not flips.any()
-        assert rest.any(axis=1).tolist() == [True] * 4
         classes, failed = decoder.decode_batch(packed(code, values))
         assert not failed.any()
         expected = code.parity_batch(*xz_rows(code.n, [decoder.decode_value(v) for v in values]))[1]
@@ -569,10 +557,10 @@ class TestOneSidedComponents:
         # defects) are one component, four non-flipping bottom defects
         # another.  Sending every defect to its own boundary is a matching,
         # and on one-sided components every matching has the same flip, so
-        # the class is the parity of the flipping defects.  The numpy pass
-        # leaves every row to `flips`, whose parity rule settles these
-        # components at 18 and 19 defects.  The whole sector flagged is one
-        # mixed component of 72, which the search solves.
+        # the class is the parity of the flipping defects.  Every row is
+        # left to `flips`, whose parity rule settles these components at 18
+        # and 19 defects.  The whole sector flagged is one mixed component
+        # of 72, which the search solves.
         code = library.surface_code(9)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -587,10 +575,6 @@ class TestOneSidedComponents:
         assert all(len(set(c)) == 1 for v in values for c in sector_components(sector, v))
         expected = [sum(flips[i] for i in row) % 2 == 1 for row in rows]
         assert expected == [False, True, False, True]
-        bits = np.zeros((len(rows), len(flips)), dtype=bool)
-        for r, row in enumerate(rows):
-            bits[r, row] = True
-        assert sector.shortcut(bits)[1].any(axis=1).tolist() == [True] * 4
         classes, failed = decoder.decode_batch(packed(code, values))
         assert not failed.any()
         assert classes.tolist() == [[False, f] for f in expected]
@@ -873,17 +857,17 @@ class TestMwpmDecoder:
 
 class TestComponentBounds:
     def test_each_component_gets_its_h_and_bound(self):
-        # Sampled d5-d9 leftovers of two or more components, every one
-        # searched (`flips` with a record): at the top `visit` of each
-        # component, the call's one `half` list holds every h of the
-        # component, as a brute-force min over the set's kept partners gives
-        # it, and the bound passed is their sum.
+        # Sampled d5-d9 rows of more than 6 defects and two or more
+        # components, every one searched (`flips` with a record): at the top
+        # `visit` of each component, the call's one `half` list holds every
+        # h of the component, as a brute-force min over the set's kept
+        # partners gives it, and the bound passed is their sum.
         split = 0
         for lam, rates in ((5, (0.1, 0.12)), (7, (0.1, 0.12)), (9, (0.08, 0.1))):
             code = library.surface_code(lam)
             decoder = MwpmDecoder(code)
             pieces = [(iid_xz(p, p), 60 + i, 0, 400) for i, p in enumerate(rates)]
-            rows = shortcut_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
+            rows = sector_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
             for sector, (flip, rest) in zip((decoder._z_checks, decoder._x_checks), rows):
                 cost, boundary = sector.pair_cost, sector.boundary_cost
                 for mask in decoders_module._row_ints(rest[sector.settle(flip, rest)]):
@@ -945,8 +929,9 @@ def near_threshold_d7():
 
 
 class TestOneLoopPerCall:
-    """`decode_batch` solves each sector's leftover rows in one `flips`
-    call: one `visit` closure for the call, not one per searched component."""
+    """`decode_batch` solves each sector's rows of more than 6 defects in
+    one `flips` call: one `visit` closure for the call, not one per
+    searched component."""
 
     def test_a_warm_batch_leaves_no_cyclic_garbage(self):
         # A self-recursive closure per component made 46,946 unreachable
@@ -964,57 +949,14 @@ class TestOneLoopPerCall:
 
     def test_the_search_work_is_pinned(self):
         # The deterministic work count: the same `visit` calls, option order
-        # and pruning as a search per component.
+        # and pruning as a search per component, on rows of more than 6
+        # defects that reach `flips` whole, isolated defects and pairs
+        # included.  The batch's classes are pinned beside it.
         decoder, syndromes = near_threshold_d7()
-        assert search_calls(lambda: decoder.decode_batch(syndromes)) == 46_521
-
-
-def shortcut_oracle(sector, mask):
-    """(the defects of `mask` that `_Sector.shortcut` leaves, the flip
-    parity of the ones it settles), by brute force over `sector.neighbours`:
-    it settles each defect with no kept flagged neighbour (its boundary) and
-    each pair that is each other's only kept flagged neighbour (their edge)."""
-    kept = {i: bits_of(sector.neighbours[i] & mask) for i in bits_of(mask)}
-    isolated = {i for i, js in kept.items() if not js}
-    paired = {i for i, js in kept.items() if len(js) == 1 and kept[js[0]] == [i]}
-    flip = sum(sector.boundary_flips[i] for i in isolated) % 2 == 1
-    return sum(1 << i for i in kept if i not in isolated | paired), flip
-
-
-class TestShortcut:
-    def test_it_settles_isolated_defects_and_isolated_pairs(self):
-        # Sampled d3-d9 rows at p = .01-.15, and the d20 Z-checks all
-        # flagged and a 257-check star (one check and 256 of its kept
-        # neighbours): `shortcut`'s rest and flip equal the brute force.
-        rows = []
-        for lam in (3, 5, 7, 9):
-            code = library.surface_code(lam)
-            decoder = MwpmDecoder(code)
-            pieces = [(iid_xz(p, p), 80 + i, 0, 60) for i, p in enumerate((0.01, 0.05, 0.1, 0.15))]
-            bits = code.parity_batch(*sample_batch(code.n, pieces))[0]
-            bits = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").view(bool)
-            rows += [(sector, bits[:, sector.generators]) for sector in (decoder._z_checks, decoder._x_checks)]
-        sector = MwpmDecoder(library.surface_code(20))._z_checks
-        k = len(sector.boundary_cost)
-        hub = max(range(k), key=lambda i: sector.neighbours[i].bit_count())
-        star = [hub] + bits_of(sector.neighbours[hub])[:256]
-        present = np.zeros((2, k), dtype=bool)
-        present[0] = True
-        present[1, star] = True
-        rows.append((sector, present))
-        pairs = flipped = left = 0
-        for sector, present in rows:
-            flips, rest = sector.shortcut(present)
-            masks = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in present]
-            expected = [shortcut_oracle(sector, mask) for mask in masks]
-            assert decoders_module._row_ints(rest) == [r for r, _ in expected]
-            assert flips.tolist() == [f for _, f in expected]
-            for mask, (r, _) in zip(masks, expected):
-                pairs += any(sector.neighbours[i] & mask for i in bits_of(mask ^ r))
-                left += r > 0
-            flipped += sum(flips.tolist())
-        # Rows with a settled pair, with an odd flip, and with a rest.
-        assert pairs > 200 and flipped > 100 and left > 500
+        found = []
+        assert search_calls(lambda: found.append(decoder.decode_batch(syndromes)[0])) == 47_116
+        digest = hashlib.sha256(found[0].tobytes()).hexdigest()
+        assert digest == "e2aac9a48c1c4d0aa3cf17991737911f637ae0497fb1bd78d21910032996526e"
 
 
 class TestDecodeBatch:
@@ -1044,13 +986,13 @@ class TestDecodeBatch:
         assert (misses > 0) == (max_weight == 1)
 
     def test_mwpm_batch_matches_scalar(self):
-        # decode_batch resolves isolated defects and pairs in numpy and the
-        # rest by component; decode_value splits by component with no numpy
-        # pass.  The cases cover every path: surface_d9 sectors (72 checks)
-        # span two words, the low-rate rows are mostly isolated defects or
-        # pairs, dense rows have a mixed component of more than 16 defects,
-        # and three d7 rows at p = .12 (seed 7) have a sector of more than
-        # 16 defects but no component over 16.  No row fails.
+        # decode_batch settles rows of up to 6 defects from a cost table and
+        # the rest by component; decode_value splits by component with no
+        # cost table.  The cases cover every path: surface_d9 sectors (72
+        # checks) span two words, the low-rate rows are mostly isolated
+        # defects or pairs, dense rows have a mixed component of more than 16
+        # defects, and three d7 rows at p = .12 (seed 7) have a sector of
+        # more than 16 defects but no component over 16.  No row fails.
         code, values = d7_syndromes()
         cases = [(code, [0] + values)]
         for lam, rates, n in (
@@ -1116,11 +1058,10 @@ class TestDecodeBatch:
 
     def test_degrees_past_255_are_counted_exactly(self):
         # d20 Z-checks: with all 380 flagged, some defects have 256 or 257
-        # flagged neighbours, and with one check plus 256 of its neighbours
-        # flagged, that check has 256.  Counted exactly, no defect of either
-        # row is isolated or in an isolated pair, so the numpy pass resolves
-        # nothing and the search solves both rows.  Degrees that wrapped
-        # past 255 would read 0 or 1 and settle these defects wrongly.
+        # flagged kept neighbours, and with one check plus 256 of its
+        # neighbours flagged, that check has 256.  No defect of either row
+        # is isolated or in an isolated pair; both rows go to `flips` whole
+        # and decode as `decode_value` does.
         code = library.surface_code(20)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -1130,10 +1071,6 @@ class TestDecodeBatch:
         present = np.zeros((2, k), dtype=bool)
         present[0] = True
         present[1, star] = True
-        flips, rest = sector.shortcut(present)
-        assert not flips.any()
-        unpacked = np.unpackbits(rest.view(np.uint8), axis=1, bitorder="little")[:, :k]
-        assert np.array_equal(unpacked, present)
         values = [sum(1 << int(g) for g in sector.generators[row]) for row in present]
         classes, failed = decoder.decode_batch(packed(code, values))
         assert not failed.any()
@@ -1252,15 +1189,18 @@ class TestCheckGraph:
             assert code.residual_class(multiply(recovery, error)).success, format_sparse(error)
 
 
-def shortcut_rows(decoder, syndromes):
-    """`_Sector.decode`'s state after `shortcut`, per sector: (the flips of
-    the defects it settled, the packed leftovers), trials by words."""
+def sector_rows(decoder, syndromes):
+    """`_Sector.decode`'s state before `settle`, per sector: (an all-False
+    flip per row, the row's flagged checks packed), trials by words."""
     bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
-    return [s.shortcut(bits[:, s.generators]) for s in (decoder._z_checks, decoder._x_checks)]
+    return [
+        (np.zeros(len(bits), dtype=bool), _pack_bits(s.words, bits[:, s.generators]))
+        for s in (decoder._z_checks, decoder._x_checks)
+    ]
 
 
 def settle_small(sector, masks):
-    """`_Sector.settle` on rows whose leftover is the defect set masks[r]:
+    """`_Sector.settle` on rows whose defects are the set masks[r]:
     (the flips it set, which rows it settled: those it does not return)."""
     flips, rest = np.zeros(len(masks), dtype=bool), _pack_ints(masks, sector.words)
     settled = np.ones(len(masks), dtype=bool)
@@ -1297,8 +1237,8 @@ def optimal_parities(sector, mask):
 
 
 class TestSmallRows:
-    """`_Sector.settle` costs every matching of a leftover of at most
-    `_SLOTS` defects in numpy, from the sector's own cost table, and takes
+    """`_Sector.settle` costs every matching of a row of at most `_SLOTS`
+    defects in numpy, from the sector's own cost table, and takes
     the first optimum in option order: it must give `_Sector.flips`'s
     parity, ties included."""
 
@@ -1346,12 +1286,12 @@ class TestSmallRows:
         assert tied > 0
 
     def test_sampled_leftovers_equal_flip(self):
-        # Every sector row that `shortcut` leaves with 1-6 defects, in
-        # sampled d5-d15 batches at p = .01-.15 and in Shor's construction
-        # with 16 blocks of 9, gets `flips`'s parity and is settled; larger
-        # rows are returned unchanged for `flips`.  Surface tables are uint8;
-        # that code's Z-checks in different blocks are unjoined (pair cost 2k
-        # = 256, 0 if it wrapped in uint8), so its X-error sector's table is uint16.
+        # Every sector row with 1-6 defects, in sampled d5-d15 batches at
+        # p = .01-.15 and in Shor's construction with 16 blocks of 9, gets
+        # `flips`'s parity and is settled; larger rows are returned
+        # unchanged for `flips`.  Surface tables are uint8; that code's
+        # Z-checks in different blocks are unjoined (pair cost 2k = 256, 0 if
+        # it wrapped in uint8), so its X-error sector's table is uint16.
         settled, larger, tied, wide = 0, 0, 0, 0
         cases = [
             (library.surface_code(lam), rates)
@@ -1365,7 +1305,7 @@ class TestSmallRows:
         for code, rates in cases + [(shor_blocks(16, 9), (0.02, 0.05))]:
             decoder = MwpmDecoder(code)
             pieces = [(iid_xz(p, p), 41 + i, 0, 200) for i, p in enumerate(rates)]
-            rows = shortcut_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
+            rows = sector_rows(decoder, code.parity_batch(*sample_batch(code.n, pieces))[0])
             for sector, (flips, rest) in zip((decoder._z_checks, decoder._x_checks), rows):
                 unjoined = code.name == "shor_16x9" and sector.sector == "X"
                 assert sector.costs.dtype == (np.uint16 if unjoined else np.uint8)
@@ -1395,7 +1335,7 @@ class TestSmallRows:
         assert (decoder._z_checks.words, decoder._x_checks.words) == (2, 1)
         pieces = [(iid_xz(p, p), 51 + i, 0, 100) for i, p in enumerate((0.02, 0.05, 0.1))]
         syndromes = code.parity_batch(*sample_batch(n, pieces))[0]
-        for sector, (flips, rest) in zip((decoder._z_checks, decoder._x_checks), shortcut_rows(decoder, syndromes)):
+        for sector, (flips, rest) in zip((decoder._z_checks, decoder._x_checks), sector_rows(decoder, syndromes)):
             assert rest.shape[1] == sector.words
             left = sector.settle(flips, rest)
             assert np.setdiff1d(np.flatnonzero(rest.any(axis=1)), left).size > 0
@@ -1414,6 +1354,36 @@ class TestSmallRows:
         decoder = MwpmDecoder(code)
         values = list(range(1 << code.m))
         sectors = (decoder._z_checks, decoder._x_checks)
-        for sector, (flips, rest) in zip(sectors, shortcut_rows(decoder, packed(code, values))):
+        for sector, (flips, rest) in zip(sectors, sector_rows(decoder, packed(code, values))):
             assert len(sector.settle(flips, rest)) == 0
             assert flips.tolist() == [logical_flip(sector, v) for v in values]
+
+    def test_rows_of_up_to_six_defects_never_reach_flips(self, monkeypatch):
+        # Sampled d3-d9 batches at p = .01-.15: `decode` hands `flips`, in one
+        # call per sector, exactly the rows of more than 6 flagged checks, in
+        # row order; `settle` decodes every row of 1-6, isolated defects and
+        # isolated pairs included.
+        calls = []
+        flips = decoders_module._Sector.flips
+
+        def spy(sector, masks, record=None):
+            calls.append((sector, list(masks)))
+            return flips(sector, masks, record)
+
+        monkeypatch.setattr(decoders_module._Sector, "flips", spy)
+        small = large = 0
+        for lam in (3, 5, 7, 9):
+            code = library.surface_code(lam)
+            decoder = MwpmDecoder(code)
+            pieces = [(iid_xz(p, p), 90 + i, 0, 100) for i, p in enumerate((0.01, 0.05, 0.1, 0.15))]
+            syndromes = code.parity_batch(*sample_batch(code.n, pieces))[0]
+            calls.clear()
+            decoder.decode_batch(syndromes)
+            expected = []
+            for sector, (_, rest) in zip((decoder._z_checks, decoder._x_checks), sector_rows(decoder, syndromes)):
+                masks = decoders_module._row_ints(rest)
+                expected.append((sector, [m for m in masks if m.bit_count() > 6]))
+                small += sum(1 <= m.bit_count() <= 6 for m in masks)
+                large += len(expected[-1][1])
+            assert calls == expected
+        assert small > 1000 and large > 300
