@@ -1236,6 +1236,19 @@ def optimal_parities(sector, mask):
     return parities[min(parities)]
 
 
+def isolated_oracle(sector, mask):
+    """(the defects of `mask` that are neither isolated nor in an isolated
+    pair, the flip parity of the isolated ones), by brute force over
+    `sector.neighbours`: a defect with no kept flagged neighbour is
+    isolated, two that are each other's only kept flagged neighbour are an
+    isolated pair."""
+    kept = {i: bits_of(sector.neighbours[i] & mask) for i in bits_of(mask)}
+    isolated = {i for i, js in kept.items() if not js}
+    paired = {i for i, js in kept.items() if len(js) == 1 and kept[js[0]] == [i]}
+    flip = sum(sector.boundary_flips[i] for i in isolated) % 2 == 1
+    return sum(1 << i for i in kept if i not in isolated | paired), flip
+
+
 class TestSmallRows:
     """`_Sector.settle` costs every matching of a row of at most `_SLOTS`
     defects in numpy, from the sector's own cost table, and takes
@@ -1358,11 +1371,13 @@ class TestSmallRows:
             assert len(sector.settle(flips, rest)) == 0
             assert flips.tolist() == [logical_flip(sector, v) for v in values]
 
-    def test_rows_of_up_to_six_defects_never_reach_flips(self, monkeypatch):
-        # Sampled d3-d9 batches at p = .01-.15: `decode` hands `flips`, in one
-        # call per sector, exactly the rows of more than 6 flagged checks, in
-        # row order; `settle` decodes every row of 1-6, isolated defects and
-        # isolated pairs included.
+    @pytest.mark.parametrize("lam", [3, 5, 7, 9])
+    def test_rows_of_up_to_six_defects_never_reach_flips(self, monkeypatch, lam):
+        # Sampled batches at p = .01-.15: `decode` hands `flips`, in one call
+        # per sector, exactly the rows of more than 6 flagged checks, in row
+        # order; `settle` decodes every row of 1-6, isolated defects and
+        # isolated pairs included.  A d3 sector has 4 checks, so its calls
+        # get no row.
         calls = []
         flips = decoders_module._Sector.flips
 
@@ -1371,19 +1386,42 @@ class TestSmallRows:
             return flips(sector, masks, record)
 
         monkeypatch.setattr(decoders_module._Sector, "flips", spy)
-        small = large = 0
-        for lam in (3, 5, 7, 9):
-            code = library.surface_code(lam)
-            decoder = MwpmDecoder(code)
-            pieces = [(iid_xz(p, p), 90 + i, 0, 100) for i, p in enumerate((0.01, 0.05, 0.1, 0.15))]
-            syndromes = code.parity_batch(*sample_batch(code.n, pieces))[0]
-            calls.clear()
-            decoder.decode_batch(syndromes)
-            expected = []
-            for sector, (_, rest) in zip((decoder._z_checks, decoder._x_checks), sector_rows(decoder, syndromes)):
-                masks = decoders_module._row_ints(rest)
-                expected.append((sector, [m for m in masks if m.bit_count() > 6]))
-                small += sum(1 <= m.bit_count() <= 6 for m in masks)
-                large += len(expected[-1][1])
-            assert calls == expected
-        assert small > 1000 and large > 300
+        code = library.surface_code(lam)
+        decoder = MwpmDecoder(code)
+        pieces = [(iid_xz(p, p), 90 + i, 0, 100) for i, p in enumerate((0.01, 0.05, 0.1, 0.15))]
+        syndromes = code.parity_batch(*sample_batch(code.n, pieces))[0]
+        decoder.decode_batch(syndromes)
+        expected, small = [], 0
+        for sector, (_, rest) in zip((decoder._z_checks, decoder._x_checks), sector_rows(decoder, syndromes)):
+            masks = decoders_module._row_ints(rest)
+            expected.append((sector, [m for m in masks if m.bit_count() > 6]))
+            small += sum(1 <= m.bit_count() <= 6 for m in masks)
+        assert calls == expected
+        large = sum(len(masks) for _, masks in expected)
+        assert small > 150 and (large == 0 if lam == 3 else large > 200)
+
+    @pytest.mark.parametrize("lam", [3, 5, 7, 9])
+    def test_isolated_defects_and_pairs_decode_by_their_own_edges(self, lam):
+        # Sampled rows at p = .01-.15: an isolated defect takes its boundary
+        # and an isolated pair its edge, which flips nothing, whatever the
+        # rest of the row does; `decode` gives that flip XOR `flips` on the
+        # rest (`isolated_oracle`).  Rows with a settled pair, with an odd
+        # flip of isolated defects, made of them only, and of them and
+        # more, all come up.
+        code = library.surface_code(lam)
+        decoder = MwpmDecoder(code)
+        pieces = [(iid_xz(p, p), 80 + i, 0, 60) for i, p in enumerate((0.01, 0.05, 0.1, 0.15))]
+        bits = code.parity_batch(*sample_batch(code.n, pieces))[0]
+        bits = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").view(bool)
+        pairs = flipped = whole = mixed = 0
+        for sector in (decoder._z_checks, decoder._x_checks):
+            present = bits[:, sector.generators]
+            masks = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in present]
+            for mask, flip in zip(masks, sector.decode(present).tolist()):
+                rest, settled = isolated_oracle(sector, mask)
+                assert flip == settled ^ (rest > 0 and sector.flips([rest])[0])
+                pairs += any(sector.neighbours[i] & mask for i in bits_of(mask ^ rest))
+                flipped += settled
+                whole += mask > 0 and rest == 0
+                mixed += 0 < rest < mask
+        assert pairs > 50 and flipped > 20 and whole > 40 and mixed > 0
