@@ -38,19 +38,21 @@ No float matmul: BLAS threads oversubscribe `montecarlo`'s worker pool.
 Recovery: the matching only picks each sector's logical class.  An edge
 flips if its qubit is on the logical that the sector's errors can
 anti-commute with (for X-errors, the Z-type one of X̄ and Z̄); no pair edge
-does, and a boundary tie goes to no flip.  `decode_value` returns the
-product of `StabilizerCode.pure_errors` over the flagged checks, times the
-pair's other logical where a sector makes an odd number of flipping
-matches: the matched chains up to a stabilizer, but not minimum weight.
+does, and a boundary tie goes to no flip.  MWPM's `decode_value` reads its
+class row from `decode_batch` (the tests keep the reference: `flips` on
+each sector's whole defect set) and returns the product of `pure_errors`
+over the flagged checks, times Z̄ (X̄) where column 0 (1) is set: the
+matched chains up to a stabilizer, but not minimum weight.
 
-Decoder protocol: a `name`; `decode_value(int) -> PauliOperator` for one
-syndrome value (bit i = generator i), which may raise `DecoderError`; and
-`decode_batch(packed syndromes) -> (classes, failed)`: the class of each
-`decode_value`, as `StabilizerCode.parity_batch` gives an error's (column
-2i (2i+1) set where it anti-commutes with X̄_i (Z̄_i)), and the rows it gave
-up on (a truncated lookup table's misses; MWPM gives up on none).
-Every recovery has its input syndrome, and pure errors commute with every
-logical, so a trial succeeds iff its error has that class.
+Decoder protocol: a `name`; `decode_batch(packed syndromes) -> (classes,
+failed)`: each row's class, as `StabilizerCode.parity_batch` gives an
+error's (column 2i (2i+1) set where it anti-commutes with X̄_i (Z̄_i)), and
+the rows it gave up on (a truncated lookup table's misses; MWPM has none);
+`decode_value(int) -> PauliOperator`, a recovery of that class for one
+syndrome value in [0, 2^m) (bit i = generator i), else ValueError.  Either
+may raise `DecoderError`.  Every recovery has its input syndrome, and pure
+errors commute with every logical, so a trial succeeds iff its error has
+that class.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import numpy as np
 
 from .pauli import PauliOperator, enumerate_paulis, identity
 from .stabilizer_code import LOOKUP_SYNDROME_GUARD, StabilizerCode, Syndrome
-from .stabilizer_code import _pack_bits, _set_bits
+from .stabilizer_code import _checked_value, _pack_bits, _pack_ints, _set_bits
 
 # The search recurses once per pick, so at most once per defect: past this
 # many, with the caller's frames, it could pass Python's default limit of
@@ -112,8 +114,8 @@ class LookupDecoder:
         ]
 
     def decode_value(self, value: int) -> PauliOperator:
-        """Stored recovery for a syndrome value; a miss is the identity."""
-        return self.table.get(value, identity(self.code.n))
+        """Stored recovery for a syndrome value in [0, 2^m); a miss is the identity."""
+        return self.table.get(_checked_value(value, self.code.m), identity(self.code.n))
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Recovery classes of packed syndromes; a syndrome missing from a
@@ -131,20 +133,13 @@ def minimum_weight_matching(
     """Exact minimum-cost matching of defects to each other or the boundary.
 
     dist[i][j] = dist[j][i] is the pair cost, boundary[i] the cost of
-    sending defect i to its boundary.  Returns (total cost, pairs) with None
-    marking a boundary match.  Solves one component at a time.
+    sending defect i to its boundary.  Returns (total cost, pairs), None
+    marking a boundary match, from `_Sector.flips`' per-component record.
     """
     k = len(boundary)
     record = []
     _Sector(None, range(k), dist, boundary, [False] * k).flips([(1 << k) - 1], record)
-    cost, pairs = 0, []
-    for mask, c, picks in record:
-        cost += c
-        for partner in picks:
-            low = mask & -mask
-            pairs.append((low.bit_length() - 1, None if partner < 0 else partner))
-            mask ^= low if partner < 0 else low | 1 << partner
-    return cost, pairs
+    return sum(cost for _, cost, _ in record), [pair for *_, pairs in record for pair in pairs]
 
 
 def _matchings(slots: list[int]) -> list[dict[int, int]]:
@@ -243,8 +238,8 @@ class _Sector:
         defects, so every matching of k defects that all flip f makes k mod
         2 boundary matches and flips f (k mod 2).  A mixed one is searched.
         With `record` a list, every component is searched and (component,
-        cost, picks) appended: walking the picks, the lowest unmatched
-        defect goes to its boundary (-1) or to the pick.
+        cost, pairs) appended: the search's picks in order, each the lowest
+        unmatched defect i as (i, j) with its partner j, or (i, None).
 
         The search is iterative deepening (IDA*, Korf 1985) in doubled
         cost: each pass is a depth-first search (`visit`) under a limit that
@@ -261,7 +256,7 @@ class _Sector:
         list, one `learned` dict (cleared per component) and one `visit`."""
         rings, neighbours, flipping = self.rings, self.neighbours, self.flipping
         boundary, dist, sides = self.boundary_cost, self.pair_cost, self.boundary_flips
-        half, learned, picks = [0] * len(rings), {}, []
+        half, learned, pairs = [0] * len(rings), {}, []
         known = learned.get
 
         def visit(mask, budget, bound):
@@ -274,7 +269,7 @@ class _Sector:
             if bound <= spare and known(rest, 0) <= spare:
                 flip = visit(rest, spare, bound) if rest else False
                 if flip is not None:
-                    picks.append(-1)
+                    pairs.append((i, None))
                     return flip ^ sides[i]
             others = neighbours[i] & rest
             if others:
@@ -287,7 +282,7 @@ class _Sector:
                     if left <= spare and known(sub := rest ^ bit, 0) <= spare:
                         flip = visit(sub, spare, left) if sub else False
                         if flip is not None:
-                            picks.append(j)
+                            pairs.append((i, j))
                             return flip
             learned[mask] = budget + 2  # 2 opt(mask) is even and above budget
             return None
@@ -325,8 +320,8 @@ class _Sector:
                     limit += 2
                 flip ^= parity
                 if record is not None:
-                    record.append((component, limit // 2, picks[::-1]))
-                picks.clear()
+                    record.append((component, limit // 2, pairs[::-1]))
+                pairs.clear()
             found.append(flip)
         return found
 
@@ -430,23 +425,18 @@ class MwpmDecoder:
         return {sector.sector: sector.problem(sector.defects_of(s.value)) for sector in sectors}
 
     def decode_value(self, value: int) -> PauliOperator:
-        """Recovery for a syndrome value (bit i = generator i), built as the
-        module docstring says.  Each sector goes to `flips` whole, split by
-        component, with no cost-table stage, so this is the reference whose
-        class `decode_batch` must equal."""
+        """Recovery for a syndrome value in [0, 2^m): its `decode_batch`
+        class row, made an operator as the module docstring says."""
         code, v = self.code, 0
-        for sector, column in zip((self._z_checks, self._x_checks), self._columns):
-            if sector.flips([sum(1 << i for i in sector.defects_of(value))])[0]:
-                v ^= code._symplectic(code.logicals[0][1 - column])
-        while value:
-            low = value & -value
-            v ^= code._symplectic(code.pure_errors[low.bit_length() - 1])
-            value ^= low
+        row = self.decode_batch(_pack_ints([_checked_value(value, code.m)], -(-code.m // 64)))[0][0]
+        ops = [q for q, flip in zip(code.logicals[0][::-1], row.tolist()) if flip]  # Z̄, then X̄
+        for op in ops + [code.pure_errors[i] for i in range(code.m) if value >> i & 1]:
+            v ^= code._symplectic(op)
         return PauliOperator(code.n, v & ((1 << code.n) - 1), v >> code.n)
 
     def decode_batch(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class of `decode_value` of each row, none failed: each sector
-        decodes its own checks' columns (`_Sector.decode`)."""
+        """Class of each row, none failed: each sector decodes its own
+        checks' columns (`_Sector.decode`) into its `_columns` column."""
         bits = np.unpackbits(syndromes.view(np.uint8), axis=1, bitorder="little").view(bool)
         flips = [s.decode(bits[:, s.generators]) for s in (self._z_checks, self._x_checks)]
         return np.stack(flips, axis=1)[:, self._columns], np.zeros(len(syndromes), dtype=bool)

@@ -45,6 +45,13 @@ LOOKUP_SYNDROME_GUARD = 20
 DISTANCE_SEARCH_GUARD = 2_000_000
 
 
+def _checked_value(value: int, m: int) -> int:
+    """`value` if it is an m-bit syndrome value, else ValueError."""
+    if not 0 <= value < 1 << m:
+        raise ValueError(f"syndrome value {value} is not in [0, 2^{m})")
+    return value
+
+
 @dataclass(frozen=True)
 class Syndrome:
     """Measurement outcomes, bit i for generator i; str() reads bit 0 first."""
@@ -57,8 +64,7 @@ class Syndrome:
 
     @classmethod
     def from_int(cls, value: int, m: int) -> "Syndrome":
-        if not 0 <= value < 1 << m:
-            raise ValueError(f"syndrome value {value} is not in [0, 2^{m})")
+        _checked_value(value, m)
         return cls(tuple((value >> i) & 1 for i in range(m)))
 
     @classmethod

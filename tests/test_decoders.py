@@ -77,18 +77,19 @@ def unbounded_optimum(mask, memo, neighbours, boundary, dist, flips):
 def solve(sector, mask):
     """(cost, flip, picks) of the optimum on the non-empty defect set `mask`
     of `sector`, from `flips` with every component searched and recorded:
-    costs summed, flips XORed, and the components' picks merged in the
-    order a search of the whole set takes them (each pick is the lowest
-    unmatched defect's)."""
+    costs summed, flips XORed, and the components' pairs (i, j), j None for
+    a boundary match, read as picks in the order a search of the whole set
+    takes them: the lowest unmatched defect i's partner j, or -1."""
     record = []
     flip = sector.flips([mask], record)[0]
-    queues = {component: picks[::-1] for component, _, picks in record}
+    partners = {i: -1 if j is None else j for *_, pairs in record for i, j in pairs}
     picks, rest = [], mask
     while rest:
         low = rest & -rest
-        partner = next(queue for component, queue in queues.items() if component & low).pop()
+        partner = partners.pop(low.bit_length() - 1)
         picks.append(partner)
         rest ^= low if partner < 0 else low | 1 << partner
+    assert not partners
     return sum(cost for _, cost, _ in record), flip, picks
 
 
@@ -118,6 +119,29 @@ def logical_flip(sector, value):
     `sector.flips` on all of the value's defects in the sector, with no
     cost-table stage.  The reference for `settle` and `flips` run in turn."""
     return sector.flips([sum(1 << i for i in sector.defects_of(value))])[0]
+
+
+def flips_classes(decoder, values):
+    """The MWPM class reference: per syndrome value, each sector's
+    `logical_flip` (`flips` on its whole defect set, no cost-table stage)
+    in the class column that `_columns` gives that sector."""
+    sectors = (decoder._z_checks, decoder._x_checks)
+    flips = np.array([[logical_flip(s, v) for s in sectors] for v in values], dtype=bool)
+    return flips.reshape(len(values), 2)[:, decoder._columns]
+
+
+def decode_as_flips(code, decoder, values):
+    """Assert that `decode_batch` gives `values` the `flips_classes`
+    reference and fails none, and that each `decode_value` recovery has its
+    value's syndrome and that class; return the classes."""
+    expected = flips_classes(decoder, values)
+    classes, failed = decoder.decode_batch(packed(code, values))
+    assert not failed.any()
+    assert np.array_equal(classes, expected)
+    recoveries = [decoder.decode_value(v) for v in values]
+    assert [code.syndrome_value(r) for r in recoveries] == values
+    assert np.array_equal(code.parity_batch(*xz_rows(code.n, recoveries))[1], expected)
+    return classes
 
 
 def sector_mask(sector):
@@ -274,6 +298,15 @@ class TestLookup:
         value = Syndrome.from_string("10100000").value
         assert value not in decoder.table
         assert decoder.decode_value(value) == identity(9)
+
+    def test_values_outside_the_syndrome_range_raise(self):
+        # Bit i is generator i, so a syndrome value lies in [0, 2^m): 2^8
+        # and -1 are no syndrome of Shor's code, not misses of its table.
+        decoder = LookupDecoder(library.shor_nine())
+        for value in (1 << 8, -1):
+            with pytest.raises(ValueError, match=rf"syndrome value {value} is not in \[0, 2\^8\)"):
+                decoder.decode_value(value)
+        assert decoder.decode_value(255) == decoder.table[255]
 
     def test_guard_on_large_codes(self):
         with pytest.raises(DecoderError):
@@ -490,8 +523,9 @@ class TestOneSidedComponents:
         assert one_sided == {(False, 0), (False, 1), (True, 0), (True, 1)}
 
     def test_batch_settles_one_sided_leftovers(self):
-        # Sampled d5/d7/d9 rows: `decode_batch` equals `decode_value` and
-        # the parity of `minimum_weight_matching`'s boundary matches.  Rows
+        # Sampled d5/d7/d9 rows: both entry points give the whole-sector
+        # `flips` class (`decode_as_flips`), which is the parity of
+        # `minimum_weight_matching`'s boundary matches.  Rows
         # whose components of three or more defects are one-sided, and rows
         # whose such components are mixed and each of their defects has
         # exactly one adjacent defect in them (pair cost 1), both come up,
@@ -503,11 +537,8 @@ class TestOneSidedComponents:
             decoder = MwpmDecoder(code)
             sectors = (decoder._z_checks, decoder._x_checks)
             values = [v for s, p in enumerate(rates, 11) for v in sampled_syndromes(code, p, s, 40)]
-            classes, failed = decoder.decode_batch(packed(code, values))
-            assert not failed.any()
+            classes = decode_as_flips(code, decoder, values)
             for value, row in zip(values, classes):
-                recovery = decoder.decode_value(value)
-                assert np.array_equal(row, code.parity_batch(*xz_rows(code.n, [recovery]))[1][0])
                 assert list(row) == [matched_flip(sectors[1], value), matched_flip(sectors[0], value)]
                 for sector in sectors:
                     defects = sector.defects_of(value)
@@ -527,8 +558,10 @@ class TestOneSidedComponents:
         # adjacent (pair cost 1) to the ones beside, above and below it.
         # Rows 0-2 flip and rows 3-5 do not, so each group below straddles
         # the middle and is one mixed component: two adjacent pairs, three
-        # in a line, a pair with a lone defect whose kept edges reach it, and
-        # a 2x2 block.  Every row decodes as `decode_value` does.
+        # in a line, a pair with a lone defect whose kept edges reach it, a
+        # 2x2 block, and an L of three with optimal matchings that flip and
+        # that do not (the first in option order flips).  Every row decodes
+        # as whole-sector `flips` does.
         code = library.surface_code(7)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -540,6 +573,7 @@ class TestOneSidedComponents:
             [(2, 3), (3, 3), (4, 3)],  # three in a line
             [(2, 1), (3, 1), (3, 4)],  # a pair and a lone defect
             [(2, 2), (2, 3), (3, 2), (3, 3)],  # a 2x2 block
+            [(2, 0), (2, 1), (3, 1)],  # an L, tied across the flip
         ]
         present = np.zeros((len(groups), 42), dtype=bool)
         for g, group in enumerate(groups):
@@ -547,10 +581,10 @@ class TestOneSidedComponents:
         values = [sum(1 << int(gi) for gi in sector.generators[row]) for row in present]
         for value in values:
             assert [len(set(c)) for c in sector_components(sector, value)] == [2]
-        classes, failed = decoder.decode_batch(packed(code, values))
-        assert not failed.any()
-        expected = code.parity_batch(*xz_rows(code.n, [decoder.decode_value(v) for v in values]))[1]
-        assert np.array_equal(classes, expected)
+        masks = [sum(1 << (7 * r + c) for r, c in group) for group in groups]
+        assert [len(optimal_parities(sector, mask)) for mask in masks] == [1, 1, 1, 1, 2]
+        classes = decode_as_flips(code, decoder, values)
+        assert classes.tolist() == [[False, False]] * 4 + [[False, True]]
 
     def test_components_over_16_decode(self):
         # d9 X-error sector: the two flipping rows nearest the top (18
@@ -575,19 +609,12 @@ class TestOneSidedComponents:
         assert all(len(set(c)) == 1 for v in values for c in sector_components(sector, v))
         expected = [sum(flips[i] for i in row) % 2 == 1 for row in rows]
         assert expected == [False, True, False, True]
-        classes, failed = decoder.decode_batch(packed(code, values))
-        assert not failed.any()
+        classes = decode_as_flips(code, decoder, values)
         assert classes.tolist() == [[False, f] for f in expected]
-        for value, row in zip(values, classes):
-            recovery = decoder.decode_value(value)
-            assert np.array_equal(row, code.parity_batch(*xz_rows(code.n, [recovery]))[1][0])
         mixed = sector_mask(sector)
         assert [len(set(c)) for c in sector_components(sector, mixed)] == [2]
-        classes, failed = decoder.decode_batch(packed(code, [mixed]))
-        assert not failed.any()
+        classes = decode_as_flips(code, decoder, [mixed])
         assert classes.tolist() == [[False, matched_flip(sector, mixed)]]
-        expected = code.parity_batch(*xz_rows(code.n, [decoder.decode_value(mixed)]))[1]
-        assert np.array_equal(classes, expected)
 
 
 class TestMwpmDecoder:
@@ -632,6 +659,16 @@ class TestMwpmDecoder:
     def test_zero_syndrome(self):
         code = library.surface_code(2)
         assert MwpmDecoder(code).decode_value(0) == identity(code.n)
+
+    def test_values_outside_the_syndrome_range_raise(self):
+        # As for the lookup table: 2^12 and -1 are no d3 syndrome (12
+        # checks), and 2^64 would need a word more than the checks do.
+        code = library.surface_code(3)
+        decoder = MwpmDecoder(code)
+        for value in (1 << 12, -1, 1 << 64):
+            with pytest.raises(ValueError, match=rf"syndrome value {value} is not in \[0, 2\^12\)"):
+                decoder.decode_value(value)
+        assert code.syndrome_value(decoder.decode_value((1 << 12) - 1)) == (1 << 12) - 1
 
     def test_d2_x5_error_from_figure(self):
         code = library.surface_code(2)
@@ -985,10 +1022,12 @@ class TestDecodeBatch:
         # identity and `decode_batch` flags them as failed.
         assert (misses > 0) == (max_weight == 1)
 
-    def test_mwpm_batch_matches_scalar(self):
+    def test_mwpm_batch_matches_whole_sector_flips(self):
         # decode_batch settles rows of up to 6 defects from a cost table and
-        # the rest by component; decode_value splits by component with no
-        # cost table.  The cases cover every path: surface_d9 sectors (72
+        # the rest by component; the reference (`decode_as_flips`) runs
+        # `flips` on each whole sector, with no cost table, and
+        # `decode_value` must give its class too.  The cases cover every
+        # path: surface_d9 sectors (72
         # checks) span two words, the low-rate rows are mostly isolated
         # defects or pairs, dense rows have a mixed component of more than 16
         # defects, and three d7 rows at p = .12 (seed 7) have a sector of
@@ -1005,9 +1044,8 @@ class TestDecodeBatch:
         paths = set()
         for code, values in cases:
             decoder = MwpmDecoder(code)
-            classes, failed = decoder.decode_batch(packed(code, values))
-            assert not failed.any()
-            for value, row in zip(values, classes):
+            decode_as_flips(code, decoder, values)
+            for value in values:
                 problems = decoder.matching_problems(Syndrome.from_int(value, code.m))
                 sizes = [len(c) for problem in problems.values() for c in components_of(problem)]
                 largest_sector = max(len(problem.defects) for problem in problems.values())
@@ -1021,8 +1059,6 @@ class TestDecodeBatch:
                     paths.add("sector > 16, components within")
                 elif sizes:
                     paths.add(names.get(max(sizes), "component >= 3"))
-                expected = decoder.decode_value(value)
-                assert np.array_equal(row, code.parity_batch(*xz_rows(code.n, [expected]))[1][0])
         assert paths == {
             "isolated only", "isolated pair", "component >= 3", "mixed component > 16",
             "sector > 16, components within",
@@ -1056,12 +1092,12 @@ class TestDecodeBatch:
         assert np.array_equal(classes, backwards[::-1])
         assert classes[:, 0].any() and not classes[:, 0].all()
 
-    def test_degrees_past_255_are_counted_exactly(self):
+    def test_rows_with_256_flagged_neighbours_decode_as_flips(self):
         # d20 Z-checks: with all 380 flagged, some defects have 256 or 257
         # flagged kept neighbours, and with one check plus 256 of its
-        # neighbours flagged, that check has 256.  No defect of either row
-        # is isolated or in an isolated pair; both rows go to `flips` whole
-        # and decode as `decode_value` does.
+        # neighbours flagged, that check has 256.  Both rows span six words
+        # and go to `flips` whole; both entry points give the whole-sector
+        # `flips` class.
         code = library.surface_code(20)
         decoder = MwpmDecoder(code)
         sector = decoder._z_checks
@@ -1072,10 +1108,7 @@ class TestDecodeBatch:
         present[0] = True
         present[1, star] = True
         values = [sum(1 << int(g) for g in sector.generators[row]) for row in present]
-        classes, failed = decoder.decode_batch(packed(code, values))
-        assert not failed.any()
-        expected = code.parity_batch(*xz_rows(code.n, [decoder.decode_value(v) for v in values]))[1]
-        assert np.array_equal(classes, expected)
+        decode_as_flips(code, decoder, values)
 
     def test_a_component_past_the_search_limit_raises(self):
         # A d46 sector all flagged (one mixed component of 2,070 defects) is
@@ -1165,15 +1198,9 @@ class TestCheckGraph:
                 assert logical_flip(sector, value) in classes, (sector.sector, value)
 
     @pytest.mark.parametrize("name", SMALL_CSS_CODES)
-    def test_batch_equals_scalar_on_every_syndrome(self, name):
+    def test_both_entry_points_equal_whole_sector_flips_on_every_syndrome(self, name):
         code = library.get_code(name)
-        decoder = MwpmDecoder(code)
-        values = list(range(1 << code.m))
-        classes, failed = decoder.decode_batch(packed(code, values))
-        recoveries = [decoder.decode_value(v) for v in values]
-        assert not failed.any()
-        assert [code.syndrome_value(r) for r in recoveries] == values
-        assert np.array_equal(classes, code.parity_batch(*xz_rows(code.n, recoveries))[1])
+        decode_as_flips(code, MwpmDecoder(code), list(range(1 << code.m)))
 
     def test_shor_corrects_every_weight_one_error(self):
         # Shor's X̄ is Z-type, so its X-error sector sets the X̄ class column.
@@ -1340,7 +1367,7 @@ class TestSmallRows:
         # Shor's construction with 8 blocks of 10 qubits: 72 Z-checks (two
         # words) and 7 X-checks (one word): each sector settles rows of its
         # own width.  Rows of both sectors are settled in numpy, and every
-        # class equals `decode_value`'s.
+        # row decodes as whole-sector `flips` does.
         code = shor_blocks(8, 10)
         n = code.n
         assert code.validate().ok
@@ -1352,11 +1379,9 @@ class TestSmallRows:
             assert rest.shape[1] == sector.words
             left = sector.settle(flips, rest)
             assert np.setdiff1d(np.flatnonzero(rest.any(axis=1)), left).size > 0
-        classes, failed = decoder.decode_batch(syndromes)
         values = [int.from_bytes(row.tobytes(), "little") for row in syndromes]
-        recoveries = [decoder.decode_value(v) for v in values]
-        assert not failed.any()
-        assert np.array_equal(classes, code.parity_batch(*xz_rows(n, recoveries))[1])
+        assert np.array_equal(packed(code, values), syndromes)
+        decode_as_flips(code, decoder, values)
 
     @pytest.mark.parametrize("name", SMALL_CSS_CODES)
     def test_small_codes_leave_nothing_to_python(self, name):

@@ -73,6 +73,26 @@ class TestWilson:
         low, high = wilson_interval(50, 50)
         assert high == 1.0 and low > 0.9
 
+    def test_intervals_cover_the_closed_form_across_seeds(self):
+        # 400 master seeds of a 1,000-trial lookup sweep at p = .05, .1, .2
+        # under iid_x: each point's 95% interval covers p_L = 3p² − 2p³ in
+        # 95% of the seeds within 3 binomial s.d. (read 96.0%, 97.0% and
+        # 94.5%), and the three points' failure counts, drawn from their own
+        # streams, are uncorrelated across seeds within 3 s.d. of a zero
+        # correlation, 1/√400 each (read −0.07 to 0.002).
+        code = library.three_qubit_bitflip()
+        decoder, seeds = LookupDecoder(code), range(400)
+        reports = [sweep(code, decoder, "iid_x", [0.05, 0.1, 0.2], 1000, seed) for seed in seeds]
+        covered = np.array([
+            [pt.ci_low <= three_qubit_closed_form(pt.p) <= pt.ci_high for pt in report.points]
+            for report in reports
+        ])
+        coverage = covered.mean(axis=0)
+        assert np.all(np.abs(coverage - 0.95) <= 3 * math.sqrt(0.95 * 0.05 / len(seeds))), coverage
+        failures = np.array([[pt.failures for pt in report.points] for report in reports])
+        correlations = np.corrcoef(failures.T)[np.triu_indices(3, 1)]
+        assert np.all(np.abs(correlations) <= 3 / math.sqrt(len(seeds))), correlations
+
 
 class TestCycle:
     def test_noiseless_always_succeeds(self):
